@@ -50,12 +50,12 @@ from .schrodinger import (
     ExactEigenpair,
     GaussianDictionarySpec,
     HarmonicOscillatorProblem,
-    apply_hamiltonian_gaussian,
     exact_spectrum,
     exact_spike_weights,
     generate_snapshots,
     hermite_polynomial,
     reference_observable,
+    separable_snapshots,
 )
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 
@@ -76,7 +76,6 @@ __all__ = [
     "ObservableCoefficients",
     "ProbeResult",
     "QuadratureRule",
-    "apply_hamiltonian_gaussian",
     "assemble_gram_pair",
     "cluster_atoms",
     "cluster_table",
@@ -101,6 +100,7 @@ __all__ = [
     "project_observable",
     "reference_observable",
     "resolvent_convergence_probe",
+    "separable_snapshots",
     "spectral_measure",
     "symmetric_procrustes",
     "tensor_trapezoid",

@@ -7,11 +7,12 @@ Subcommands
                   and diagonal references
     custom        EDMD + Hermitian DMD on user-supplied snapshot CSVs
 
-Common flags: ``--config PATH`` (key-value file, see `hdmd.config`),
-``--out DIR``, ``--threads N`` (default 1, sequential).  ``schrodinger``
-additionally takes ``--full-grid`` to run the 300 x 300 snapshot grid
-instead of the reduced default.  Verbosity comes from the ``HDMD_LOG``
-environment variable (debug/info/warning).
+Common flags: ``--config PATH`` (key-value file, see `hdmd.config`) and
+``--out DIR``.  ``schrodinger`` additionally takes ``--full-grid`` to run
+the 300 x 300 snapshot grid instead of the reduced default.  Verbosity
+comes from the ``HDMD_LOG`` environment variable (debug/info/warning).
+Bad input exits 2 and a numerical failure exits 1, each with one line on
+stderr.
 
 All CSV artifacts are deterministic for a fixed config and seed: plot data
 is CSV only, floats are written in shortest round-trip form, and runtime
@@ -26,7 +27,7 @@ import logging
 import os
 import sys
 import time
-from math import isnan
+from math import isfinite, isnan, prod
 from pathlib import Path
 
 import numpy as np
@@ -48,15 +49,15 @@ from .probes import (
     resolvent_convergence_probe,
     weak_convergence_probe,
 )
-from .quadrature import monte_carlo, tensor_trapezoid
+from .quadrature import monte_carlo
 from .schrodinger import (
     GaussianDictionarySpec,
     HarmonicOscillatorProblem,
     exact_spectrum,
-    generate_snapshots,
     reference_observable,
+    separable_snapshots,
 )
-from .spectral import cluster_table, project_observable, spectral_measure
+from .spectral import ObservableCoefficients, cluster_table, project_observable, spectral_measure
 
 logger = logging.getLogger("hdmd")
 
@@ -116,20 +117,18 @@ def read_points_csv(path) -> np.ndarray:
         elif len(parts) != width:
             raise ValueError(f"{path}: line {lineno}: expected {width} columns, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric value in {line!r}") from None
+        if not all(map(isfinite, row)):
+            raise ValueError(f"{path}: line {lineno}: non-finite value in {line!r}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(rows, dtype=float)
 
 
-def run_schrodinger(
-    config: ExperimentConfig,
-    out_dir: Path,
-    threads: int = 1,
-    full_grid: bool = False,
-) -> int:
+def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = False) -> int:
     """Benchmark pipeline; writes eigenvalues.csv, measure.csv, clustered.csv, summary.json."""
     t0 = time.perf_counter()
     grid = (FULL_GRID_POINTS, FULL_GRID_POINTS) if full_grid else config.grid
@@ -140,17 +139,16 @@ def run_schrodinger(
         amplitude=config.dict_amplitude,
     )
     problem = HarmonicOscillatorProblem(dictionary_spec=spec)
-    quad = tensor_trapezoid(problem.domain, grid)
-    logger.info("grid %s (%d nodes), dictionary size %d", grid, quad.size, spec.size)
+    snapshots = separable_snapshots(problem, grid)
+    logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), spec.size)
 
-    features = generate_snapshots(problem, quad, rank_tolerance=config.rank_tolerance)
-    pair = assemble_gram_pair(features, quad, threads=threads)
+    pair = snapshots.gram_pair(config.rank_tolerance)
     operator = hermitian_dmd(pair)
     residual = operator.hermiticity_residual()
     eig = eigendecompose(operator)
 
-    samples = evaluate_function_samples(quad.nodes, reference_observable)
-    observable = project_observable(samples, features, quad, pair=pair)
+    samples = evaluate_function_samples(snapshots.nodes, reference_observable)
+    observable = ObservableCoefficients(coeffs=pair.solve(snapshots.moments(samples)), gram=pair)
     measure = spectral_measure(eig, observable)
 
     references = [float(p.energy) for p in exact_spectrum(config.energy_cutoff)]
@@ -171,6 +169,8 @@ def run_schrodinger(
         "grid": list(grid),
         "dictionary_size": spec.size,
         "retained_rank": pair.retained_rank,
+        "g_eigen_floor": pair.g_eigen_floor,
+        "gram_condition_number": pair.condition_number,
         "hermiticity_residual": residual,
         "total_mass": measure.total_mass,
         "observable_mass": observable.mass(),
@@ -210,7 +210,7 @@ def bump_off_spectrum(lam: float) -> float:
 PROBE_TEST_FNS = (constant, resolvent_re, resolvent_re_shifted, bump_off_spectrum)
 
 
-def run_probes(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
+def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
     """Finite-section probes for the free-Jacobi and diagonal references."""
     t0 = time.perf_counter()
     n_ref = config.probe_n_ref
@@ -252,13 +252,7 @@ def run_probes(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> int
     return EXIT_OK
 
 
-def run_custom(
-    config: ExperimentConfig,
-    x_path,
-    y_path,
-    out_dir: Path,
-    threads: int = 1,
-) -> int:
+def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     """EDMD + Hermitian DMD on snapshot coordinate files (equal-weight rule).
 
     The spectral measure is taken with respect to the first dictionary
@@ -281,7 +275,7 @@ def run_custom(
     )
     quad = monte_carlo(x_pts, total_mass=1.0)
     features = evaluate_snapshots(dictionary, x_pts, y_pts, rank_tolerance=config.rank_tolerance)
-    pair = assemble_gram_pair(features, quad, threads=threads)
+    pair = assemble_gram_pair(features, quad)
     k_edmd = edmd(pair)
     k_herm = hermitian_dmd(pair)
     residual = k_herm.hermiticity_residual()
@@ -302,6 +296,8 @@ def run_custom(
         "snapshot_dimension": dim,
         "dictionary_size": dictionary.size,
         "retained_rank": pair.retained_rank,
+        "g_eigen_floor": pair.g_eigen_floor,
+        "gram_condition_number": pair.condition_number,
         "hermiticity_residual": residual,
         "total_mass": measure.total_mass,
         "runtime_seconds": time.perf_counter() - t0,
@@ -334,7 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", type=Path, default=None, help="key-value config file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="assembly parallelism (default 1)")
 
     p_s = sub.add_parser("schrodinger", help="harmonic-oscillator benchmark")
     common(p_s)
@@ -359,14 +354,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else default_config()
-        if args.threads < 1:
-            raise ConfigError("threads must be >= 1", field_name="threads")
         out_dir = Path(args.out) if args.out else Path(config.output_dir)
         if args.command == "schrodinger":
-            return run_schrodinger(config, out_dir, threads=args.threads, full_grid=args.full_grid)
+            return run_schrodinger(config, out_dir, full_grid=args.full_grid)
         if args.command == "probes":
-            return run_probes(config, out_dir, threads=args.threads)
-        return run_custom(config, args.x_csv, args.y_csv, out_dir, threads=args.threads)
+            return run_probes(config, out_dir)
+        return run_custom(config, args.x_csv, args.y_csv, out_dir)
+    except (np.linalg.LinAlgError, MemoryError) as exc:  # LinAlgError is a ValueError
+        print(f"hdmd: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError) as exc:
         print(f"hdmd: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,15 +24,16 @@ compresses (A + A^*)/2 onto the retained subspace as well, which is what
 keeps G K = K^* G true at roundoff level; at full rank this reduces to the
 plain formula above.
 
-Assembly sums over snapshots in fixed 4096-row blocks combined by a fixed
-pairwise tree, so results are bitwise reproducible for any thread count.
+Dense assembly sums over snapshots in fixed 4096-row blocks, so no M x N
+temporary is formed.  G and A from any other source (for instance the
+closed-form separable factors in `hdmd.schrodinger`) enter through
+`GramPair.from_matrices`, the one place where the cutoff is applied.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +58,8 @@ class GramPair:
 
     basis (N x r) holds orthonormal eigenvectors of G for the retained
     eigenvalues basis_eigenvalues (ascending, all > g_eigen_floor where
-    g_eigen_floor = rel_tol * lambda_max).  retained_rank == r.
+    g_eigen_floor = rel_tol * lambda_max).  retained_rank == r.  G and A may
+    be real or complex.
     """
 
     g: np.ndarray
@@ -75,20 +77,52 @@ class GramPair:
     def rank_deficient(self) -> bool:
         return self.retained_rank < self.size
 
+    @property
+    def condition_number(self) -> float:
+        """Largest over smallest retained eigenvalue of G."""
+        return float(self.basis_eigenvalues[-1] / self.basis_eigenvalues[0])
+
     def hermitian_part_of_a(self) -> np.ndarray:
         return 0.5 * (self.a + self.a.conj().T)
 
-    def gram_residual(self) -> float:
-        """Relative departure of G from Hermitian symmetry."""
-        gk = np.linalg.norm(self.g - self.g.conj().T)
-        return float(gk / max(1.0, np.linalg.norm(self.g)))
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """G^+ rhs with the spectral-cutoff pseudoinverse (vector or matrix rhs)."""
+        q, lam = self.basis, self.basis_eigenvalues
+        return q @ ((q.conj().T @ rhs) / lam.reshape((-1,) + (1,) * (np.ndim(rhs) - 1)))
+
+    @classmethod
+    def from_matrices(cls, g: np.ndarray, a: np.ndarray, rank_tolerance: float) -> "GramPair":
+        """Symmetrize G as (G + G^*)/2, eigendecompose it once and apply the cutoff.
+
+        Eigenvalues at or below rank_tolerance * lambda_max are dropped and the
+        retained eigenspace is cached for every downstream solve.  Effective
+        rank deficiency is reported as a warning, not a failure.
+        """
+        g = 0.5 * (g + g.conj().T)
+        eigvals, eigvecs = np.linalg.eigh(g)
+        floor = float(rank_tolerance) * max(eigvals[-1], 0.0)
+        keep = eigvals > floor
+        rank = int(np.count_nonzero(keep))
+        if rank == 0:
+            raise ValueError("Gram matrix has no eigenvalue above the truncation floor")
+        if rank < g.shape[0]:
+            logger.warning(
+                "Gram matrix numerically rank deficient: retained %d of %d directions "
+                "(floor %.3e)", rank, g.shape[0], floor,
+            )
+        for arr in (g, a):
+            arr.setflags(write=False)
+        return cls(g, a, float(floor), rank, basis=eigvecs[:, keep], basis_eigenvalues=eigvals[keep])
 
 
 @dataclass(frozen=True)
 class KoopmanMatrix:
+    """Operator matrix K; Hermitian DMD also keeps Q^* B Q for `eigendecompose`."""
+
     k: np.ndarray
     kind: KoopmanKind
     source: GramPair
+    compressed_b: Optional[np.ndarray] = None
 
     def hermiticity_residual(self) -> float:
         """||G K - K^* G||_F / max(1, ||G K||_F)."""
@@ -109,82 +143,30 @@ class KoopmanEig:
         return float(np.max(np.abs(vgv - np.eye(vgv.shape[0]))))
 
 
-def _tree_reduce(parts: list[np.ndarray]) -> np.ndarray:
-    """Pairwise sum in index order; the reduction shape is fixed by len(parts)."""
-    while len(parts) > 1:
-        parts = [
-            parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-    return parts[0]
-
-
-def assemble_gram_pair(
-    features: FeatureMatrices,
-    quad: QuadratureRule,
-    rank_tolerance: Optional[float] = None,
-    threads: int = 1,
-) -> GramPair:
+def assemble_gram_pair(features: FeatureMatrices, quad: QuadratureRule) -> GramPair:
     """Form G = Psi_X^* W Psi_X and A = Psi_X^* W Psi_Y as weighted snapshot sums.
 
-    G is symmetrized as (G + G^*)/2 after assembly and eigendecomposed once;
-    eigenvalues at or below rank_tolerance * lambda_max are dropped and the
-    retained eigenspace is cached for every downstream solve.  Effective rank
-    deficiency is reported as a warning, not a failure.
+    The cutoff is features.rank_tolerance_used; see `GramPair.from_matrices`.
     """
     if features.snapshot_count != quad.size:
         raise ValueError(
             f"feature rows ({features.snapshot_count}) != quadrature nodes ({quad.size})"
         )
-    tol = features.rank_tolerance_used if rank_tolerance is None else float(rank_tolerance)
-
     psi_x, psi_y, w = features.psi_x, features.psi_y, quad.weights
-    blocks = range(0, quad.size, _BLOCK_ROWS)
-
-    def partial(start: int) -> tuple[np.ndarray, np.ndarray]:
+    n = features.dictionary_size
+    g = np.zeros((n, n), dtype=complex)
+    a = np.zeros((n, n), dtype=complex)
+    for start in range(0, quad.size, _BLOCK_ROWS):
         sl = slice(start, start + _BLOCK_ROWS)
         xw = psi_x[sl].conj().T * w[sl]
-        return xw @ psi_x[sl], xw @ psi_y[sl]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(partial, blocks))
-    else:
-        parts = [partial(s) for s in blocks]
-
-    g = _tree_reduce([p[0] for p in parts])
-    a = _tree_reduce([p[1] for p in parts])
-    g = 0.5 * (g + g.conj().T)
-
-    eigvals, eigvecs = np.linalg.eigh(g)
-    floor = tol * max(eigvals[-1], 0.0)
-    keep = eigvals > floor
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        raise ValueError("Gram matrix has no eigenvalue above the truncation floor")
-    if rank < g.shape[0]:
-        logger.warning(
-            "Gram matrix numerically rank deficient: retained %d of %d directions "
-            "(floor %.3e)", rank, g.shape[0], floor,
-        )
-
-    for arr in (g, a):
-        arr.setflags(write=False)
-    return GramPair(
-        g=g,
-        a=a,
-        g_eigen_floor=float(floor),
-        retained_rank=rank,
-        basis=eigvecs[:, keep],
-        basis_eigenvalues=eigvals[keep],
-    )
+        g += xw @ psi_x[sl]
+        a += xw @ psi_y[sl]
+    return GramPair.from_matrices(g, a, features.rank_tolerance_used)
 
 
 def edmd(pair: GramPair) -> KoopmanMatrix:
     """Unconstrained least-squares operator K = G^+ A (spectral-cutoff pseudoinverse)."""
-    q, lam = pair.basis, pair.basis_eigenvalues
-    k = q @ ((q.conj().T @ pair.a) / lam[:, None])
-    return KoopmanMatrix(k=k, kind=KoopmanKind.EDMD, source=pair)
+    return KoopmanMatrix(k=pair.solve(pair.a), kind=KoopmanKind.EDMD, source=pair)
 
 
 def hermitian_dmd(pair: GramPair) -> KoopmanMatrix:
@@ -201,7 +183,7 @@ def hermitian_dmd(pair: GramPair) -> KoopmanMatrix:
     b_proj = q.conj().T @ pair.hermitian_part_of_a() @ q
     b_proj = 0.5 * (b_proj + b_proj.conj().T)
     k = q @ (b_proj / lam[:, None]) @ q.conj().T
-    return KoopmanMatrix(k=k, kind=KoopmanKind.HERMITIAN_DMD, source=pair)
+    return KoopmanMatrix(k=k, kind=KoopmanKind.HERMITIAN_DMD, source=pair, compressed_b=b_proj)
 
 
 def symmetric_procrustes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -251,14 +233,10 @@ def eigendecompose(k: KoopmanMatrix) -> KoopmanEig:
     if k.kind is not KoopmanKind.HERMITIAN_DMD:
         raise ValueError(f"eigendecompose requires a Hermitian DMD operator, got kind={k.kind.value}")
     pair = k.source
-    if pair.retained_rank == 0:
-        raise ValueError("retained rank is zero; nothing to decompose")
-    q, lam = pair.basis, pair.basis_eigenvalues
-    rootlam = np.sqrt(lam)
-    b_w = (q.conj().T @ pair.hermitian_part_of_a() @ q) / rootlam[:, None] / rootlam[None, :]
-    b_w = 0.5 * (b_w + b_w.conj().T)
-    theta, u = np.linalg.eigh(b_w)
-    vectors = q @ (u / rootlam[:, None])
+    rootlam = np.sqrt(pair.basis_eigenvalues)
+    b_w = k.compressed_b / rootlam[:, None] / rootlam[None, :]
+    theta, u = np.linalg.eigh(0.5 * (b_w + b_w.conj().T))
+    vectors = pair.basis @ (u / rootlam[:, None])
 
     # phase convention: largest-modulus entry real positive
     idx = np.argmax(np.abs(vectors), axis=0)

@@ -9,13 +9,14 @@ so that integrals become weighted sums:  int f d(omega_M) = sum_m w_m f(x^(m)).
 The weight matrix W = diag(w_1, ..., w_M) used downstream is never formed
 explicitly; weights are kept as a vector.
 
-Summation over nodes is done in a fixed block order (see `hdmd.dmd`), so
-results are reproducible independent of the parallelism degree.
+Tensor-product rules also expose their 1-D factors (`trapezoid_axes`), which
+separable problems use to assemble inner products without the M-point grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -101,40 +102,37 @@ def _check_box(domain: Box) -> list[tuple[float, float]]:
     return box
 
 
-def tensor_trapezoid(domain: Box, points_per_axis: Sequence[int]) -> QuadratureRule:
-    """Tensor-product trapezoidal rule on an axis-aligned box.
+def trapezoid_axes(domain: Box, points_per_axis: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-axis 1-D trapezoid rules (nodes, weights) on an axis-aligned box.
 
-    Per axis the 1-D rule uses n >= 2 equispaced points including both
-    endpoints; interior weights equal the spacing h, boundary weights h/2.
-    Tensor weights are products of the 1-D factors, so the total mass is
-    the box volume (up to roundoff).  Nodes are ordered row-major with the
-    last axis varying fastest.
+    Each axis uses n >= 2 equispaced points including both endpoints;
+    interior weights equal the spacing h, boundary weights h/2.
     """
     box = _check_box(domain)
     counts = [int(n) for n in points_per_axis]
     if len(counts) != len(box):
         raise ValueError(f"got {len(counts)} point counts for a {len(box)}-axis box")
-    for k, n in enumerate(counts):
+    rules = []
+    for k, ((a, b), n) in enumerate(zip(box, counts)):
         if n < 2:
             raise ValueError(f"axis {k}: trapezoid rule needs at least 2 points, got {n}")
-
-    axes, axis_weights = [], []
-    for (a, b), n in zip(box, counts):
-        pts = np.linspace(a, b, n)
-        h = (b - a) / (n - 1)
-        w = np.full(n, h)
+        w = np.full(n, (b - a) / (n - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        axes.append(pts)
-        axis_weights.append(w)
+        rules.append((np.linspace(a, b, n), w))
+    return rules
 
-    grids = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*axis_weights, indexing="ij")
-    weights = wgrids[0].ravel().copy()
-    for wg in wgrids[1:]:
-        weights *= wg.ravel()
-    return QuadratureRule(nodes=nodes, weights=weights)
+
+def tensor_trapezoid(domain: Box, points_per_axis: Sequence[int]) -> QuadratureRule:
+    """Tensor product of the `trapezoid_axes` rules.
+
+    Tensor weights are products of the 1-D factors, so the total mass is
+    the box volume (up to roundoff).  Nodes are ordered row-major with the
+    last axis varying fastest.
+    """
+    axes, axis_weights = zip(*trapezoid_axes(domain, points_per_axis))
+    nodes = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    return QuadratureRule(nodes=nodes, weights=reduce(np.multiply.outer, axis_weights).ravel())
 
 
 def monte_carlo(samples, total_mass: float) -> QuadratureRule:

@@ -8,11 +8,15 @@ is self-adjoint, and pairs (u, H u) play the role of snapshot data for a
 dictionary of Gaussian bumps u = c exp(-a |p - center|^2).  For such bumps
 H u has the closed form
 
-    H u = u * (2 a - 2 a^2 r^2 + V(p)),    r^2 = |p - center|^2,
+    H u = u * sum_k (a - 2 a^2 d_k^2 + x_k^2 / 2),    d = p - center,
 
 (in 2-D, Laplacian(u) = u * (4 a^2 r^2 - 4 a)), so no PDE solver or
 numerical differentiation enters the data: the only approximation left in
 the pipeline is quadrature plus the dictionary itself.
+
+Bumps, multiplier and the trapezoid rule all separate over axes, so
+`separable_snapshots` assembles G, A and Psi_X^* W f from 1-D factors; the
+dense `generate_snapshots` stays as the general route and the oracle.
 
 Exact eigenpairs are phi_{m,n}(x, y) = H_m(x) H_n(y) exp(-(x^2+y^2)/2) with
 energies E = m + n + 1, using physicists' Hermite polynomials H_m.  The
@@ -29,20 +33,16 @@ convention; see README for notes on alternatives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import factorial, pi, sqrt
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dictionary import (
-    DEFAULT_RANK_TOLERANCE,
-    Dictionary,
-    FeatureMatrices,
-    gaussian_centers,
-    gaussian_grid_dictionary,
-)
-from .quadrature import QuadratureRule
+from .dictionary import DEFAULT_RANK_TOLERANCE, FeatureMatrices, gaussian_centers
+from .dmd import GramPair
+from .quadrature import QuadratureRule, trapezoid_axes
 from .spectral import AtomicMeasure
 
 Box = Sequence[tuple[float, float]]
@@ -57,8 +57,9 @@ class GaussianDictionarySpec:
     width: float = 3.0
     amplitude: complex = 1 + 1j
 
-    def build(self) -> Dictionary:
-        return gaussian_grid_dictionary(self.centers_box, self.per_axis, self.width, self.amplitude)
+    def __post_init__(self):
+        if not self.width > 0:
+            raise ValueError(f"width must be positive, got {self.width}")
 
     @property
     def size(self) -> int:
@@ -72,28 +73,14 @@ class HarmonicOscillatorProblem:
     domain: tuple[tuple[float, float], ...] = ((-5.0, 5.0), (-5.0, 5.0))
     dictionary_spec: GaussianDictionarySpec = field(default_factory=GaussianDictionarySpec)
 
-    def potential(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return 0.5 * np.sum(pts**2, axis=1)
 
+def _axis_multiplier(a: float, d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One axis's term of (H u) / u for u = exp(-a |p - c|^2), with d = x - c.
 
-def apply_hamiltonian_gaussian(center, width: float, amplitude: complex, eval_point):
-    """H applied to the Gaussian c*exp(-a r^2), evaluated in closed form.
-
-    Accepts a single point or an (M, 2) block; returns complex scalar/vector.
+    -1/2 d^2/dx^2 exp(-a d^2) = (a - 2 a^2 d^2) exp(-a d^2), plus the axis's
+    share x^2 / 2 of the potential; the full multiplier is the sum over axes.
     """
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
-    a = float(width)
-    c = complex(amplitude)
-    ctr = np.asarray(center, dtype=float).ravel()
-    pts = np.asarray(eval_point, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    r2 = np.sum((pts - ctr[None, :]) ** 2, axis=1)
-    u = c * np.exp(-a * r2)
-    out = u * (2 * a - 2 * a**2 * r2 + 0.5 * np.sum(pts**2, axis=1))
-    return complex(out[0]) if single else out
+    return a - 2 * a**2 * d**2 + 0.5 * x**2
 
 
 def generate_snapshots(
@@ -105,7 +92,7 @@ def generate_snapshots(
 
     Rows are dictionary evaluations at the quadrature nodes; the y-side is
     produced analytically at the same nodes (the data relate through H, so
-    nothing is time-stepped).
+    nothing is time-stepped).  This is the dense route, for any rule.
     """
     nodes = quad.nodes
     lo = np.array([a for a, _ in problem.domain])
@@ -116,19 +103,70 @@ def generate_snapshots(
         raise ValueError("quadrature nodes must lie inside the problem domain")
 
     spec = problem.dictionary_spec
-    dictionary = spec.build()
-    psi_x = dictionary.evaluate(nodes)
-
     centers = gaussian_centers(spec.centers_box, spec.per_axis)
     a = float(spec.width)
-    potential = problem.potential(nodes)
+    psi_x = np.empty((nodes.shape[0], centers.shape[0]), dtype=complex)
     psi_y = np.empty_like(psi_x)
     block = 4096
     for start in range(0, nodes.shape[0], block):
         sl = slice(start, start + block)
-        d2 = np.sum((nodes[sl, None, :] - centers[None, :, :]) ** 2, axis=2)
-        psi_y[sl] = psi_x[sl] * (2 * a - 2 * a**2 * d2 + potential[sl, None])
+        d = nodes[sl, None, :] - centers[None, :, :]
+        psi_x[sl] = complex(spec.amplitude) * np.exp(-a * np.sum(d**2, axis=2))
+        psi_y[sl] = psi_x[sl] * np.sum(_axis_multiplier(a, d, nodes[sl, None, :]), axis=2)
     return FeatureMatrices(psi_x=psi_x, psi_y=psi_y, rank_tolerance_used=rank_tolerance)
+
+
+@dataclass(frozen=True)
+class SeparableSnapshots:
+    """Per-axis factors of the benchmark data on a tensor trapezoid grid.
+
+    Axis k has nodes x, weights w, bumps E = exp(-a (x - c)^2) and multiplier
+    terms h.  With G1 = E^T W E and H1 = E^T W (E o h) per axis,
+    G = |amp|^2 (x)_k G1_k and A = |amp|^2 sum_k (G1 (x) .. H1_k .. (x) G1),
+    both real; Psi_X^* W f = conj(amp) vec(E_1^T W_1 F W_2 E_2).
+    """
+
+    amplitude: complex
+    axes: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
+    bumps: tuple[np.ndarray, ...]
+    multipliers: tuple[np.ndarray, ...]
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Grid nodes (M, d), row-major with the last axis fastest, like the centers."""
+        return np.column_stack([g.ravel() for g in np.meshgrid(*self.axes, indexing="ij")])
+
+    def gram_pair(self, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> GramPair:
+        g1 = [e.T @ (w[:, None] * e) for e, w in zip(self.bumps, self.weights)]
+        h1 = [e.T @ (w[:, None] * e * h) for e, w, h in zip(self.bumps, self.weights, self.multipliers)]
+        scale = abs(self.amplitude) ** 2
+        g = scale * reduce(np.kron, g1)
+        a = scale * sum(reduce(np.kron, g1[:k] + [h1[k]] + g1[k + 1 :]) for k in range(len(g1)))
+        return GramPair.from_matrices(g, a, rank_tolerance)
+
+    def moments(self, samples) -> np.ndarray:
+        """Psi_X^* W f for samples of f at `nodes`, contracted axis by axis."""
+        t = np.asarray(samples).reshape([x.shape[0] for x in self.axes])
+        for k, (e, w) in enumerate(zip(self.bumps, self.weights)):
+            t = np.moveaxis(np.tensordot(t, w[:, None] * e, axes=([k], [0])), -1, k)
+        return np.conj(self.amplitude) * t.ravel()
+
+
+def separable_snapshots(problem: HarmonicOscillatorProblem, points_per_axis) -> SeparableSnapshots:
+    """Factors for the tensor trapezoid rule with points_per_axis on problem.domain."""
+    spec = problem.dictionary_spec
+    a = float(spec.width)
+    axes, weights = zip(*trapezoid_axes(problem.domain, points_per_axis))
+    boxes = zip(axes, spec.centers_box, strict=True)
+    d = [x[:, None] - gaussian_centers([box], spec.per_axis)[None, :, 0] for x, box in boxes]
+    return SeparableSnapshots(
+        amplitude=complex(spec.amplitude),
+        axes=axes,
+        weights=weights,
+        bumps=tuple(np.exp(-a * dk**2) for dk in d),
+        multipliers=tuple(_axis_multiplier(a, dk, x[:, None]) for dk, x in zip(d, axes)),
+    )
 
 
 def hermite_polynomial(m: int, x):

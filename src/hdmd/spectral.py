@@ -22,7 +22,6 @@ sums unchanged.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -33,8 +32,6 @@ from .dictionary import FeatureMatrices
 from .dmd import GramPair, KoopmanEig, assemble_gram_pair
 from .matio import format_float
 from .quadrature import QuadratureRule
-
-logger = logging.getLogger("hdmd")
 
 
 @dataclass(frozen=True)
@@ -138,15 +135,8 @@ def project_observable(
         pair = assemble_gram_pair(features, quad)
     elif pair.size != features.dictionary_size:
         raise ValueError("GramPair size does not match the feature matrices")
-    if pair.rank_deficient:
-        logger.warning(
-            "projecting onto a rank-deficient dictionary (rank %d of %d)",
-            pair.retained_rank, pair.size,
-        )
     rhs = features.psi_x.conj().T @ (quad.weights * vals)
-    q, lam = pair.basis, pair.basis_eigenvalues
-    coeffs = q @ ((q.conj().T @ rhs) / lam)
-    return ObservableCoefficients(coeffs=coeffs, gram=pair)
+    return ObservableCoefficients(coeffs=pair.solve(rhs), gram=pair)
 
 
 def spectral_measure(eig: KoopmanEig, obs: ObservableCoefficients) -> AtomicMeasure:

@@ -11,6 +11,7 @@ import hdmd.cli as cli
 from hdmd.config import ConfigError, default_config, load_config, validate
 from hdmd.dictionary import gaussian_centers
 from hdmd.matio import read_complex_csv
+from hdmd.spectral import cluster_table
 
 
 def write_config(tmp_path, body: str, name="exp.cfg"):
@@ -155,6 +156,9 @@ def test_schrodinger_summary_contents(small_run):
     assert summary["dictionary_size"] == 100
     assert summary["total_mass"] == pytest.approx(summary["observable_mass"], rel=1e-10)
     assert summary["runtime_seconds"] > 0
+    assert summary["retained_rank"] == 100
+    assert summary["g_eigen_floor"] > 0
+    assert summary["gram_condition_number"] >= 1.0
 
 
 def test_schrodinger_ground_state_recovery(small_run):
@@ -197,14 +201,35 @@ def test_schrodinger_fails_loudly_on_hermiticity_breach(tmp_path, monkeypatch):
     assert summary["hermiticity_residual"] == 1e-3  # reported even on failure
 
 
-def test_threads_flag_keeps_results_identical(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("schema = 1\ngrid = 30 30\ndict_per_axis = 6\nenergy_cutoff = 3\n")
-    out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(out2), "--threads", "3"]) == 0
-    assert (out1 / "eigenvalues.csv").read_bytes() == (out2 / "eigenvalues.csv").read_bytes()
-    assert (out1 / "measure.csv").read_bytes() == (out2 / "measure.csv").read_bytes()
+def read_clusters(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [(float(r[0]), float(r[1]) if r[1] else float("nan"), float(r[2])) for r in rows]
+
+
+def test_schrodinger_separable_path_matches_dense_pipeline(bench75, tmp_path):
+    """The CLI's separable assembly reproduces the dense 75x75 pipeline.
+
+    Compared: the first 100 eigenvalues, and the weight and location of every
+    cluster heavier than 1e-6.  Not compared: zero-mass clusters and the
+    per-atom weights in measure.csv, which inside an exactly degenerate
+    eigenspace depend on the eigenbasis LAPACK picks there; cluster sums do
+    not.
+    """
+    out = tmp_path / "out"
+    assert cli.main(["schrodinger", "--out", str(out)]) == 0
+    computed = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.max(np.abs(computed[:100] - bench75["eig"].eigenvalues[:100])) <= 1e-12
+
+    clusters = read_clusters(out / "clustered.csv")
+    dense, _ = cluster_table(bench75["measure"], [c[0] for c in clusters], default_config().cluster_radius)
+    heavy = 0
+    for (ref, loc, weight), (_, dense_loc, dense_weight, _) in zip(clusters, dense):
+        assert (weight > 1e-6) == (dense_weight > 1e-6), ref
+        if dense_weight > 1e-6:
+            heavy += 1
+            assert weight == pytest.approx(dense_weight, rel=1e-10)
+            assert loc == pytest.approx(dense_loc, rel=1e-10)
+    assert heavy >= 5
 
 
 # ------------------------------------------------------------------
@@ -293,6 +318,47 @@ def test_custom_parse_error_reports_line(tmp_path, capsys):
                      str(tmp_path / "x.csv"), str(tmp_path / "y.csv")])
     assert code == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_custom_non_finite_value_exits_2(tmp_path, capsys, bad):
+    (tmp_path / "x.csv").write_text(f"x1,x2\n0.0,0.0\n{bad},1.0\n")
+    (tmp_path / "y.csv").write_text("x1,x2\n0.0,0.0\n0.0,1.0\n")
+    out = tmp_path / "o"
+    code = cli.main(["custom", "--out", str(out), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "x.csv" in err and "line 3" in err and "non-finite" in err
+    assert not out.exists()
+
+
+def test_custom_reports_gram_spectrum(tmp_path):
+    pts = symmetric_grid_points()
+    write_points(tmp_path / "x.csv", pts)
+    write_points(tmp_path / "y.csv", -pts)
+    cfg = write_config(tmp_path, "dict_per_axis = 4\n")
+    out = tmp_path / "out"
+    assert cli.main(["custom", "--config", str(cfg), "--out", str(out),
+                     str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["retained_rank"] == 16
+    assert 0 < summary["g_eigen_floor"] < 1e-12
+    assert 1.0 <= summary["gram_condition_number"] < 1e12
+
+
+@pytest.mark.parametrize(
+    "error", [np.linalg.LinAlgError("Eigenvalues did not converge"), MemoryError()]
+)
+def test_numerical_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "hermitian_dmd", fail)
+    cfg = write_config(tmp_path, "grid = 20 20\ndict_per_axis = 3\nenergy_cutoff = 2\n")
+    code = cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and type(error).__name__ in err
 
 
 def test_custom_shape_mismatch_exits_2(tmp_path, capsys):

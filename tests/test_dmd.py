@@ -8,6 +8,7 @@ import pytest
 
 from hdmd.dictionary import FeatureMatrices, gaussian_grid_dictionary
 from hdmd.dmd import (
+    GramPair,
     KoopmanKind,
     assemble_gram_pair,
     edmd,
@@ -81,7 +82,7 @@ def test_assemble_gaussian_diagonal_matches_gaussian_integral():
 
 def test_assemble_symmetrizes_gram(rng):
     pair, _, _ = random_instance(rng)
-    assert pair.gram_residual() <= 1e-12
+    assert np.array_equal(pair.g, pair.g.conj().T)
 
 
 def test_assemble_rejects_row_mismatch(rng):
@@ -101,16 +102,15 @@ def test_assemble_warns_on_rank_deficiency(rng, caplog):
     assert any("rank deficient" in r.message for r in caplog.records)
 
 
-def test_assemble_threads_do_not_change_results(rng):
-    psi_x = rng.normal(size=(9000, 4)) + 1j * rng.normal(size=(9000, 4))
-    psi_y = rng.normal(size=(9000, 4)) + 1j * rng.normal(size=(9000, 4))
-    w = rng.uniform(0.1, 1.0, size=9000)
-    quad = QuadratureRule(nodes=np.zeros((9000, 1)), weights=w)
-    fm = FeatureMatrices(psi_x=psi_x, psi_y=psi_y)
-    seq = assemble_gram_pair(fm, quad, threads=1)
-    par = assemble_gram_pair(fm, quad, threads=4)
-    assert np.array_equal(seq.g, par.g)
-    assert np.array_equal(seq.a, par.a)
+def test_from_matrices_accepts_real_gram_and_solve_matches_pinv(rng):
+    x = rng.normal(size=(12, 5))
+    g = x.T @ x
+    pair = GramPair.from_matrices(g, rng.normal(size=(5, 5)), 1e-12)
+    assert pair.g.dtype == np.float64 and pair.retained_rank == 5
+    assert pair.condition_number == pytest.approx(np.linalg.cond(g), rel=1e-10)
+    rhs = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+    assert np.linalg.norm(pair.solve(rhs) - np.linalg.pinv(g) @ rhs) <= 1e-10
+    assert np.linalg.norm(pair.solve(rhs[:, 0]) - np.linalg.pinv(g) @ rhs[:, 0]) <= 1e-10
 
 
 # ------------------------------------------------------------------

@@ -5,18 +5,20 @@ from math import factorial, pi, sqrt
 import numpy as np
 import pytest
 
-from hdmd.dictionary import gaussian_centers
+from hdmd.dictionary import evaluate_function_samples, gaussian_centers
+from hdmd.dmd import assemble_gram_pair
 from hdmd.quadrature import QuadratureRule, tensor_trapezoid
 from hdmd.schrodinger import (
     ExactEigenpair,
     GaussianDictionarySpec,
     HarmonicOscillatorProblem,
-    apply_hamiltonian_gaussian,
+    _axis_multiplier,
     exact_spectrum,
     exact_spike_weights,
     generate_snapshots,
     hermite_polynomial,
     reference_observable,
+    separable_snapshots,
     spectrum_to_csv,
 )
 
@@ -38,18 +40,25 @@ def hamiltonian_by_finite_differences(u, pts, h=1e-4):
     return -0.5 * lap + 0.5 * np.sum(pts**2, axis=1) * u(pts)
 
 
+def hamiltonian_closed_form(center, width, amplitude, pts):
+    """H u for a Gaussian u through the shared per-axis multiplier."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    d = pts - np.asarray(center)[None, :]
+    return gaussian(center, width, amplitude, pts) * np.sum(_axis_multiplier(width, d, pts), axis=1)
+
+
 # ------------------------------------------------------------------
-# apply_hamiltonian_gaussian
+# the Hamiltonian multiplier
 # ------------------------------------------------------------------
 
 
 def test_hamiltonian_gaussian_at_center_origin():
     # r = 0 and V(0) = 0 leave only the 2a term
-    assert apply_hamiltonian_gaussian([0.0, 0.0], 3.0, 1.0, [0.0, 0.0]) == pytest.approx(6.0)
+    assert hamiltonian_closed_form([0.0, 0.0], 3.0, 1.0, [0.0, 0.0])[0] == pytest.approx(6.0)
 
 
 def test_hamiltonian_gaussian_at_offset_center():
-    val = apply_hamiltonian_gaussian([1.0, 0.0], 3.0, 1 + 1j, [1.0, 0.0])
+    val = hamiltonian_closed_form([1.0, 0.0], 3.0, 1 + 1j, [1.0, 0.0])[0]
     assert val == pytest.approx((1 + 1j) * 6.5)
 
 
@@ -58,7 +67,7 @@ def test_hamiltonian_gaussian_matches_finite_differences(rng):
         center = rng.uniform(-4, 4, size=2)
         point = rng.uniform(-5, 5, size=(1, 2))
         amp = complex(rng.normal(), rng.normal())
-        closed = apply_hamiltonian_gaussian(center, 3.0, amp, point)[0]
+        closed = hamiltonian_closed_form(center, 3.0, amp, point)[0]
         fd = hamiltonian_by_finite_differences(
             lambda p: gaussian(center, 3.0, amp, p), point
         )[0]
@@ -67,7 +76,7 @@ def test_hamiltonian_gaussian_matches_finite_differences(rng):
 
 def test_hamiltonian_gaussian_rejects_bad_width():
     with pytest.raises(ValueError, match="width"):
-        apply_hamiltonian_gaussian([0.0, 0.0], -1.0, 1.0, [0.0, 0.0])
+        GaussianDictionarySpec(width=-1.0)
 
 
 # ------------------------------------------------------------------
@@ -113,6 +122,50 @@ def test_snapshots_reject_nodes_outside_domain():
     quad = QuadratureRule(nodes=np.array([[6.0, 0.0]]), weights=np.array([1.0]))
     with pytest.raises(ValueError, match="inside the problem domain"):
         generate_snapshots(problem, quad)
+
+
+# ------------------------------------------------------------------
+# separable_snapshots against the dense route
+# ------------------------------------------------------------------
+
+
+def nonseparable_observable(pts):
+    return np.cos(pts[:, 0] * pts[:, 1]) + 1j * pts[:, 0] * np.exp(-0.1 * pts[:, 1] ** 2)
+
+
+def relative_error(x, y):
+    return np.linalg.norm(x - y) / np.linalg.norm(y)
+
+
+@pytest.mark.parametrize(
+    "grid, spec",
+    [
+        ((75, 75), GaussianDictionarySpec()),
+        ((40, 55), GaussianDictionarySpec()),
+        ((50, 45), GaussianDictionarySpec(centers_box=((-3.0, 4.5), (-1.0, 2.0)), per_axis=8)),
+        ((30, 30), GaussianDictionarySpec(per_axis=1)),
+        ((50, 50), GaussianDictionarySpec(per_axis=10, amplitude=0.3 - 2.1j)),
+        ((60, 60), GaussianDictionarySpec(per_axis=40)),
+    ],
+    ids=["75sq-defaults", "40x55", "asymmetric-box", "per-axis-1", "amplitude-phase", "60sq-40sq-deficient"],
+)
+def test_separable_matches_dense(grid, spec):
+    problem = HarmonicOscillatorProblem(dictionary_spec=spec)
+    quad = tensor_trapezoid(problem.domain, grid)
+    features = generate_snapshots(problem, quad)
+    dense = assemble_gram_pair(features, quad)
+    snapshots = separable_snapshots(problem, grid)
+    pair = snapshots.gram_pair()
+    samples = evaluate_function_samples(quad.nodes, nonseparable_observable)
+
+    assert np.array_equal(snapshots.nodes, quad.nodes)
+    assert pair.g.dtype == pair.a.dtype == np.float64
+    assert relative_error(pair.g, dense.g) <= 1e-13
+    assert relative_error(pair.a, dense.a) <= 1e-13
+    moments = features.psi_x.conj().T @ (quad.weights * samples)
+    assert relative_error(snapshots.moments(samples), moments) <= 1e-13
+    assert pair.retained_rank == dense.retained_rank
+    assert pair.rank_deficient == (spec.per_axis == 40)
 
 
 # ------------------------------------------------------------------

@@ -57,7 +57,7 @@ from .schrodinger import (
     reference_observable,
     separable_snapshots,
 )
-from .spectral import ObservableCoefficients, cluster_table, project_observable, spectral_measure
+from .spectral import ObservableCoefficients, cluster_table, spectral_measure
 
 logger = logging.getLogger("hdmd")
 
@@ -128,6 +128,16 @@ def read_points_csv(path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _check_dictionary_fits(size: int) -> None:
+    """Refuse N whose ~8 float64 N x N work arrays exceed physical memory; runs before any exists."""
+    estimate, physical = 8 * size**2 * 8, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if estimate > physical:
+        raise ValueError(
+            f"dictionary size N = {size} needs about {estimate / 2**30:.1f} GiB of N x N work "
+            f"arrays, more than the {physical / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = False) -> int:
     """Benchmark pipeline; writes eigenvalues.csv, measure.csv, clustered.csv, summary.json."""
     t0 = time.perf_counter()
@@ -138,6 +148,7 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
         width=config.dict_width,
         amplitude=config.dict_amplitude,
     )
+    _check_dictionary_fits(spec.size)
     problem = HarmonicOscillatorProblem(dictionary_spec=spec)
     snapshots = separable_snapshots(problem, grid)
     logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), spec.size)
@@ -267,6 +278,7 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
             f"snapshot shapes differ: {x_path} is {x_pts.shape}, {y_path} is {y_pts.shape}"
         )
     dim = x_pts.shape[1]
+    _check_dictionary_fits(config.dict_per_axis**dim)
     dictionary = gaussian_grid_dictionary(
         config.dictionary_box(dim),
         config.dict_per_axis,
@@ -280,7 +292,8 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     k_herm = hermitian_dmd(pair)
     residual = k_herm.hermiticity_residual()
     eig = eigendecompose(k_herm)
-    observable = project_observable(features.psi_x[:, 0], features, quad, pair=pair)
+    # the observable is psi_0, so Psi_X^* W psi_0 = G e_0 exactly
+    observable = ObservableCoefficients(coeffs=pair.solve(pair.g[:, 0]), gram=pair)
     measure = spectral_measure(eig, observable)
 
     out_dir.mkdir(parents=True, exist_ok=True)

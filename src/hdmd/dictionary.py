@@ -6,76 +6,65 @@ psi_1, ..., psi_N.  Evaluating it at snapshot inputs {x^(m)} and outputs
 
     Psi_X[m, :] = Psi(x^(m)),    Psi_Y[m, :] = Psi(y^(m)),
 
-both M x N.  Evaluators are pure closed-form functions: matrices are
-materialized once (M*N can reach ~90000 x 400, which fits in memory, while
-re-evaluation is wasteful).  Block and single-point evaluation share the
-same arithmetic, so rows are bitwise independent of how they were produced.
+both M x N.  The Gaussian grid dictionary is one complex amplitude times
+real tensor-product bumps, so `evaluate_snapshots` never materializes them:
+Gram assembly asks for one block of real rows at a time, each row the
+Khatri-Rao product of d per-axis factors, and applies |amp|^2 once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import reduce
+from math import prod
 
 import numpy as np
 
-from . import matio
-
 # Relative spectral cutoff applied to the Gram matrix downstream; carried on
-# FeatureMatrices so one pipeline setting reaches every consumer.
+# the features so one pipeline setting reaches every consumer.
 DEFAULT_RANK_TOLERANCE = 1e-12
-
-# Rows per evaluation block; fixed so block boundaries never depend on the
-# caller or on parallelism.
-_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Feature map with a known output length and input dimension."""
+    """Bumps amplitude * exp(-width |x - c_j|^2), c_j on the axis_centers grid, last axis fastest."""
 
-    size: int
-    dimension: int
-    point_evaluator: Callable[[np.ndarray], np.ndarray]
-    block_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    axis_centers: tuple[np.ndarray, ...]
+    width: float
+    amplitude: complex
 
-    def __call__(self, point) -> np.ndarray:
-        """Evaluate at a single d-dimensional point, returning a length-N row."""
-        p = np.asarray(point, dtype=float).ravel()
-        if p.shape[0] != self.dimension:
-            raise ValueError(f"point has dimension {p.shape[0]}, dictionary expects {self.dimension}")
-        row = np.asarray(self.point_evaluator(p), dtype=complex).ravel()
-        if row.shape[0] != self.size:
-            raise ValueError(f"evaluator returned {row.shape[0]} values, expected {self.size}")
-        return row
+    @property
+    def size(self) -> int:
+        return prod(c.shape[0] for c in self.axis_centers)
 
-    def evaluate(self, points) -> np.ndarray:
-        """Evaluate at an (M, d) block of points, returning the M x N matrix."""
+    @property
+    def dimension(self) -> int:
+        return len(self.axis_centers)
+
+    def rows(self, points) -> np.ndarray:
+        """Real rows exp(-width |x - c_j|^2) at (M, d) points, without the amplitude.
+
+        Each row is the row-wise Kronecker (Khatri-Rao) product of the per-axis
+        bumps exp(-width (x_k - c)^2): d * per_axis exponentials per point.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise ValueError(f"points have dimension {pts.shape[1]}, dictionary expects {self.dimension}")
-        out = np.empty((pts.shape[0], self.size), dtype=complex)
-        for start in range(0, pts.shape[0], _BLOCK_ROWS):
-            chunk = pts[start : start + _BLOCK_ROWS]
-            if self.block_evaluator is not None:
-                out[start : start + chunk.shape[0]] = self.block_evaluator(chunk)
-            else:
-                for i, p in enumerate(chunk):
-                    out[start + i] = self.point_evaluator(p)
-        return out
+        axes = zip(pts.T, self.axis_centers, strict=True)
+        bumps = (np.exp(-self.width * (x[:, None] - c) ** 2) for x, c in axes)
+        return reduce(lambda p, e: (p[:, :, None] * e[:, None, :]).reshape(len(pts), -1), bumps)
 
 
 @dataclass(frozen=True)
 class FeatureMatrices:
-    """Dictionary evaluations at snapshot inputs (psi_x) and outputs (psi_y)."""
+    """Materialized evaluations at snapshot inputs (psi_x) and outputs (psi_y); real stays real."""
 
     psi_x: np.ndarray
     psi_y: np.ndarray
     rank_tolerance_used: float = DEFAULT_RANK_TOLERANCE
 
     def __post_init__(self):
-        px = np.atleast_2d(np.asarray(self.psi_x, dtype=complex))
-        py = np.atleast_2d(np.asarray(self.psi_y, dtype=complex))
+        px, py = np.atleast_2d(np.asarray(self.psi_x), np.asarray(self.psi_y))
+        dtype = np.result_type(px, py, float)
+        px, py = px.astype(dtype, copy=False), py.astype(dtype, copy=False)
         if px.shape != py.shape:
             raise ValueError(f"psi_x and psi_y shapes differ: {px.shape} vs {py.shape}")
         if self.rank_tolerance_used < 0:
@@ -93,10 +82,40 @@ class FeatureMatrices:
     def dictionary_size(self) -> int:
         return self.psi_x.shape[1]
 
-    def to_csv(self, x_path, y_path) -> None:
-        """Debugging export; complex entries become re/im column pairs."""
-        matio.write_complex_csv(self.psi_x, x_path)
-        matio.write_complex_csv(self.psi_y, y_path)
+    @property
+    def dtype(self) -> np.dtype:
+        return self.psi_x.dtype
+
+    scale = 1.0  # the rows are Psi itself
+
+    def block(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        return self.psi_x[rows], self.psi_y[rows]
+
+
+@dataclass(frozen=True)
+class SnapshotFeatures:
+    """Psi_X = amp R_X, Psi_Y = amp R_Y; `block` evaluates the real rows R of a slice of snapshots."""
+
+    dictionary: Dictionary
+    x: np.ndarray
+    y: np.ndarray
+    rank_tolerance_used: float = DEFAULT_RANK_TOLERANCE
+    dtype = np.dtype(float)  # the rows are real; the amplitude enters only through scale
+
+    @property
+    def snapshot_count(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def dictionary_size(self) -> int:
+        return self.dictionary.size
+
+    @property
+    def scale(self) -> float:
+        return abs(self.dictionary.amplitude) ** 2
+
+    def block(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        return self.dictionary.rows(self.x[rows]), self.dictionary.rows(self.y[rows])
 
 
 def gaussian_centers(centers_box, per_axis: int) -> np.ndarray:
@@ -118,32 +137,14 @@ def gaussian_centers(centers_box, per_axis: int) -> np.ndarray:
 
 
 def gaussian_grid_dictionary(centers_box, per_axis: int, width: float, amplitude: complex) -> Dictionary:
-    """Dictionary of N = per_axis^d Gaussian bumps on a uniform center grid.
+    """Dictionary of N = per_axis^d Gaussian bumps on the `gaussian_centers` grid.
 
     Each observable is psi_j(x) = amplitude * exp(-width * |x - c_j|^2).
     """
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
-    centers = gaussian_centers(centers_box, per_axis)
-    centers.setflags(write=False)
-    amp = complex(amplitude)
-    a = float(width)
-    dim = centers.shape[1]
-
-    def point_eval(p: np.ndarray) -> np.ndarray:
-        d2 = np.sum((p[None, :] - centers) ** 2, axis=1)
-        return amp * np.exp(-a * d2)
-
-    def block_eval(pts: np.ndarray) -> np.ndarray:
-        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        return amp * np.exp(-a * d2)
-
-    return Dictionary(
-        size=centers.shape[0],
-        dimension=dim,
-        point_evaluator=point_eval,
-        block_evaluator=block_eval,
-    )
+    axes = tuple(gaussian_centers([box], per_axis)[:, 0] for box in centers_box)
+    return Dictionary(axis_centers=axes, width=float(width), amplitude=complex(amplitude))
 
 
 def evaluate_snapshots(
@@ -151,8 +152,8 @@ def evaluate_snapshots(
     x_nodes,
     y_nodes,
     rank_tolerance: float = DEFAULT_RANK_TOLERANCE,
-) -> FeatureMatrices:
-    """Materialize Psi_X and Psi_Y from snapshot input/output points."""
+) -> SnapshotFeatures:
+    """Bind snapshot input/output points to the dictionary for blockwise evaluation."""
     x = np.atleast_2d(np.asarray(x_nodes, dtype=float))
     y = np.atleast_2d(np.asarray(y_nodes, dtype=float))
     if x.shape[0] != y.shape[0]:
@@ -162,11 +163,7 @@ def evaluate_snapshots(
             f"snapshot dimension {x.shape[1]}/{y.shape[1]} does not match "
             f"dictionary domain dimension {dictionary.dimension}"
         )
-    return FeatureMatrices(
-        psi_x=dictionary.evaluate(x),
-        psi_y=dictionary.evaluate(y),
-        rank_tolerance_used=rank_tolerance,
-    )
+    return SnapshotFeatures(dictionary, x, y, rank_tolerance)
 
 
 def evaluate_function_samples(points, g) -> np.ndarray:

@@ -24,10 +24,11 @@ compresses (A + A^*)/2 onto the retained subspace as well, which is what
 keeps G K = K^* G true at roundoff level; at full rank this reduces to the
 plain formula above.
 
-Dense assembly sums over snapshots in fixed 4096-row blocks, so no M x N
-temporary is formed.  G and A from any other source (for instance the
-closed-form separable factors in `hdmd.schrodinger`) enter through
-`GramPair.from_matrices`, the one place where the cutoff is applied.
+Assembly sums over snapshots in fixed 4096-row blocks in the rows' dtype, so
+the real rows of `hdmd custom` (evaluated a block at a time, never as an
+M x N matrix) give real G and A.  G and A from any other source (the
+separable factors in `hdmd.schrodinger`) enter through `GramPair.from_matrices`,
+the one place where the cutoff is applied.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dictionary import FeatureMatrices
+from .dictionary import FeatureMatrices, SnapshotFeatures
 from .quadrature import QuadratureRule
 
 logger = logging.getLogger("hdmd")
@@ -143,25 +144,26 @@ class KoopmanEig:
         return float(np.max(np.abs(vgv - np.eye(vgv.shape[0]))))
 
 
-def assemble_gram_pair(features: FeatureMatrices, quad: QuadratureRule) -> GramPair:
+def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: QuadratureRule) -> GramPair:
     """Form G = Psi_X^* W Psi_X and A = Psi_X^* W Psi_Y as weighted snapshot sums.
 
+    Blocks are summed in features.dtype and scaled once by features.scale.
     The cutoff is features.rank_tolerance_used; see `GramPair.from_matrices`.
     """
     if features.snapshot_count != quad.size:
         raise ValueError(
             f"feature rows ({features.snapshot_count}) != quadrature nodes ({quad.size})"
         )
-    psi_x, psi_y, w = features.psi_x, features.psi_y, quad.weights
-    n = features.dictionary_size
-    g = np.zeros((n, n), dtype=complex)
-    a = np.zeros((n, n), dtype=complex)
+    w, n = quad.weights, features.dictionary_size
+    g = np.zeros((n, n), dtype=features.dtype)
+    a = np.zeros_like(g)
     for start in range(0, quad.size, _BLOCK_ROWS):
         sl = slice(start, start + _BLOCK_ROWS)
-        xw = psi_x[sl].conj().T * w[sl]
-        g += xw @ psi_x[sl]
-        a += xw @ psi_y[sl]
-    return GramPair.from_matrices(g, a, features.rank_tolerance_used)
+        psi_x, psi_y = features.block(sl)
+        xw = psi_x.conj().T * w[sl]
+        g += xw @ psi_x
+        a += xw @ psi_y
+    return GramPair.from_matrices(features.scale * g, features.scale * a, features.rank_tolerance_used)
 
 
 def edmd(pair: GramPair) -> KoopmanMatrix:

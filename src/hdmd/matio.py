@@ -28,11 +28,12 @@ def format_float(x: float) -> str:
 
 
 def write_complex_csv(matrix: np.ndarray, path) -> None:
-    m = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    m = np.atleast_2d(np.asarray(matrix))
+    pairs = np.empty((m.shape[0], 2 * m.shape[1]))
+    pairs[:, 0::2], pairs[:, 1::2] = m.real, m.imag
     header = ",".join(f"c{j}_re,c{j}_im" for j in range(m.shape[1]))
-    lines = [header]
-    for row in m:
-        lines.append(",".join(f"{format_float(v.real)},{format_float(v.imag)}" for v in row))
+    # repr is format_float's text, so values still round-trip bitwise
+    lines = [header] + [",".join(map(repr, row.tolist())) for row in pairs]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

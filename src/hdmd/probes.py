@@ -119,10 +119,9 @@ def resolvent_convergence_probe(
 def _section_moments(mat: np.ndarray, vec: np.ndarray, k_max: int) -> np.ndarray:
     """<M^k v, v> for k = 0..k_max via repeated matvec."""
     moments = np.empty(k_max + 1)
-    u = vec.astype(complex)
-    vc = vec.astype(complex)
+    u = vec.astype(np.result_type(mat, vec, float))  # a real reference stays real
     for k in range(k_max + 1):
-        moments[k] = np.real(np.vdot(vc, u))
+        moments[k] = np.real(np.vdot(vec, u))
         if k < k_max:
             u = mat @ u
     return moments

@@ -21,7 +21,6 @@ sums unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -87,19 +86,6 @@ class AtomicMeasure:
         for lam, w in zip(self.locations, self.weights):
             lines.append(f"{format_float(lam)},{format_float(w)}")
         Path(path).write_text("\n".join(lines) + "\n")
-
-    def to_json(self, path=None):
-        payload = {
-            "atoms": [
-                {"lambda": float(lam), "weight": float(w)}
-                for lam, w in zip(self.locations, self.weights)
-            ],
-            "total_mass": float(self.total_mass),
-        }
-        if path is None:
-            return json.dumps(payload, indent=2)
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-        return None
 
     @classmethod
     def from_atoms(cls, locations, weights, passthrough=None) -> "AtomicMeasure":

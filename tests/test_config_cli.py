@@ -3,15 +3,18 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hdmd.cli as cli
 from hdmd.config import ConfigError, default_config, load_config, validate
-from hdmd.dictionary import gaussian_centers
+from hdmd.dictionary import FeatureMatrices, gaussian_centers
+from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from hdmd.matio import read_complex_csv
-from hdmd.spectral import cluster_table
+from hdmd.quadrature import monte_carlo
+from hdmd.spectral import cluster_table, project_observable, spectral_measure
 
 
 def write_config(tmp_path, body: str, name="exp.cfg"):
@@ -368,6 +371,111 @@ def test_custom_shape_mismatch_exits_2(tmp_path, capsys):
                      str(tmp_path / "x.csv"), str(tmp_path / "y.csv")])
     assert code == 2
     assert "differ" in capsys.readouterr().err
+
+
+def complex_swap_pipeline(x, y):
+    """The custom pipeline with Psi_X, Psi_Y materialized in complex (the pre-streaming route)."""
+    config = default_config()
+    centers = gaussian_centers(config.dictionary_box(2), config.dict_per_axis)
+    psi = [np.empty((x.shape[0], centers.shape[0]), dtype=complex) for _ in range(2)]
+    for start in range(0, x.shape[0], 4096):
+        for out, pts in zip(psi, (x, y)):
+            d2 = np.sum((pts[start : start + 4096, None, :] - centers[None, :, :]) ** 2, axis=2)
+            out[start : start + 4096] = config.dict_amplitude * np.exp(-config.dict_width * d2)
+    features = FeatureMatrices(psi_x=psi[0], psi_y=psi[1], rank_tolerance_used=config.rank_tolerance)
+    quad = monte_carlo(x, total_mass=1.0)
+    pair = assemble_gram_pair(features, quad)
+    eig = eigendecompose(hermitian_dmd(pair))
+    measure = spectral_measure(eig, project_observable(psi[0][:, 0], features, quad, pair=pair))
+    return edmd(pair).k, hermitian_dmd(pair).k, eig.eigenvalues, measure
+
+
+def cluster_masses(locations, weights):
+    return [float(np.sum(weights[np.abs(locations - s) <= 1e-6])) for s in (1.0, -1.0)]
+
+
+def test_custom_streamed_swap_matches_complex_pipeline_without_mxn_arrays(tmp_path):
+    # the coordinate swap on 10,000 seeded points plus their swaps (M = 20,000, N = 400)
+    points = np.random.default_rng(11).uniform(-5.0, 5.0, size=(10_000, 2))
+    x = np.vstack([points, points[:, ::-1]])
+    y = x[:, ::-1]
+    write_points(tmp_path / "x.csv", x)
+    write_points(tmp_path / "y.csv", y)
+    argv = ["custom", str(tmp_path / "x.csv"), str(tmp_path / "y.csv"), "--out"]
+
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + [str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # one complex 20,000 x 400 matrix alone is 128 MB; the streamed run stays far below
+    assert peak < 96e6
+    assert cli.main(argv + [str(tmp_path / "again")]) == 0
+    for name in ("eigenvalues.csv", "measure.csv", "koopman_edmd.csv", "koopman_hermitian.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+
+    out = tmp_path / "out"
+    k_edmd, k_herm, eigenvalues, measure = complex_swap_pipeline(x, y)
+    streamed_edmd = read_complex_csv(out / "koopman_edmd.csv")
+    streamed_herm = read_complex_csv(out / "koopman_hermitian.csv")
+    assert np.all(streamed_edmd.imag == 0) and np.all(streamed_herm.imag == 0)
+    assert np.max(np.abs(streamed_edmd - k_edmd)) <= 1e-9
+    assert np.max(np.abs(streamed_herm - k_herm)) <= 1e-9
+    streamed_eigs = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.max(np.abs(streamed_eigs - eigenvalues)) <= 1e-9
+    assert np.count_nonzero(np.abs(streamed_eigs - 1) <= 1e-8) == 210
+    assert np.count_nonzero(np.abs(streamed_eigs + 1) <= 1e-8) == 190
+    # per-atom weights inside the 210- and 190-fold eigenspaces depend on the
+    # eigenbasis chosen there, so only the mass of each cluster is compared
+    atoms = np.loadtxt(out / "measure.csv", delimiter=",", skiprows=1)
+    streamed = cluster_masses(atoms[:, 0], atoms[:, 1])
+    oracle = cluster_masses(measure.locations, measure.weights)
+    assert streamed == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+
+
+def test_custom_measure_mass_is_norm_of_first_function(tmp_path, rng):
+    # the measure is taken against psi_0, whose coefficients are e_0: total mass = psi_0^* W psi_0
+    x = rng.uniform(-4, 4, size=(300, 2))
+    write_points(tmp_path / "x.csv", x)
+    write_points(tmp_path / "y.csv", 0.8 * x + 0.3 * np.sin(x[:, ::-1]))
+    cfg = write_config(tmp_path, "dict_per_axis = 3\n")
+    out = tmp_path / "out"
+    assert cli.main(["custom", "--config", str(cfg), "--out", str(out),
+                     str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]) == 0
+    config = default_config()
+    c0 = gaussian_centers(config.dictionary_box(2), 3)[0]
+    psi0 = config.dict_amplitude * np.exp(-config.dict_width * np.sum((x - c0) ** 2, axis=1))
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["total_mass"] == pytest.approx(np.mean(np.abs(psi0) ** 2), rel=1e-10)
+
+
+def test_custom_refuses_dictionary_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the size guard must refuse before the dictionary is built")
+
+    monkeypatch.setattr(cli, "gaussian_grid_dictionary", unreachable)
+    # 4 columns with the default dict_per_axis = 20 give N = 20^4 = 160,000
+    (tmp_path / "x.csv").write_text("a,b,c,d\n0.0,0.0,0.0,0.0\n1.0,0.0,0.0,0.0\n")
+    (tmp_path / "y.csv").write_text("a,b,c,d\n0.0,0.0,0.0,0.0\n0.0,1.0,0.0,0.0\n")
+    out = tmp_path / "o"
+    code = cli.main(["custom", "--out", str(out), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "N = 160000" in err and "1525.9 GiB" in err and "physical memory" in err
+    assert not out.exists()
+
+
+def test_schrodinger_refuses_dictionary_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the size guard must refuse before the factors are built")
+
+    monkeypatch.setattr(cli, "separable_snapshots", unreachable)
+    cfg = write_config(tmp_path, "dict_per_axis = 1000\n")  # N = 10^6
+    code = cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "N = 1000000" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

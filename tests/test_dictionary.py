@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 
 from hdmd.dictionary import (
-    Dictionary,
     FeatureMatrices,
     evaluate_function_samples,
     evaluate_snapshots,
     gaussian_centers,
     gaussian_grid_dictionary,
 )
-from hdmd.matio import read_complex_csv
-
-
-def constant_dictionary(dim: int = 2) -> Dictionary:
-    return Dictionary(size=1, dimension=dim, point_evaluator=lambda p: np.array([1.0 + 0.0j]))
 
 
 def test_gaussian_benchmark_dictionary_size():
@@ -30,22 +24,23 @@ def test_gaussian_benchmark_dictionary_size():
 def test_single_gaussian_centered_at_origin():
     d = gaussian_grid_dictionary([(0, 0), (0, 0)], 1, width=1.0, amplitude=1.0)
     assert d.size == 1
-    assert d(np.array([0.0, 0.0]))[0] == pytest.approx(1.0)
+    assert d.rows(np.array([0.0, 0.0]))[0, 0] == 1.0
 
 
 def test_gaussian_value_at_own_center():
     amp = 2.0 - 0.5j
     d = gaussian_grid_dictionary([(-4, 4), (-4, 4)], 3, width=3.0, amplitude=amp)
     centers = gaussian_centers([(-4, 4), (-4, 4)], 3)
-    for j, c in enumerate(centers):
-        assert d(c)[j] == amp  # exponent is exactly zero
+    vals = d.amplitude * d.rows(centers)
+    for j in range(centers.shape[0]):
+        assert vals[j, j] == amp  # every per-axis exponent is exactly zero
 
 
 def test_gaussian_bounded_by_amplitude(rng):
     amp = 1 + 1j
     d = gaussian_grid_dictionary([(-4, 4), (-4, 4)], 5, width=3.0, amplitude=amp)
     pts = rng.uniform(-5, 5, size=(200, 2))
-    vals = d.evaluate(pts)
+    vals = d.amplitude * d.rows(pts)
     assert np.all(np.abs(vals) <= abs(amp) + 1e-15)
     centers = gaussian_centers([(-4, 4), (-4, 4)], 5)
     off_center = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) > 1e-12
@@ -59,35 +54,28 @@ def test_gaussian_rejects_bad_width():
         gaussian_grid_dictionary([(-1, 1)], 0, width=1.0, amplitude=1.0)
 
 
-def test_constant_dictionary_snapshots():
-    nodes = np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 4.0]])
-    fm = evaluate_snapshots(constant_dictionary(), nodes, nodes)
-    assert np.array_equal(fm.psi_x, np.ones((3, 1), dtype=complex))
-    assert np.array_equal(fm.psi_y, np.ones((3, 1), dtype=complex))
-
-
 def test_identity_map_gives_equal_matrices(rng):
     d = gaussian_grid_dictionary([(-2, 2), (-2, 2)], 4, width=1.0, amplitude=1 + 1j)
     nodes = rng.uniform(-3, 3, size=(50, 2))
-    fm = evaluate_snapshots(d, nodes, nodes)
-    assert np.array_equal(fm.psi_x, fm.psi_y)
+    psi_x, psi_y = evaluate_snapshots(d, nodes, nodes).block(slice(None))
+    assert np.array_equal(psi_x, psi_y)
 
 
 def test_block_rows_match_pointwise_rows_bitwise(rng):
     d = gaussian_grid_dictionary([(-4, 4), (-4, 4)], 6, width=3.0, amplitude=1 + 1j)
     pts = rng.uniform(-5, 5, size=(37, 2))
-    block = d.evaluate(pts)
+    block = d.rows(pts)
     for m in (0, 11, 36):
-        assert np.array_equal(block[m], d(pts[m]))
+        assert np.array_equal(block[m], d.rows(pts[m])[0])
 
 
 def test_reevaluation_is_bitwise_reproducible(rng):
     d = gaussian_grid_dictionary([(-4, 4), (-4, 4)], 6, width=3.0, amplitude=1 + 1j)
     pts = rng.uniform(-5, 5, size=(64, 2))
-    fm1 = evaluate_snapshots(d, pts, -pts)
-    fm2 = evaluate_snapshots(d, pts, -pts)
-    assert np.array_equal(fm1.psi_x, fm2.psi_x)
-    assert np.array_equal(fm1.psi_y, fm2.psi_y)
+    x1, y1 = evaluate_snapshots(d, pts, -pts).block(slice(None))
+    x2, y2 = evaluate_snapshots(d, pts, -pts).block(slice(None))
+    assert np.array_equal(x1, x2)
+    assert np.array_equal(y1, y2)
 
 
 def test_snapshot_dimension_mismatch():
@@ -135,10 +123,21 @@ def test_feature_matrix_validation():
         FeatureMatrices(psi_x=np.ones((2, 2)), psi_y=np.ones((2, 2)), rank_tolerance_used=-1.0)
 
 
-def test_feature_csv_export(tmp_path, rng):
-    d = gaussian_grid_dictionary([(-2, 2), (-2, 2)], 3, width=1.0, amplitude=1 - 2j)
-    pts = rng.uniform(-2, 2, size=(6, 2))
-    fm = evaluate_snapshots(d, pts, -pts)
-    fm.to_csv(tmp_path / "x.csv", tmp_path / "y.csv")
-    assert np.array_equal(read_complex_csv(tmp_path / "x.csv"), fm.psi_x)
-    assert np.array_equal(read_complex_csv(tmp_path / "y.csv"), fm.psi_y)
+def test_feature_matrices_keep_real_input_real():
+    real = FeatureMatrices(psi_x=np.ones((3, 2)), psi_y=np.zeros((3, 2)))
+    assert real.psi_x.dtype == real.psi_y.dtype == np.float64
+    mixed = FeatureMatrices(psi_x=np.ones((3, 2)), psi_y=np.ones((3, 2), dtype=complex))
+    assert mixed.psi_x.dtype == mixed.psi_y.dtype == np.complex128
+
+
+@pytest.mark.parametrize("dim, per_axis", [(1, 7), (2, 5), (3, 3), (2, 1)])
+def test_rows_are_gaussians_at_gaussian_centers(rng, dim, per_axis):
+    """Khatri-Rao rows follow the `gaussian_centers` order (last axis fastest)."""
+    box = [(-2.0, 1.0), (-1.0, 3.0), (0.0, 2.0)][:dim]
+    d = gaussian_grid_dictionary(box, per_axis, width=1.3, amplitude=2 - 1j)
+    pts = rng.uniform(-3, 3, size=(40, dim))
+    centers = gaussian_centers(box, per_axis)
+    expected = np.exp(-1.3 * np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2))
+    rows = d.rows(pts)
+    assert rows.dtype == np.float64 and d.size == centers.shape[0]
+    assert np.allclose(rows, expected, rtol=1e-13, atol=0)  # |exponent| * eps, up to ~70 here

@@ -6,7 +6,7 @@ from math import pi
 import numpy as np
 import pytest
 
-from hdmd.dictionary import FeatureMatrices, gaussian_grid_dictionary
+from hdmd.dictionary import FeatureMatrices, evaluate_snapshots, gaussian_centers, gaussian_grid_dictionary
 from hdmd.dmd import (
     GramPair,
     KoopmanKind,
@@ -74,7 +74,7 @@ def test_assemble_gaussian_diagonal_matches_gaussian_integral():
     # int_{R^2} |c|^2 e^{-2 a r^2} = pi/(2a) |c|^2; domain truncation negligible
     d = gaussian_grid_dictionary([(0, 0), (0, 0)], 1, width=3.0, amplitude=1 + 1j)
     quad = tensor_trapezoid([(-5, 5), (-5, 5)], [200, 200])
-    psi = d.evaluate(quad.nodes)
+    psi = d.amplitude * d.rows(quad.nodes)
     fm = FeatureMatrices(psi_x=psi, psi_y=psi)
     pair = assemble_gram_pair(fm, quad)
     assert pair.g[0, 0].real == pytest.approx(pi / 6.0 * 2.0, rel=1e-8)
@@ -111,6 +111,59 @@ def test_from_matrices_accepts_real_gram_and_solve_matches_pinv(rng):
     rhs = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
     assert np.linalg.norm(pair.solve(rhs) - np.linalg.pinv(g) @ rhs) <= 1e-10
     assert np.linalg.norm(pair.solve(rhs[:, 0]) - np.linalg.pinv(g) @ rhs[:, 0]) <= 1e-10
+
+
+def complex_oracle_pair(box, per_axis, width, amp, x, y, w, tol=1e-12):
+    """Psi = amp * exp(-width sum_k (x_k - c_k)^2) materialized in complex, then Psi^* W Psi."""
+    centers = gaussian_centers(box, per_axis)
+
+    def psi(p):
+        return amp * np.exp(-width * np.sum((p[:, None, :] - centers[None, :, :]) ** 2, axis=2))
+
+    px, py = psi(x), psi(y)
+    return GramPair.from_matrices(px.conj().T @ (w[:, None] * px), px.conj().T @ (w[:, None] * py), tol)
+
+
+def streamed_pair(box, per_axis, width, amp, x, y, w, tol=1e-12):
+    dictionary = gaussian_grid_dictionary(box, per_axis, width, amp)
+    features = evaluate_snapshots(dictionary, x, y, rank_tolerance=tol)
+    return assemble_gram_pair(features, QuadratureRule(nodes=x, weights=w))
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "dim, per_axis, amp, m",
+    [
+        (1, 9, 1 + 1j, 500),
+        (2, 6, 0.3 - 2.1j, 4097),  # one row past the 4096-row block
+        (3, 4, 0.3 - 2.1j, 1500),
+        (2, 1, 0.3 - 2.1j, 64),
+    ],
+)
+def test_streamed_real_assembly_matches_complex_oracle(rng, dim, per_axis, amp, m):
+    box = [(-2.0, 2.0), (-1.5, 2.5), (-2.0, 1.0)][:dim]
+    x = rng.uniform(-3, 3, size=(m, dim))
+    y = 0.9 * x + 0.2 * np.sin(x[:, ::-1])
+    w = rng.uniform(0.5, 2.0, size=m) / m
+    pair = streamed_pair(box, per_axis, 1.0, amp, x, y, w)
+    oracle = complex_oracle_pair(box, per_axis, 1.0, amp, x, y, w)
+    assert pair.g.dtype == pair.a.dtype == np.float64
+    assert relative_gap(pair.g, oracle.g) <= 1e-13
+    assert relative_gap(pair.a, oracle.a) <= 1e-13
+    assert pair.retained_rank == oracle.retained_rank == per_axis**dim
+
+
+def test_real_feature_matrices_assemble_real(rng):
+    psi_x, psi_y = rng.normal(size=(30, 4)), rng.normal(size=(30, 4))
+    quad = monte_carlo(np.zeros((30, 1)), total_mass=2.0)
+    pair = assemble_gram_pair(FeatureMatrices(psi_x=psi_x, psi_y=psi_y), quad)
+    assert pair.g.dtype == pair.a.dtype == np.float64
+    complex_pair, _, _ = make_pair(psi_x, psi_y, weights=quad.weights)
+    assert np.allclose(pair.g, complex_pair.g, rtol=1e-14, atol=0)
+    assert np.allclose(pair.a, complex_pair.a, rtol=1e-14, atol=0)
 
 
 # ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdmd.matio import (
+    format_float,
     read_complex_binary,
     read_complex_csv,
     write_complex_binary,
@@ -21,6 +22,19 @@ def test_csv_round_trip_bitwise(rng, shape, tmp_path):
     path = tmp_path / "m.csv"
     write_complex_csv(m, path)
     assert np.array_equal(read_complex_csv(path), m)
+
+
+def test_csv_text_matches_per_entry_formatting(rng, tmp_path):
+    """The vectorized writer emits the same bytes as formatting each entry with format_float."""
+    m = random_complex(rng, (4, 5)) * np.logspace(-300, 300, 5)
+    m[0, :4] = [-0.0, np.inf, complex(0.0, np.nan), 1e-320j]
+    lines = [",".join(f"c{j}_re,c{j}_im" for j in range(5))]
+    lines += [",".join(f"{format_float(v.real)},{format_float(v.imag)}" for v in row) for row in m]
+    write_complex_csv(m, tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_text() == "\n".join(lines) + "\n"
+    write_complex_csv(m.real, tmp_path / "real.csv")
+    write_complex_csv(m.real.astype(complex), tmp_path / "cast.csv")
+    assert (tmp_path / "real.csv").read_bytes() == (tmp_path / "cast.csv").read_bytes()
 
 
 def test_csv_header_names_columns(tmp_path):

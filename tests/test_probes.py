@@ -118,6 +118,15 @@ def test_free_jacobi_moment_gaps_vanish_once_sections_cover_walks():
             assert gap <= 1e-10, (n, key, gap)
 
 
+def test_moment_probe_real_reference_matches_complex_reference():
+    # the gaps are exact walk counts, so real and complex arithmetic agree bitwise
+    ref = free_jacobi(N_REF)
+    v = first_basis_vector(N_REF)
+    real = moment_convergence_probe(ref, v, 8, SIZES)
+    complex_ref = moment_convergence_probe(ref.astype(complex), v.astype(complex), 8, SIZES)
+    assert real.rows == complex_ref.rows and real.floors == complex_ref.floors
+
+
 def test_free_jacobi_resolvent_errors_decrease():
     ref = free_jacobi(N_REF)
     v = first_basis_vector(N_REF)

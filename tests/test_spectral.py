@@ -1,7 +1,5 @@
 """Tests for observable projection, atomic measures, and clustering."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -267,10 +265,3 @@ def test_measure_serialization(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "lambda,weight"
     assert lines[1] == "1.0,0.5"  # sorted ascending
-
-    json_path = tmp_path / "measure.json"
-    mu.to_json(json_path)
-    payload = json.loads(json_path.read_text())
-    assert payload["total_mass"] == pytest.approx(0.75)
-    assert payload["atoms"][0] == {"lambda": 1.0, "weight": 0.5}
-    assert json.loads(mu.to_json()) == payload

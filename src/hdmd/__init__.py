@@ -40,6 +40,7 @@ from .spectral import (
     spectral_measure,
 )
 from .probes import (
+    FiniteSections,
     ProbeResult,
     free_jacobi,
     moment_convergence_probe,
@@ -67,6 +68,7 @@ __all__ = [
     "ExactEigenpair",
     "ExperimentConfig",
     "FeatureMatrices",
+    "FiniteSections",
     "GaussianDictionarySpec",
     "GramPair",
     "HarmonicOscillatorProblem",

@@ -44,6 +44,7 @@ from .dictionary import evaluate_function_samples, gaussian_grid_dictionary, eva
 from .dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from .matio import format_float, write_complex_csv
 from .probes import (
+    FiniteSections,
     free_jacobi,
     moment_convergence_probe,
     resolvent_convergence_probe,
@@ -226,19 +227,22 @@ def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     n_ref = config.probe_n_ref
     sizes = list(config.probe_sizes)
+    # built one at a time: each holder caches its sections' eigenvectors
     references = {
-        "free_jacobi": free_jacobi(n_ref),
-        "diagonal": np.diag(np.arange(n_ref, dtype=float)),
+        "free_jacobi": lambda: free_jacobi(n_ref),
+        "diagonal": lambda: np.diag(np.arange(n_ref, dtype=float)),
     }
     v = np.zeros(n_ref)
     v[0] = 1.0
 
     out_dir.mkdir(parents=True, exist_ok=True)
     floors = {}
-    for name, ref in references.items():
-        res = resolvent_convergence_probe(ref, v, 1j, sizes)
-        mom = moment_convergence_probe(ref, v, config.probe_max_moment, sizes)
-        weak = weak_convergence_probe(ref, v, PROBE_TEST_FNS, sizes)
+    for name, build in references.items():
+        sections = FiniteSections(build())
+        res = resolvent_convergence_probe(sections, v, 1j, sizes)
+        mom = moment_convergence_probe(sections, v, config.probe_max_moment, sizes)
+        weak = weak_convergence_probe(sections, v, PROBE_TEST_FNS, sizes)
+        del sections  # release the cached eigenvectors before the next reference
         res.to_csv(out_dir / f"resolvent_{name}.csv")
         mom.to_csv(out_dir / f"moments_{name}.csv")
         weak.to_csv(out_dir / f"weak_{name}.csv")

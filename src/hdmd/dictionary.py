@@ -64,7 +64,8 @@ class FeatureMatrices:
     def __post_init__(self):
         px, py = np.atleast_2d(np.asarray(self.psi_x), np.asarray(self.psi_y))
         dtype = np.result_type(px, py, float)
-        px, py = px.astype(dtype, copy=False), py.astype(dtype, copy=False)
+        # views, so freezing them below leaves the caller's arrays writeable
+        px, py = px.astype(dtype, copy=False).view(), py.astype(dtype, copy=False).view()
         if px.shape != py.shape:
             raise ValueError(f"psi_x and psi_y shapes differ: {px.shape} vs {py.shape}")
         if self.rank_tolerance_used < 0:

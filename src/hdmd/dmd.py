@@ -100,6 +100,7 @@ class GramPair:
         rank deficiency is reported as a warning, not a failure.
         """
         g = 0.5 * (g + g.conj().T)
+        a = np.asarray(a).view()  # freezing a view leaves the caller's a writeable
         eigvals, eigvecs = np.linalg.eigh(g)
         floor = float(rank_tolerance) * max(eigvals[-1], 0.0)
         keep = eigvals > floor

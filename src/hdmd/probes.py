@@ -9,7 +9,13 @@ operator-level quantities as n grows:
   * moments:    | <P_n^* (P_n L P_n^*)^k P_n v, v> - <L^k v, v> |
   * weak:       | int f d mu_{v,n} - int f d mu_v | for test functions f,
                 where mu_{v,n} is the spectral measure of the n x n section
-                with respect to P_n v, from a dense eigendecomposition.
+                with respect to P_n v.
+
+Each section is eigendecomposed once, L_n = V diag(lambda) V^*, in a
+`FiniteSections` holder that the resolvent and weak probes share: the
+resolvent is V (lambda - z)^{-1} V^* P_n v and the weak probe's measure has
+atoms lambda with weights |V^* P_n v|^2.  The moment probe keeps exact
+repeated matvecs, so walk-count moments stay exact integers.
 
 The reference is itself a truncation of the operator it models, so each
 probe also reports a resolution floor: the same gap evaluated at
@@ -69,13 +75,40 @@ def free_jacobi(n: int) -> np.ndarray:
     return mat
 
 
+class FiniteSections:
+    """A square reference matrix with its leading-section eigendecompositions.
+
+    Keeps a read-only view of the matrix (the caller's array stays writeable)
+    and computes eigh(matrix[:n, :n]) once per n, on first use.  The cache
+    assumes the caller leaves the matrix unchanged while the holder is alive.
+    """
+
+    def __init__(self, matrix) -> None:
+        mat = np.atleast_2d(np.asarray(matrix)).view()
+        if mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"reference must be square, got {mat.shape}")
+        mat.setflags(write=False)
+        self.matrix = mat
+        self._eigh: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
+
+    def eigh(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and orthonormal eigenvectors of the n x n section."""
+        if n not in self._eigh:
+            self._eigh[n] = np.linalg.eigh(self.matrix[:n, :n])
+        return self._eigh[n]
+
+
 def _check_reference(reference, v, truncation_sizes):
-    ref = np.atleast_2d(np.asarray(reference))
-    if ref.shape[0] != ref.shape[1]:
-        raise ValueError(f"reference must be square, got {ref.shape}")
+    if not isinstance(reference, FiniteSections):
+        reference = FiniteSections(reference)
+    n_ref = reference.size
     vec = np.asarray(v).ravel()
-    if vec.shape[0] != ref.shape[0]:
-        raise ValueError(f"vector length {vec.shape[0]} != reference size {ref.shape[0]}")
+    if vec.shape[0] != n_ref:
+        raise ValueError(f"vector length {vec.shape[0]} != reference size {n_ref}")
     sizes = [int(n) for n in truncation_sizes]
     if not sizes:
         raise ValueError("need at least one truncation size")
@@ -83,9 +116,9 @@ def _check_reference(reference, v, truncation_sizes):
         raise ValueError("truncation sizes must be >= 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("truncation sizes must be strictly increasing")
-    if sizes[-1] > ref.shape[0]:
-        raise ValueError(f"largest truncation {sizes[-1]} exceeds reference size {ref.shape[0]}")
-    return ref, vec, sizes
+    if sizes[-1] > n_ref:
+        raise ValueError(f"largest truncation {sizes[-1]} exceeds reference size {n_ref}")
+    return reference, vec, sizes
 
 
 def resolvent_convergence_probe(
@@ -94,21 +127,20 @@ def resolvent_convergence_probe(
     z: complex,
     truncation_sizes: Sequence[int],
 ) -> ProbeResult:
-    """Section-resolvent error against a dense solve on the full reference."""
-    ref, vec, sizes = _check_reference(reference, v, truncation_sizes)
+    """Section-resolvent error against the resolvent of the full reference."""
+    sections, vec, sizes = _check_reference(reference, v, truncation_sizes)
     if np.imag(z) == 0:
         raise ValueError("z must have nonzero imaginary part")
-    n_ref = ref.shape[0]
+    n_ref = sections.size
     zc = complex(z)
 
     def section_solution(n: int) -> np.ndarray:
+        evals, evecs = sections.eigh(n)
         out = np.zeros(n_ref, dtype=complex)
-        out[:n] = np.linalg.solve(
-            ref[:n, :n] - zc * np.eye(n), vec[:n].astype(complex)
-        )
+        out[:n] = evecs @ ((evecs.conj().T @ vec[:n]) / (evals - zc))
         return out
 
-    truth = np.linalg.solve(ref - zc * np.eye(n_ref), vec.astype(complex))
+    truth = section_solution(n_ref)
     rows = tuple(
         (n, "resolvent", float(np.linalg.norm(section_solution(n) - truth))) for n in sizes
     )
@@ -134,10 +166,10 @@ def moment_convergence_probe(
     truncation_sizes: Sequence[int],
 ) -> ProbeResult:
     """Gaps |<P_n^*(P_n L P_n^*)^k P_n v, v> - <L^k v, v>| for k = 0..max_moment."""
-    ref, vec, sizes = _check_reference(reference, v, truncation_sizes)
+    sections, vec, sizes = _check_reference(reference, v, truncation_sizes)
     if max_moment < 0:
         raise ValueError("max_moment must be >= 0")
-    n_ref = ref.shape[0]
+    ref, n_ref = sections.matrix, sections.size
     truth = _section_moments(ref, vec, max_moment)
 
     def gaps_at(n: int) -> np.ndarray:
@@ -167,15 +199,15 @@ def weak_convergence_probe(
     test_fns: Sequence[Callable[[float], float]],
     truncation_sizes: Sequence[int],
 ) -> ProbeResult:
-    """Gaps |int f d mu_{v,n} - int f d mu_v| from dense eigendecompositions."""
-    ref, vec, sizes = _check_reference(reference, v, truncation_sizes)
+    """Gaps |int f d mu_{v,n} - int f d mu_v| from the sections' eigendecompositions."""
+    sections, vec, sizes = _check_reference(reference, v, truncation_sizes)
     if not test_fns:
         raise ValueError("need at least one test function")
     keys = _fn_keys(test_fns)
-    n_ref = ref.shape[0]
+    n_ref = sections.size
 
     def integrals(n: int) -> np.ndarray:
-        evals, evecs = np.linalg.eigh(ref[:n, :n])
+        evals, evecs = sections.eigh(n)
         coeffs = np.abs(evecs.conj().T @ vec[:n].astype(complex)) ** 2
         fvals = np.array([[float(fn(lam)) for lam in evals] for fn in test_fns])
         return fvals @ coeffs

@@ -17,12 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-
-from .matio import format_float
 
 Box = Sequence[tuple[float, float]]
 
@@ -35,7 +32,8 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
+        # views (ravel gives one for weights): freezing them leaves the caller's arrays writeable
+        nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float)).view()
         weights = np.asarray(self.weights, dtype=float).ravel()
         if nodes.shape[0] != weights.shape[0]:
             raise ValueError(
@@ -61,35 +59,6 @@ class QuadratureRule:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.weights))
-
-    def to_csv(self, path) -> None:
-        """Write the rule as CSV with columns x1,...,xd,w and one header line."""
-        header = ",".join(f"x{k + 1}" for k in range(self.dimension)) + ",w"
-        lines = [header]
-        for node, w in zip(self.nodes, self.weights):
-            lines.append(",".join(format_float(c) for c in node) + f",{format_float(w)}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "QuadratureRule":
-        text = Path(path).read_text().strip()
-        if not text:
-            raise ValueError(f"{path}: empty quadrature CSV")
-        lines = text.splitlines()
-        ncols = len(lines[0].split(","))
-        if ncols < 2:
-            raise ValueError(f"{path}: expected at least one coordinate column plus weights")
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != ncols:
-                raise ValueError(f"{path}: line {lineno}: expected {ncols} fields, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        data = np.array(rows, dtype=float)
-        return cls(nodes=data[:, :-1], weights=data[:, -1])
 
 
 def _check_box(domain: Box) -> list[tuple[float, float]]:

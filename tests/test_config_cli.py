@@ -1,6 +1,7 @@
 """Tests for the config format and the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -479,9 +480,12 @@ def test_schrodinger_refuses_dictionary_beyond_physical_memory(tmp_path, capsys,
 
 
 def test_console_entry_point_runs():
+    # the child imports the same hdmd as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "hdmd.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     # argparse --version exits 0 and prints the version string
     assert proc.returncode == 0

@@ -123,6 +123,14 @@ def test_feature_matrix_validation():
         FeatureMatrices(psi_x=np.ones((2, 2)), psi_y=np.ones((2, 2)), rank_tolerance_used=-1.0)
 
 
+def test_feature_matrices_leave_caller_arrays_writeable():
+    for dtype in (float, complex):
+        a = np.ones((2, 2), dtype=dtype)
+        features = FeatureMatrices(psi_x=a, psi_y=a)
+        assert a.flags.writeable
+        assert not features.psi_x.flags.writeable and not features.psi_y.flags.writeable
+
+
 def test_feature_matrices_keep_real_input_real():
     real = FeatureMatrices(psi_x=np.ones((3, 2)), psi_y=np.zeros((3, 2)))
     assert real.psi_x.dtype == real.psi_y.dtype == np.float64

@@ -113,6 +113,14 @@ def test_from_matrices_accepts_real_gram_and_solve_matches_pinv(rng):
     assert np.linalg.norm(pair.solve(rhs[:, 0]) - np.linalg.pinv(g) @ rhs[:, 0]) <= 1e-10
 
 
+def test_from_matrices_leaves_caller_a_writeable(rng):
+    g, a = np.eye(3), rng.normal(size=(3, 3))
+    pair = GramPair.from_matrices(g, a, 1e-12)
+    assert g.flags.writeable and a.flags.writeable
+    assert not pair.a.flags.writeable and not pair.g.flags.writeable
+    assert np.array_equal(pair.a, a)
+
+
 def complex_oracle_pair(box, per_axis, width, amp, x, y, w, tol=1e-12):
     """Psi = amp * exp(-width sum_k (x_k - c_k)^2) materialized in complex, then Psi^* W Psi."""
     centers = gaussian_centers(box, per_axis)

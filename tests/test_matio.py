@@ -1,13 +1,11 @@
-"""Tests for complex-matrix CSV and binary serialization."""
+"""Tests for complex-matrix CSV serialization."""
 
 import numpy as np
 import pytest
 
 from hdmd.matio import (
     format_float,
-    read_complex_binary,
     read_complex_csv,
-    write_complex_binary,
     write_complex_csv,
 )
 
@@ -60,37 +58,3 @@ def test_csv_rejects_empty(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         read_complex_csv(tmp_path / "bad.csv")
 
-
-@pytest.mark.parametrize("shape", [(1, 1), (4, 3)])
-def test_binary_round_trip_bitwise(rng, shape, tmp_path):
-    m = random_complex(rng, shape)
-    path = tmp_path / "m.bin"
-    write_complex_binary(m, path)
-    assert np.array_equal(read_complex_binary(path), m)
-
-
-def test_binary_layout(tmp_path):
-    m = np.array([[1.0 + 2.0j]])
-    path = tmp_path / "m.bin"
-    write_complex_binary(m, path)
-    raw = path.read_bytes()
-    assert raw[:5] == b"HDMD1"
-    assert int.from_bytes(raw[5:13], "little") == 1
-    assert int.from_bytes(raw[13:21], "little") == 1
-    assert np.frombuffer(raw, dtype="<f8", offset=21).tolist() == [1.0, 2.0]
-
-
-def test_binary_rejects_bad_magic(tmp_path):
-    path = tmp_path / "m.bin"
-    path.write_bytes(b"XXXXX" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="magic"):
-        read_complex_binary(path)
-
-
-def test_binary_rejects_truncation(rng, tmp_path):
-    m = random_complex(rng, (2, 2))
-    path = tmp_path / "m.bin"
-    write_complex_binary(m, path)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="expected"):
-        read_complex_binary(path)

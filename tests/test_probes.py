@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+import hdmd.cli as cli
+import hdmd.probes as probes
+from hdmd.config import default_config
 from hdmd.probes import (
+    FiniteSections,
     free_jacobi,
     moment_convergence_probe,
     resolvent_convergence_probe,
@@ -178,6 +182,75 @@ def test_weak_probe_matches_manual_dense_oracle(rng):
 
     expected = abs(manual(ref[:n, :n], v[:n]) - manual(ref, v))
     assert probe.rows[0][2] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+# ------------------------------------------------------------------
+# shared section eigendecompositions
+# ------------------------------------------------------------------
+
+
+def random_hermitian(rng, n):
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (x + x.conj().T)
+
+
+@pytest.mark.parametrize("n_ref, sizes", [(1, [1]), (7, [1, 3, 7]), (40, [1, 2, 13, 39, 40])])
+def test_resolvent_matches_dense_solve_oracle(rng, n_ref, sizes):
+    ref = random_hermitian(rng, n_ref)
+    v = rng.normal(size=n_ref) + 1j * rng.normal(size=n_ref)
+    z = 0.3 + 0.7j
+
+    def solve_padded(n):
+        out = np.zeros(n_ref, dtype=complex)
+        out[:n] = np.linalg.solve(ref[:n, :n] - z * np.eye(n), v[:n])
+        return out
+
+    truth = solve_padded(n_ref)
+    scale = np.linalg.norm(truth)
+    probe = resolvent_convergence_probe(ref, v, z, sizes)
+    for n, gap in probe.gaps("resolvent"):
+        assert abs(gap - np.linalg.norm(solve_padded(n) - truth)) <= 1e-12 * scale, n
+    oracle_floor = np.linalg.norm(solve_padded(n_ref // 2) - truth)
+    assert abs(probe.floors["resolvent"] - oracle_floor) <= 1e-12 * scale
+
+
+def test_probes_accept_a_shared_holder_with_identical_results(rng):
+    ref = random_hermitian(rng, 30)
+    v = rng.normal(size=30)
+    sections = FiniteSections(ref)
+    sizes = [2, 5, 20]
+    assert resolvent_convergence_probe(sections, v, 1j, sizes) == resolvent_convergence_probe(ref, v, 1j, sizes)
+    assert moment_convergence_probe(sections, v, 4, sizes) == moment_convergence_probe(ref, v, 4, sizes)
+    fns = [lambda lam: 1.0 / (lam * lam + 1.0)]
+    assert weak_convergence_probe(sections, v, fns, sizes) == weak_convergence_probe(ref, v, fns, sizes)
+
+
+def test_finite_sections_leave_caller_matrix_writeable():
+    ref = free_jacobi(6)
+    sections = FiniteSections(ref)
+    assert ref.flags.writeable
+    assert not sections.matrix.flags.writeable
+    assert sections.size == 6
+    assert sections.eigh(3) is sections.eigh(3)
+    with pytest.raises(ValueError, match="square"):
+        FiniteSections(np.zeros((2, 3)))
+
+
+def test_probes_cli_eigendecomposes_each_section_once_per_reference(tmp_path, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(mat):
+        calls.append(mat.shape[0])
+        return eigh(mat)
+
+    monkeypatch.setattr(probes.np.linalg, "eigh", counting_eigh)
+    assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
+    config = default_config()
+    # the sizes, the floor section at n_ref / 2 and the full reference
+    distinct = set(config.probe_sizes) | {config.probe_n_ref // 2, config.probe_n_ref}
+    assert len(distinct) == 8
+    assert sorted(calls) == sorted(2 * list(distinct))  # free-Jacobi and diagonal references
 
 
 # ------------------------------------------------------------------

@@ -32,9 +32,7 @@ from .dmd import (
 from .spectral import (
     AtomicMeasure,
     ObservableCoefficients,
-    cluster_atoms,
     cluster_table,
-    filter_atoms,
     integrate,
     project_observable,
     spectral_measure,
@@ -54,7 +52,6 @@ from .schrodinger import (
     exact_spectrum,
     exact_spike_weights,
     generate_snapshots,
-    hermite_polynomial,
     reference_observable,
     separable_snapshots,
 )
@@ -79,7 +76,6 @@ __all__ = [
     "ProbeResult",
     "QuadratureRule",
     "assemble_gram_pair",
-    "cluster_atoms",
     "cluster_table",
     "default_config",
     "edmd",
@@ -88,12 +84,10 @@ __all__ = [
     "evaluate_snapshots",
     "exact_spectrum",
     "exact_spike_weights",
-    "filter_atoms",
     "free_jacobi",
     "gaussian_centers",
     "gaussian_grid_dictionary",
     "generate_snapshots",
-    "hermite_polynomial",
     "hermitian_dmd",
     "integrate",
     "load_config",

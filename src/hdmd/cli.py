@@ -129,14 +129,22 @@ def read_points_csv(path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _check_dictionary_fits(size: int) -> None:
-    """Refuse N whose ~8 float64 N x N work arrays exceed physical memory; runs before any exists."""
-    estimate, physical = 8 * size**2 * 8, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def _check_fits(estimate: int, what: str, arrays: str) -> None:
+    """Refuse a run whose estimated work arrays exceed physical memory; runs before any exists."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if estimate > physical:
         raise ValueError(
-            f"dictionary size N = {size} needs about {estimate / 2**30:.1f} GiB of N x N work "
-            f"arrays, more than the {physical / 2**30:.1f} GiB of physical memory"
+            f"{what} needs about {estimate / 2**30:.1f} GiB of {arrays}, "
+            f"more than the {physical / 2**30:.1f} GiB of physical memory"
         )
+
+
+def _kronecker_bytes(grid, per_axis: int) -> int:
+    """About what `schrodinger` allocates: M_k x n_k factors and n_k x n_k matrices
+    per axis, O(N) spectra, weights and CSV lines, O(M) grid nodes and samples."""
+    size, snapshots = per_axis ** len(grid), prod(grid)
+    words = 8 * per_axis * sum(grid) + 40 * per_axis**2 * len(grid) + 32 * size
+    return 8 * (words + (2 * len(grid) + 8) * snapshots)
 
 
 def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = False) -> int:
@@ -149,19 +157,17 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
         width=config.dict_width,
         amplitude=config.dict_amplitude,
     )
-    _check_dictionary_fits(spec.size)
+    grid_text = " x ".join(map(str, grid))
+    needs = f"dictionary size N = {spec.size} on the {grid_text} grid"
+    _check_fits(_kronecker_bytes(grid, spec.per_axis), needs, "per-axis factors, spectra and grid samples")
     problem = HarmonicOscillatorProblem(dictionary_spec=spec)
     snapshots = separable_snapshots(problem, grid)
     logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), spec.size)
 
-    pair = snapshots.gram_pair(config.rank_tolerance)
-    operator = hermitian_dmd(pair)
-    residual = operator.hermiticity_residual()
-    eig = eigendecompose(operator)
-
-    samples = evaluate_function_samples(snapshots.nodes, reference_observable)
-    observable = ObservableCoefficients(coeffs=pair.solve(snapshots.moments(samples)), gram=pair)
-    measure = spectral_measure(eig, observable)
+    eig = snapshots.kronecker_eig(config.rank_tolerance)
+    residual = eig.hermiticity_residual()
+    moments = snapshots.moments(evaluate_function_samples(snapshots.nodes, reference_observable))
+    measure = eig.measure(moments)
 
     references = [float(p.energy) for p in exact_spectrum(config.energy_cutoff)]
     references = sorted(set(references))
@@ -180,12 +186,13 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
         "config": config_as_dict(config),
         "grid": list(grid),
         "dictionary_size": spec.size,
-        "retained_rank": pair.retained_rank,
-        "g_eigen_floor": pair.g_eigen_floor,
-        "gram_condition_number": pair.condition_number,
+        "retained_rank": eig.retained_rank,
+        "axis_retained_ranks": list(eig.axis_retained_ranks),
+        "g_eigen_floor": eig.g_eigen_floor,
+        "gram_condition_number": eig.condition_number,
         "hermiticity_residual": residual,
         "total_mass": measure.total_mass,
-        "observable_mass": observable.mass(),
+        "observable_mass": eig.observable_mass(moments),
         "runtime_seconds": time.perf_counter() - t0,
         "seed": config.seed,
     }
@@ -282,7 +289,8 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
             f"snapshot shapes differ: {x_path} is {x_pts.shape}, {y_path} is {y_pts.shape}"
         )
     dim = x_pts.shape[1]
-    _check_dictionary_fits(config.dict_per_axis**dim)
+    size = config.dict_per_axis**dim
+    _check_fits(8 * size**2 * 8, f"dictionary size N = {size}", "N x N work arrays")
     dictionary = gaussian_grid_dictionary(
         config.dictionary_box(dim),
         config.dict_per_axis,

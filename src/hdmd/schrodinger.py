@@ -15,8 +15,10 @@ numerical differentiation enters the data: the only approximation left in
 the pipeline is quadrature plus the dictionary itself.
 
 Bumps, multiplier and the trapezoid rule all separate over axes, so
-`separable_snapshots` assembles G, A and Psi_X^* W f from 1-D factors; the
-dense `generate_snapshots` stays as the general route and the oracle.
+`separable_snapshots` keeps 1-D factors, contracts Psi_X^* W f axis by axis
+and solves the Hermitian DMD one axis at a time (`KroneckerEig`); no N x N
+matrix is formed.  The dense `generate_snapshots` stays as the general
+route and the oracle.
 
 Exact eigenpairs are phi_{m,n}(x, y) = H_m(x) H_n(y) exp(-(x^2+y^2)/2) with
 energies E = m + n + 1, using physicists' Hermite polynomials H_m.  The
@@ -34,14 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import factorial, pi, sqrt
-from pathlib import Path
+from itertools import product
+from math import factorial, pi, prod, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .dictionary import DEFAULT_RANK_TOLERANCE, FeatureMatrices, gaussian_centers
-from .dmd import GramPair
+from .dmd import GramPair, KoopmanEig, KoopmanMatrix, eigendecompose, hermitian_dmd
 from .quadrature import QuadratureRule, trapezoid_axes
 from .spectral import AtomicMeasure
 
@@ -116,6 +118,106 @@ def generate_snapshots(
     return FeatureMatrices(psi_x=psi_x, psi_y=psi_y, rank_tolerance_used=rank_tolerance)
 
 
+def _along_axes(t: np.ndarray, mats) -> np.ndarray:
+    """Apply mats[k] to axis k of tensor t: out[.., i, ..] = sum_j mats[k][i, j] t[.., j, ..]."""
+    for k, m in enumerate(mats):
+        t = np.moveaxis(np.tensordot(m, t, axes=([1], [k])), 0, k)
+    return t
+
+
+def _kron_sum_norm(terms) -> float:
+    """||sum_t (x)_k terms[t][k]||_F from per-axis inner products, using
+    <(x)_k X_k, (x)_k Y_k>_F = prod_k <X_k, Y_k>_F; no Kronecker product is formed."""
+    inner = 1.0
+    for factors in zip(*terms):
+        flat = np.array([f.ravel() for f in factors])
+        inner = inner * (flat.conj() @ flat.T)
+    return sqrt(max(float(np.real(np.sum(inner))), 0.0))
+
+
+@dataclass(frozen=True)
+class KroneckerEig:
+    """Hermitian DMD of the separable data, solved one axis at a time.
+
+    With s = |amp|^2, G = s (x)_k G1_k and B = (A + A^*)/2 = s sum_k
+    (G1 (x) .. S1_k .. (x) G1), S1 = (H1 + H1^T)/2.  Each axis k runs the 1-D
+    pipeline with its own cutoff, giving K_k and G1_k-orthonormal eigenpairs
+    S1_k u = mu G1_k u.  Then B v = lambda G v has lambda = sum_k mu_k and
+    v = (x)_k u_k / |amp|: the eigenpairs of K = K_x (x) Pi_y + Pi_x (x) K_y
+    (Pi_k projects onto axis k's retained directions), which is G^+ B for
+    G^+ = (x)_k G1_k^+ / s.  `eigenvalues` ascend (a stable sort of the
+    row-major sums); `order` holds the flat index of each.
+    """
+
+    scale: float
+    operators: tuple[KoopmanMatrix, ...]
+    axes: tuple[KoopmanEig, ...]
+    eigenvalues: np.ndarray
+    order: np.ndarray
+
+    @property
+    def axis_retained_ranks(self) -> tuple[int, ...]:
+        return tuple(e.gram.retained_rank for e in self.axes)
+
+    @property
+    def retained_rank(self) -> int:
+        return prod(self.axis_retained_ranks)
+
+    @property
+    def g_eigen_floor(self) -> float:
+        """s prod_k floor_k: every retained eigenvalue s prod_k g_k of G lies above it."""
+        return self.scale * prod(e.gram.g_eigen_floor for e in self.axes)
+
+    @property
+    def condition_number(self) -> float:
+        """Largest over smallest retained eigenvalue of G, the product of the axes'."""
+        return prod(e.gram.condition_number for e in self.axes)
+
+    def _tensor(self, moments) -> np.ndarray:
+        return np.asarray(moments).reshape([e.gram.size for e in self.axes])
+
+    def measure(self, moments) -> AtomicMeasure:
+        """Atoms (lambda, |v^* G g_c|^2) of the observable with moments m = Psi_X^* W f.
+
+        g_c = G^+ m lies in the retained space, so v^* G g_c = v^* m =
+        ((x)_k u_k)^* m / |amp|; complex moments keep their imaginary part.
+        """
+        t = _along_axes(self._tensor(moments), [e.eigenvectors.conj().T for e in self.axes])
+        weights = np.abs(t.ravel()[self.order]) ** 2 / self.scale
+        return AtomicMeasure.from_atoms(self.eigenvalues, weights)
+
+    def observable_mass(self, moments) -> float:
+        """g_c^* G g_c = ||(x)_k Lambda_k^{-1/2} Q_k^* m||^2 / s for g_c = G^+ m.
+
+        Uses each axis's retained Gram eigenpairs (Q_k, Lambda_k), not the DMD
+        eigenvectors, so the weights' sum is checked against it (Parseval).
+        Applying G to G^+ m instead would lose accuracy along tiny retained g.
+        """
+        whiten = [(e.gram.basis / np.sqrt(e.gram.basis_eigenvalues)).conj().T for e in self.axes]
+        return float(np.sum(np.abs(_along_axes(self._tensor(moments), whiten)) ** 2)) / self.scale
+
+    def hermiticity_residual(self) -> float:
+        """||G K - K^* G||_F / max(1, ||G K||_F) for the Kronecker-sum K, from 1-D factors.
+
+        G K = s sum_k (x)_l T_kl with T_kk = G1_k K_k and T_kl = G1_l Pi_l.
+        With T = S + D split into Hermitian and anti-Hermitian parts,
+        (x)_l T_l - (x)_l T_l^* = 2 sum over odd-sized sets J of axes of
+        (x)_l (D_l if l in J else S_l), so the difference is summed from
+        small terms instead of cancelled from large ones.
+        """
+        own = [  # (G1_k K_k, G1_k Pi_k) per axis
+            (op.source.g @ op.k, op.source.g @ op.source.basis @ op.source.basis.conj().T) for op in self.operators
+        ]
+        gk = [[pair[l != k] for l, pair in enumerate(own)] for k in range(len(own))]
+        diff = []
+        for factors in gk:
+            parts = [(0.5 * (t + t.conj().T), 0.5 * (t - t.conj().T)) for t in factors]
+            for flips in product((0, 1), repeat=len(parts)):
+                if sum(flips) % 2:
+                    diff.append([part[f] for part, f in zip(parts, flips)])
+        return 2 * self.scale * _kron_sum_norm(diff) / max(1.0, self.scale * _kron_sum_norm(gk))
+
+
 @dataclass(frozen=True)
 class SeparableSnapshots:
     """Per-axis factors of the benchmark data on a tensor trapezoid grid.
@@ -137,19 +239,22 @@ class SeparableSnapshots:
         """Grid nodes (M, d), row-major with the last axis fastest, like the centers."""
         return np.column_stack([g.ravel() for g in np.meshgrid(*self.axes, indexing="ij")])
 
-    def gram_pair(self, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> GramPair:
-        g1 = [e.T @ (w[:, None] * e) for e, w in zip(self.bumps, self.weights)]
-        h1 = [e.T @ (w[:, None] * e * h) for e, w, h in zip(self.bumps, self.weights, self.multipliers)]
-        scale = abs(self.amplitude) ** 2
-        g = scale * reduce(np.kron, g1)
-        a = scale * sum(reduce(np.kron, g1[:k] + [h1[k]] + g1[k + 1 :]) for k in range(len(g1)))
-        return GramPair.from_matrices(g, a, rank_tolerance)
+    def kronecker_eig(self, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> KroneckerEig:
+        """G1, H1 of each axis through `GramPair.from_matrices` and `hermitian_dmd`."""
+        operators = []
+        for e, w, h in zip(self.bumps, self.weights, self.multipliers):
+            ew = w[:, None] * e
+            pair = GramPair.from_matrices(ew.T @ e, ew.T @ (e * h), rank_tolerance)
+            operators.append(hermitian_dmd(pair))
+        axes = tuple(eigendecompose(op) for op in operators)
+        sums = reduce(np.add.outer, [e.eigenvalues for e in axes]).ravel()
+        order = np.argsort(sums, kind="stable")
+        return KroneckerEig(abs(self.amplitude) ** 2, tuple(operators), axes, sums[order], order)
 
     def moments(self, samples) -> np.ndarray:
         """Psi_X^* W f for samples of f at `nodes`, contracted axis by axis."""
         t = np.asarray(samples).reshape([x.shape[0] for x in self.axes])
-        for k, (e, w) in enumerate(zip(self.bumps, self.weights)):
-            t = np.moveaxis(np.tensordot(t, w[:, None] * e, axes=([k], [0])), -1, k)
+        t = _along_axes(t, [(w[:, None] * e).T for e, w in zip(self.bumps, self.weights)])
         return np.conj(self.amplitude) * t.ravel()
 
 
@@ -167,24 +272,6 @@ def separable_snapshots(problem: HarmonicOscillatorProblem, points_per_axis) -> 
         bumps=tuple(np.exp(-a * dk**2) for dk in d),
         multipliers=tuple(_axis_multiplier(a, dk, x[:, None]) for dk, x in zip(d, axes)),
     )
-
-
-def hermite_polynomial(m: int, x):
-    """Physicists' Hermite polynomial H_m via the three-term recurrence.
-
-    H_0 = 1, H_1 = 2x, H_{m+1} = 2x H_m - 2m H_{m-1}; stable for the degree
-    range used here (m up to a few dozen).
-    """
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
-    xs = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(xs)
-    if m == 0:
-        return h_prev if xs.ndim else float(h_prev)
-    h = 2 * xs
-    for k in range(1, m):
-        h, h_prev = 2 * xs * h - 2 * k * h_prev, h
-    return h if xs.ndim else float(h)
 
 
 def _normalized_hermite_table(m_max: int, x: np.ndarray) -> np.ndarray:
@@ -220,19 +307,6 @@ class ExactEigenpair:
         """L2(R^2) normalization constant (2^{m+n} m! n! pi)^{-1/2}."""
         return 1.0 / sqrt(2.0 ** (self.m + self.n) * factorial(self.m) * factorial(self.n) * pi)
 
-    def eigenfunction(self, points) -> np.ndarray:
-        """Unnormalized H_m(x) H_n(y) exp(-(x^2+y^2)/2)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        x, y = pts[:, 0], pts[:, 1]
-        return (
-            hermite_polynomial(self.m, x)
-            * hermite_polynomial(self.n, y)
-            * np.exp(-0.5 * (x**2 + y**2))
-        )
-
-    def normalized_eigenfunction(self, points) -> np.ndarray:
-        return self.normalization * self.eigenfunction(points)
-
 
 def exact_spectrum(max_energy: int) -> list[ExactEigenpair]:
     """All (m, n) with m + n + 1 <= max_energy, sorted by energy then (m, n).
@@ -247,13 +321,6 @@ def exact_spectrum(max_energy: int) -> list[ExactEigenpair]:
         for m in range(e)
     ]
     return pairs
-
-
-def spectrum_to_csv(pairs: Sequence[ExactEigenpair], path) -> None:
-    lines = ["m,n,energy"]
-    for p in pairs:
-        lines.append(f"{p.m},{p.n},{p.energy}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def reference_observable(points) -> np.ndarray:

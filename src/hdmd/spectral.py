@@ -47,16 +47,11 @@ class ObservableCoefficients:
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite sum of point masses c_j * delta_{lambda_j}, locations ascending.
-
-    `passthrough` is set by `cluster_atoms` and marks atoms that matched no
-    reference location and were copied through unchanged.
-    """
+    """Finite sum of point masses c_j * delta_{lambda_j}, locations ascending."""
 
     locations: np.ndarray
     weights: np.ndarray
     total_mass: float
-    passthrough: Optional[np.ndarray] = None
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float).ravel()
@@ -88,17 +83,11 @@ class AtomicMeasure:
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
-    def from_atoms(cls, locations, weights, passthrough=None) -> "AtomicMeasure":
+    def from_atoms(cls, locations, weights) -> "AtomicMeasure":
         loc = np.asarray(locations, dtype=float).ravel()
         wts = np.asarray(weights, dtype=float).ravel()
         order = np.argsort(loc, kind="stable")
-        pt = None if passthrough is None else np.asarray(passthrough, dtype=bool).ravel()[order]
-        return cls(
-            locations=loc[order],
-            weights=wts[order],
-            total_mass=float(np.sum(wts)),
-            passthrough=pt,
-        )
+        return cls(locations=loc[order], weights=wts[order], total_mass=float(np.sum(wts)))
 
 
 def project_observable(
@@ -190,39 +179,3 @@ def cluster_table(
             loc = float(np.mean(locs[mask]))
         rows.append((float(ref), loc, cw, count))
     return rows, matched
-
-
-def cluster_atoms(
-    measure: AtomicMeasure,
-    reference_locations: Sequence[float],
-    radius: float,
-    weighted_mean: bool = True,
-) -> AtomicMeasure:
-    """Merge atoms near each reference location into one atom per reference.
-
-    Atoms within `radius` of a reference are replaced by a single atom at
-    their weight-averaged location (plain mean with weighted_mean=False)
-    carrying the summed weight.  Atoms matching no reference pass through
-    unchanged and are flagged via `passthrough`.  Total mass is preserved.
-    """
-    rows, matched = cluster_table(measure, reference_locations, radius, weighted_mean)
-    out_loc = [loc for _, loc, _, count in rows if count > 0]
-    out_wts = [w for _, _, w, count in rows if count > 0]
-    out_pass = [False] * len(out_loc)
-
-    out_loc.extend(measure.locations[~matched])
-    out_wts.extend(measure.weights[~matched])
-    out_pass.extend([True] * int(np.count_nonzero(~matched)))
-    return AtomicMeasure.from_atoms(out_loc, out_wts, passthrough=out_pass)
-
-
-def filter_atoms(measure: AtomicMeasure, min_relative_weight: float) -> AtomicMeasure:
-    """Explicitly drop atoms below min_relative_weight * total_mass.
-
-    Atoms are never dropped implicitly elsewhere; weak-convergence statements
-    quantify over all of them, so filtering is an opt-in post-process.
-    """
-    cutoff = min_relative_weight * measure.total_mass
-    keep = measure.weights >= cutoff
-    pt = None if measure.passthrough is None else measure.passthrough[keep]
-    return AtomicMeasure.from_atoms(measure.locations[keep], measure.weights[keep], passthrough=pt)

@@ -8,12 +8,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from csv_helpers import read_complex_csv
 
 import hdmd.cli as cli
 from hdmd.config import ConfigError, default_config, load_config, validate
 from hdmd.dictionary import FeatureMatrices, gaussian_centers
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
-from hdmd.matio import read_complex_csv
 from hdmd.quadrature import monte_carlo
 from hdmd.spectral import cluster_table, project_observable, spectral_measure
 
@@ -33,6 +33,17 @@ def symmetric_grid_points():
     g = np.linspace(-4.8, 4.8, 21)
     xx, yy = np.meshgrid(g, g, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def traced_peak(argv) -> tuple[int, int]:
+    """Exit code and tracemalloc peak of one cli.main call."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
 
 
 # ------------------------------------------------------------------
@@ -161,6 +172,7 @@ def test_schrodinger_summary_contents(small_run):
     assert summary["total_mass"] == pytest.approx(summary["observable_mass"], rel=1e-10)
     assert summary["runtime_seconds"] > 0
     assert summary["retained_rank"] == 100
+    assert summary["axis_retained_ranks"] == [10, 10]
     assert summary["g_eigen_floor"] > 0
     assert summary["gram_condition_number"] >= 1.0
 
@@ -193,9 +205,9 @@ def test_schrodinger_invalid_config_exits_2(tmp_path, capsys):
 
 def test_schrodinger_fails_loudly_on_hermiticity_breach(tmp_path, monkeypatch):
     # a residual above 1e-8 cannot arise from honest data; force one
-    import hdmd.dmd
+    import hdmd.schrodinger
 
-    monkeypatch.setattr(hdmd.dmd.KoopmanMatrix, "hermiticity_residual", lambda self: 1e-3)
+    monkeypatch.setattr(hdmd.schrodinger.KroneckerEig, "hermiticity_residual", lambda self: 1e-3)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("schema = 1\ngrid = 20 20\ndict_per_axis = 3\nenergy_cutoff = 2\n")
     out = tmp_path / "out"
@@ -211,7 +223,7 @@ def read_clusters(path):
 
 
 def test_schrodinger_separable_path_matches_dense_pipeline(bench75, tmp_path):
-    """The CLI's separable assembly reproduces the dense 75x75 pipeline.
+    """The CLI's Kronecker-sum route reproduces the dense 75x75 pipeline.
 
     Compared: the first 100 eigenvalues, and the weight and location of every
     cluster heavier than 1e-6.  Not compared: zero-mass clusters and the
@@ -357,7 +369,9 @@ def test_numerical_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch, 
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "hermitian_dmd", fail)
+    import hdmd.schrodinger
+
+    monkeypatch.setattr(hdmd.schrodinger, "hermitian_dmd", fail)  # the per-axis solve
     cfg = write_config(tmp_path, "grid = 20 20\ndict_per_axis = 3\nenergy_cutoff = 2\n")
     code = cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -404,12 +418,7 @@ def test_custom_streamed_swap_matches_complex_pipeline_without_mxn_arrays(tmp_pa
     write_points(tmp_path / "y.csv", y)
     argv = ["custom", str(tmp_path / "x.csv"), str(tmp_path / "y.csv"), "--out"]
 
-    tracemalloc.start()
-    try:
-        code = cli.main(argv + [str(tmp_path / "out")])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(argv + [str(tmp_path / "out")])
     assert code == 0
     # one complex 20,000 x 400 matrix alone is 128 MB; the streamed run stays far below
     assert peak < 96e6
@@ -473,10 +482,47 @@ def test_schrodinger_refuses_dictionary_beyond_physical_memory(tmp_path, capsys,
         raise AssertionError("the size guard must refuse before the factors are built")
 
     monkeypatch.setattr(cli, "separable_snapshots", unreachable)
-    cfg = write_config(tmp_path, "dict_per_axis = 1000\n")  # N = 10^6
+    # N = 10^12: the per-axis 10^6 x 10^6 matrices alone are 8 TB each
+    cfg = write_config(tmp_path, "dict_per_axis = 1000000\n")
     code = cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "N = 1000000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "N = 1000000000000 on the 75 x 75 grid" in err and "physical memory" in err
+
+
+def test_schrodinger_runs_dictionary_of_ten_thousand(tmp_path):
+    # N = 100^2 = 10^4; a dense N x N float64 alone would be 800 MB
+    cfg = write_config(tmp_path, "dict_per_axis = 100\n")
+    out = tmp_path / "o"
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["dictionary_size"] == 10_000
+    ranks = summary["axis_retained_ranks"]
+    assert summary["retained_rank"] == ranks[0] * ranks[1] < 10_000
+    assert summary["total_mass"] == pytest.approx(summary["observable_mass"], rel=1e-9)
+
+
+def test_schrodinger_forms_no_n_by_n_array(tmp_path):
+    # oscillator_wide: grid 60^2, 40^2 bumps, N = 1600; one N x N float64 is 20 MB
+    cfg = write_config(tmp_path, "grid = 60 60\ndict_per_axis = 40\n")
+    argv = ["schrodinger", "--config", str(cfg), "--out"]
+    assert cli.main(argv + [str(tmp_path / "warm")]) == 0  # imports and caches outside the trace
+    code, peak = traced_peak(argv + [str(tmp_path / "out")])
+    assert code == 0
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize(
+    "grid, per_axis", [((60, 60), 40), ((40, 40), 200), ((600, 500), 10)], ids=["60sq-40", "40sq-200", "600x500-10"]
+)
+def test_schrodinger_size_estimate_covers_what_it_allocates(tmp_path, grid, per_axis):
+    # the guard's estimate bounds the traced peak from above without overstating it tenfold
+    cfg = write_config(tmp_path, f"grid = {grid[0]} {grid[1]}\ndict_per_axis = {per_axis}\n")
+    argv = ["schrodinger", "--config", str(cfg), "--out"]
+    assert cli.main(argv + [str(tmp_path / "warm")]) == 0
+    code, peak = traced_peak(argv + [str(tmp_path / "out")])
+    assert code == 0
+    assert peak <= cli._kronecker_bytes(grid, per_axis) <= 10 * peak
 
 
 def test_console_entry_point_runs():

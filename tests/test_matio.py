@@ -1,13 +1,10 @@
-"""Tests for complex-matrix CSV serialization."""
+"""Tests for complex-matrix CSV serialization and the tests' CSV reader."""
 
 import numpy as np
 import pytest
+from csv_helpers import read_complex_csv
 
-from hdmd.matio import (
-    format_float,
-    read_complex_csv,
-    write_complex_csv,
-)
+from hdmd.matio import format_float, write_complex_csv
 
 
 def random_complex(rng, shape):
@@ -58,3 +55,10 @@ def test_csv_rejects_empty(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         read_complex_csv(tmp_path / "bad.csv")
 
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_with_file_and_line(tmp_path, bad):
+    (tmp_path / "bad.csv").write_text(f"c0_re,c0_im\n1.0,2.0\n3.0,{bad}\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-finite"):
+        read_complex_csv(tmp_path / "bad.csv")

@@ -1,26 +1,28 @@
 """Tests for the harmonic-oscillator benchmark and its closed-form oracles."""
 
+from dataclasses import replace
+from functools import reduce
 from math import factorial, pi, sqrt
 
 import numpy as np
 import pytest
 
 from hdmd.dictionary import evaluate_function_samples, gaussian_centers
-from hdmd.dmd import assemble_gram_pair
+from hdmd.dmd import KoopmanMatrix, assemble_gram_pair, eigendecompose, hermitian_dmd
 from hdmd.quadrature import QuadratureRule, tensor_trapezoid
 from hdmd.schrodinger import (
     ExactEigenpair,
     GaussianDictionarySpec,
     HarmonicOscillatorProblem,
     _axis_multiplier,
+    _normalized_hermite_table,
     exact_spectrum,
     exact_spike_weights,
     generate_snapshots,
-    hermite_polynomial,
     reference_observable,
     separable_snapshots,
-    spectrum_to_csv,
 )
+from hdmd.spectral import cluster_table, project_observable, spectral_measure
 
 
 def gaussian(center, width, amplitude, pts):
@@ -137,46 +139,188 @@ def relative_error(x, y):
     return np.linalg.norm(x - y) / np.linalg.norm(y)
 
 
-@pytest.mark.parametrize(
-    "grid, spec",
-    [
-        ((75, 75), GaussianDictionarySpec()),
-        ((40, 55), GaussianDictionarySpec()),
-        ((50, 45), GaussianDictionarySpec(centers_box=((-3.0, 4.5), (-1.0, 2.0)), per_axis=8)),
-        ((30, 30), GaussianDictionarySpec(per_axis=1)),
-        ((50, 50), GaussianDictionarySpec(per_axis=10, amplitude=0.3 - 2.1j)),
-        ((60, 60), GaussianDictionarySpec(per_axis=40)),
-    ],
-    ids=["75sq-defaults", "40x55", "asymmetric-box", "per-axis-1", "amplitude-phase", "60sq-40sq-deficient"],
-)
+SEPARABLE_CASES = [
+    ((75, 75), GaussianDictionarySpec()),
+    ((40, 55), GaussianDictionarySpec()),
+    ((50, 45), GaussianDictionarySpec(centers_box=((-3.0, 4.5), (-1.0, 2.0)), per_axis=8)),
+    ((30, 30), GaussianDictionarySpec(per_axis=1)),
+    ((50, 50), GaussianDictionarySpec(per_axis=10, amplitude=0.3 - 2.1j)),
+    ((60, 60), GaussianDictionarySpec(per_axis=40)),
+]
+SEPARABLE_IDS = ["75sq-defaults", "40x55", "asymmetric-box", "per-axis-1", "amplitude-phase", "60sq-40sq-deficient"]
+
+
+def axis_matrices(snapshots):
+    """Per-axis G1 = E^T W E and H1 = E^T W (E o h), formed in the test."""
+    g1 = [e.T @ (w[:, None] * e) for e, w in zip(snapshots.bumps, snapshots.weights)]
+    h1 = [e.T @ (w[:, None] * e * h) for e, w, h in zip(snapshots.bumps, snapshots.weights, snapshots.multipliers)]
+    return g1, h1
+
+
+def kron_all(mats):
+    return reduce(np.kron, mats)
+
+
+@pytest.mark.parametrize("grid, spec", SEPARABLE_CASES, ids=SEPARABLE_IDS)
 def test_separable_matches_dense(grid, spec):
     problem = HarmonicOscillatorProblem(dictionary_spec=spec)
     quad = tensor_trapezoid(problem.domain, grid)
     features = generate_snapshots(problem, quad)
     dense = assemble_gram_pair(features, quad)
     snapshots = separable_snapshots(problem, grid)
-    pair = snapshots.gram_pair()
+    g1, h1 = axis_matrices(snapshots)
+    scale = abs(spec.amplitude) ** 2
+    g = scale * kron_all(g1)
+    a = scale * (np.kron(h1[0], g1[1]) + np.kron(g1[0], h1[1]))
     samples = evaluate_function_samples(quad.nodes, nonseparable_observable)
 
     assert np.array_equal(snapshots.nodes, quad.nodes)
-    assert pair.g.dtype == pair.a.dtype == np.float64
-    assert relative_error(pair.g, dense.g) <= 1e-13
-    assert relative_error(pair.a, dense.a) <= 1e-13
+    assert relative_error(g, dense.g) <= 1e-13
+    assert relative_error(a, dense.a) <= 1e-13
     moments = features.psi_x.conj().T @ (quad.weights * samples)
     assert relative_error(snapshots.moments(samples), moments) <= 1e-13
-    assert pair.retained_rank == dense.retained_rank
-    assert pair.rank_deficient == (spec.per_axis == 40)
 
 
 # ------------------------------------------------------------------
-# hermite_polynomial
+# the Kronecker-sum eigensolve against the dense route
 # ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid, spec", SEPARABLE_CASES, ids=SEPARABLE_IDS)
+def test_kronecker_eig_matches_dense(grid, spec):
+    """Eigenvalues, heavy cluster sums and observable mass agree with the dense pipeline.
+
+    At full rank both routes solve the same pencil.  In the rank-deficient
+    case the per-axis cutoff keeps a rectangle of pairs (36^2 = 1296) that
+    contains the 2-D floor's staircase (1046), so by min-max each Ritz value
+    can only fall and the projected mass can only grow; both stay close.
+    """
+    problem = HarmonicOscillatorProblem(dictionary_spec=spec)
+    quad = tensor_trapezoid(problem.domain, grid)
+    features = generate_snapshots(problem, quad)
+    pair = assemble_gram_pair(features, quad)
+    dense_eig = eigendecompose(hermitian_dmd(pair))
+    samples = evaluate_function_samples(quad.nodes, nonseparable_observable)
+    observable = project_observable(samples, features, quad, pair=pair)
+    dense_measure = spectral_measure(dense_eig, observable)
+
+    snapshots = separable_snapshots(problem, grid)
+    eig = snapshots.kronecker_eig()
+    moments = snapshots.moments(samples)
+    measure = eig.measure(moments)
+    mass = eig.observable_mass(moments)
+
+    assert eig.retained_rank == np.prod(eig.axis_retained_ranks) == eig.eigenvalues.size
+    assert np.all(np.diff(eig.eigenvalues) >= 0)
+    assert measure.total_mass == pytest.approx(mass, rel=1e-10)
+    refs = np.arange(1.0, 13.0)
+    rows, _ = cluster_table(measure, refs, 0.4)
+    dense_rows, _ = cluster_table(dense_measure, refs, 0.4)
+    heavy = [(row[2], dense[2]) for row, dense in zip(rows, dense_rows) if dense[2] > 1e-6]
+    assert heavy
+    count = min(100, dense_eig.eigenvalues.size)
+    gaps = eig.eigenvalues[:count] - dense_eig.eigenvalues[:count]
+    if pair.rank_deficient:
+        assert eig.retained_rank > pair.retained_rank
+        assert np.max(gaps) <= 1e-12 and np.max(np.abs(gaps)) <= 1e-3
+        assert mass >= observable.mass() * (1 - 1e-12)
+        assert mass == pytest.approx(observable.mass(), rel=2e-3)
+        for weight, dense_weight in heavy:
+            assert weight == pytest.approx(dense_weight, rel=1e-6)
+    else:
+        assert eig.retained_rank == pair.retained_rank == spec.size
+        assert np.max(np.abs(gaps)) <= 1e-11
+        assert mass == pytest.approx(observable.mass(), rel=1e-13)
+        for weight, dense_weight in heavy:
+            assert weight == pytest.approx(dense_weight, rel=1e-11)
+
+
+def test_kronecker_weights_keep_imaginary_part_of_complex_observable():
+    """Per-atom weights equal |v^* G g_c|^2 for v = (u_x (x) u_y) / |amp| formed densely."""
+    spec = GaussianDictionarySpec(per_axis=10, amplitude=0.3 - 2.1j)
+    problem = HarmonicOscillatorProblem(dictionary_spec=spec)
+    snapshots = separable_snapshots(problem, (50, 50))
+    eig = snapshots.kronecker_eig()
+    samples = evaluate_function_samples(snapshots.nodes, nonseparable_observable)
+    assert np.linalg.norm(samples.imag) > 0.5 * np.linalg.norm(samples.real)
+    moments = snapshots.moments(samples)
+    measure = eig.measure(moments)
+
+    g1, _ = axis_matrices(snapshots)
+    g = abs(spec.amplitude) ** 2 * kron_all(g1)
+    coeffs = np.linalg.solve(g, moments)  # full rank here
+    vectors = kron_all([e.eigenvectors for e in eig.axes])[:, eig.order] / abs(spec.amplitude)
+    projections = vectors.conj().T @ (g @ coeffs)
+    # a weight that dropped the imaginary part (or squared without the modulus) would be visibly off
+    assert np.linalg.norm(projections.imag) > 0.3 * np.linalg.norm(projections)
+    expected = np.abs(projections) ** 2
+    assert np.max(np.abs(measure.weights - expected)) <= 1e-12 * measure.total_mass
+    assert np.real(np.vdot(coeffs, g @ coeffs)) == pytest.approx(eig.observable_mass(moments), rel=1e-12)
+
+
+@pytest.mark.parametrize("grid, spec", SEPARABLE_CASES, ids=SEPARABLE_IDS)
+def test_kronecker_axes_are_gram_orthonormal(grid, spec):
+    # U^T G1 U = I up to roundoff amplified by cond(G1), through ||U||^2 ~ 1 / min retained g
+    eig = separable_snapshots(HarmonicOscillatorProblem(dictionary_spec=spec), grid).kronecker_eig()
+    for axis in eig.axes:
+        assert axis.orthonormality_residual() <= 1e-16 * axis.gram.condition_number + 1e-12
+    assert eig.condition_number == pytest.approx(np.prod([a.gram.condition_number for a in eig.axes]))
+    kept = np.multiply.outer(*[a.gram.basis_eigenvalues for a in eig.axes]) * abs(spec.amplitude) ** 2
+    assert np.min(kept) > eig.g_eigen_floor
+
+
+def dense_hermiticity_residual(eig):
+    """||G K - K^* G||_F / max(1, ||G K||_F) with G and the Kronecker-sum K formed explicitly."""
+    g = eig.scale * kron_all([op.source.g for op in eig.operators])
+    projectors = [op.source.basis @ op.source.basis.conj().T for op in eig.operators]
+    k = sum(
+        kron_all([op.k if l == j else p for l, (op, p) in enumerate(zip(eig.operators, projectors))])
+        for j in range(len(eig.operators))
+    )
+    gk = g @ k
+    return np.linalg.norm(gk - gk.conj().T) / max(1.0, np.linalg.norm(gk))
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_kronecker_hermiticity_residual_matches_dense_formula(dimension, rng):
+    box = ((-4.0, 4.0),) * dimension
+    spec = GaussianDictionarySpec(centers_box=box, per_axis=5, width=1.0, amplitude=0.3 - 2.1j)
+    problem = HarmonicOscillatorProblem(domain=((-5.0, 5.0),) * dimension, dictionary_spec=spec)
+    eig = separable_snapshots(problem, (30,) * dimension).kronecker_eig()
+    assert eig.hermiticity_residual() <= 1e-13
+    assert dense_hermiticity_residual(eig) <= 1e-13
+
+    # deliberately non-symmetric K_k and G1_k on every axis, so the residual is not
+    # roundoff and every factor of every term (all odd sets of axes) contributes
+    skewed = tuple(
+        KoopmanMatrix(
+            k=op.k + 0.3 * rng.normal(size=op.k.shape),
+            kind=op.kind,
+            source=replace(op.source, g=op.source.g + 0.3 * rng.normal(size=op.k.shape)),
+        )
+        for op in eig.operators
+    )
+    broken = replace(eig, operators=skewed)
+    expected = dense_hermiticity_residual(broken)
+    assert expected > 1e-5
+    assert broken.hermiticity_residual() == pytest.approx(expected, rel=1e-10)
+
+
+# ------------------------------------------------------------------
+# the Hermite table behind the spike-weight oracle
+# ------------------------------------------------------------------
+
+
+def hermite(m: int, x) -> np.ndarray:
+    """Physicists' H_m(x), recovered from row m of the normalized table."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    return _normalized_hermite_table(m, xs)[m] * sqrt(2.0**m * factorial(m) * sqrt(pi)) * np.exp(0.5 * xs**2)
 
 
 def test_hermite_base_cases():
-    assert hermite_polynomial(0, 1.7) == 1.0
-    assert hermite_polynomial(1, 0.5) == pytest.approx(1.0)
-    assert hermite_polynomial(2, 1.0) == pytest.approx(2.0)  # 4x^2 - 2
+    assert hermite(0, 1.7)[0] == pytest.approx(1.0, rel=1e-15)
+    assert hermite(1, 0.5)[0] == pytest.approx(1.0)
+    assert hermite(2, 1.0)[0] == pytest.approx(2.0)  # 4x^2 - 2
 
 
 def hermite_series_oracle(m: int, x: float) -> float:
@@ -190,20 +334,14 @@ def hermite_series_oracle(m: int, x: float) -> float:
 @pytest.mark.parametrize("m", [3, 5, 8, 12])
 def test_hermite_matches_series_oracle(m):
     for x in (-2.3, 0.0, 0.7, 4.9):
-        assert hermite_polynomial(m, x) == pytest.approx(
-            hermite_series_oracle(m, x), rel=1e-12, abs=1e-12
-        )
+        assert hermite(m, x)[0] == pytest.approx(hermite_series_oracle(m, x), rel=1e-12, abs=1e-12)
 
 
 def test_hermite_vectorized():
     xs = np.linspace(-2, 2, 7)
-    vec = hermite_polynomial(5, xs)
-    assert np.allclose(vec, [hermite_polynomial(5, float(x)) for x in xs], rtol=1e-15)
-
-
-def test_hermite_rejects_negative_degree():
-    with pytest.raises(ValueError, match="nonnegative"):
-        hermite_polynomial(-1, 0.0)
+    vec = _normalized_hermite_table(5, xs)
+    pointwise = np.column_stack([_normalized_hermite_table(5, np.array([x])) for x in xs])
+    assert np.allclose(vec, pointwise, rtol=1e-15)
 
 
 # ------------------------------------------------------------------
@@ -233,12 +371,6 @@ def test_spectrum_multiplicity_pattern():
         assert np.count_nonzero(energies == e) == e
 
 
-def test_spectrum_csv(tmp_path):
-    path = tmp_path / "spectrum.csv"
-    spectrum_to_csv(exact_spectrum(2), path)
-    assert path.read_text().splitlines() == ["m,n,energy", "0,0,1.0", "0,1,2.0", "1,0,2.0"]
-
-
 # ------------------------------------------------------------------
 # eigenfunctions
 # ------------------------------------------------------------------
@@ -260,11 +392,18 @@ def five_point_hamiltonian(u, pts, h=3e-3):
     return -0.5 * lap + 0.5 * np.sum(pts**2, axis=1) * u(pts)
 
 
+def eigenfunction(pair):
+    """phi_{m,n} at (M, 2) points, L2-normalized, from the Hermite table."""
+    return lambda pts: (
+        _normalized_hermite_table(pair.m, pts[:, 0])[pair.m] * _normalized_hermite_table(pair.n, pts[:, 1])[pair.n]
+    )
+
+
 def test_eigenfunctions_satisfy_eigenvalue_equation(rng):
     pts = rng.uniform(-3, 3, size=(100, 2))
     for pair in exact_spectrum(5):
-        vals = pair.eigenfunction(pts)
-        h_vals = five_point_hamiltonian(pair.eigenfunction, pts)
+        vals = eigenfunction(pair)(pts)
+        h_vals = five_point_hamiltonian(eigenfunction(pair), pts)
         residual = np.abs(h_vals - pair.energy * vals)
         assert np.max(residual) <= 1e-8 * np.max(np.abs(vals))
 
@@ -272,6 +411,10 @@ def test_eigenfunctions_satisfy_eigenvalue_equation(rng):
 def test_eigenfunction_normalization_constant():
     pair = ExactEigenpair(m=2, n=3)
     assert pair.normalization == pytest.approx(1.0 / sqrt(2.0**5 * 2 * 6 * pi), rel=1e-15)
+    # the table's rows carry the same constant, split over the axes
+    pts = np.array([[0.3, -1.1]])
+    unnormalized = hermite(2, 0.3) * hermite(3, -1.1) * np.exp(-0.5 * np.sum(pts**2))
+    assert eigenfunction(pair)(pts) == pytest.approx(pair.normalization * unnormalized, rel=1e-13)
 
 
 def test_eigenfunctions_orthonormal_under_quadrature():
@@ -282,13 +425,7 @@ def test_eigenfunctions_orthonormal_under_quadrature():
     x = axis_rule.nodes[:, 0]
     w = axis_rule.weights
     pairs = exact_spectrum(5)
-    tables = {}
-    for p in pairs:
-        for m in (p.m, p.n):
-            if m not in tables:
-                tables[m] = hermite_polynomial(m, x) * np.exp(-0.5 * x**2) / sqrt(
-                    2.0**m * factorial(m) * sqrt(pi)
-                )
+    tables = _normalized_hermite_table(4, x)
     for pa in pairs:
         for pb in pairs:
             inner_x = float(np.dot(w, tables[pa.m] * tables[pb.m]))

@@ -7,9 +7,7 @@ import hdmd
 from hdmd.dmd import KoopmanEig, assemble_gram_pair, eigendecompose, hermitian_dmd
 from hdmd.spectral import (
     AtomicMeasure,
-    cluster_atoms,
     cluster_table,
-    filter_atoms,
     integrate,
     project_observable,
     spectral_measure,
@@ -182,51 +180,52 @@ def test_integrate_resolvent_matches_dense_oracle(rng):
 
 
 # ------------------------------------------------------------------
-# cluster_atoms / cluster_table / filter_atoms
+# cluster_table
 # ------------------------------------------------------------------
 
 
 def test_cluster_symmetric_pair():
     mu = AtomicMeasure.from_atoms([2.99, 3.01], [1.0, 1.0])
-    out = cluster_atoms(mu, [3.0], radius=0.1)
-    assert out.atom_count == 1
-    assert out.locations[0] == pytest.approx(3.0, abs=1e-12)
-    assert out.weights[0] == pytest.approx(2.0, rel=1e-15)
-    assert not out.passthrough[0]
+    rows, matched = cluster_table(mu, [3.0], radius=0.1)
+    [(_, loc, weight, count)] = rows
+    assert count == 2
+    assert loc == pytest.approx(3.0, abs=1e-12)
+    assert weight == pytest.approx(2.0, rel=1e-15)
+    assert np.all(matched)
 
 
 def test_cluster_leaves_unmatched_atoms_alone():
     mu = AtomicMeasure.from_atoms([1.0, 7.0], [0.3, 0.7])
-    out = cluster_atoms(mu, [4.0], radius=0.5)
-    assert np.array_equal(out.locations, mu.locations)
-    assert np.array_equal(out.weights, mu.weights)
-    assert np.all(out.passthrough)
+    rows, matched = cluster_table(mu, [4.0], radius=0.5)
+    assert rows[0][2:] == (0.0, 0)
+    assert not np.any(matched)
 
 
 def test_cluster_preserves_total_mass(rng):
     locs = np.sort(rng.uniform(0, 10, size=40))
     wts = rng.uniform(0, 1, size=40)
     mu = AtomicMeasure.from_atoms(locs, wts)
-    out = cluster_atoms(mu, [2.0, 5.0, 8.0], radius=1.0)
-    assert out.total_mass == pytest.approx(mu.total_mass, rel=1e-12)
+    rows, matched = cluster_table(mu, [2.0, 5.0, 8.0], radius=1.0)
+    clustered = sum(weight for _, _, weight, _ in rows)
+    assert clustered + np.sum(mu.weights[~matched]) == pytest.approx(mu.total_mass, rel=1e-12)
 
 
 def test_cluster_weighted_vs_plain_mean():
     mu = AtomicMeasure.from_atoms([2.8, 3.2], [3.0, 1.0])
-    weighted = cluster_atoms(mu, [3.0], radius=0.4)
-    plain = cluster_atoms(mu, [3.0], radius=0.4, weighted_mean=False)
-    assert weighted.locations[0] == pytest.approx(2.9, rel=1e-12)
-    assert plain.locations[0] == pytest.approx(3.0, rel=1e-12)
+    weighted, _ = cluster_table(mu, [3.0], radius=0.4)
+    plain, _ = cluster_table(mu, [3.0], radius=0.4, weighted_mean=False)
+    assert weighted[0][1] == pytest.approx(2.9, rel=1e-12)
+    assert plain[0][1] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_cluster_radius_gap_validation():
     mu = AtomicMeasure.from_atoms([1.0], [1.0])
     with pytest.raises(ValueError, match="half the minimum reference gap"):
-        cluster_atoms(mu, [1.0, 2.0], radius=0.5)
+        cluster_table(mu, [1.0, 2.0], radius=0.5)
     with pytest.raises(ValueError, match="distinct"):
-        cluster_atoms(mu, [1.0, 1.0], radius=0.1)
+        cluster_table(mu, [1.0, 1.0], radius=0.1)
     with pytest.raises(ValueError, match="radius"):
-        cluster_atoms(mu, [1.0], radius=0.0)
+        cluster_table(mu, [1.0], radius=0.0)
 
 
 def test_cluster_table_reports_empty_clusters():
@@ -235,13 +234,6 @@ def test_cluster_table_reports_empty_clusters():
     assert rows[0][3] == 0 and np.isnan(rows[0][1]) and rows[0][2] == 0.0
     assert rows[1][3] == 1 and rows[1][1] == pytest.approx(5.02)
     assert np.array_equal(matched, [False, True])
-
-
-def test_filter_atoms_drops_small_weights():
-    mu = AtomicMeasure.from_atoms([1.0, 2.0, 3.0], [1.0, 1e-16, 2.0])
-    out = filter_atoms(mu, 1e-12)
-    assert np.array_equal(out.locations, [1.0, 3.0])
-    assert out.total_mass == pytest.approx(3.0, rel=1e-15)
 
 
 # ------------------------------------------------------------------

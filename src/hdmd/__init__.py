@@ -33,7 +33,6 @@ from .spectral import (
     AtomicMeasure,
     ObservableCoefficients,
     cluster_table,
-    integrate,
     project_observable,
     spectral_measure,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "gaussian_grid_dictionary",
     "generate_snapshots",
     "hermitian_dmd",
-    "integrate",
     "load_config",
     "moment_convergence_probe",
     "monte_carlo",

@@ -45,7 +45,9 @@ from .dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from .matio import format_float, write_complex_csv
 from .probes import (
     FiniteSections,
+    diagonal_eigh,
     free_jacobi,
+    free_jacobi_eigh,
     moment_convergence_probe,
     resolvent_convergence_probe,
     weak_convergence_probe,
@@ -234,18 +236,19 @@ def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     n_ref = config.probe_n_ref
     sizes = list(config.probe_sizes)
-    # built one at a time: each holder caches its sections' eigenvectors
+    # built one at a time: each holder caches its sections' eigenvectors,
+    # taken from the reference's closed-form eigendecomposition
     references = {
-        "free_jacobi": lambda: free_jacobi(n_ref),
-        "diagonal": lambda: np.diag(np.arange(n_ref, dtype=float)),
+        "free_jacobi": (lambda: free_jacobi(n_ref), free_jacobi_eigh),
+        "diagonal": (lambda: np.diag(np.arange(n_ref, dtype=float)), diagonal_eigh),
     }
     v = np.zeros(n_ref)
     v[0] = 1.0
 
     out_dir.mkdir(parents=True, exist_ok=True)
     floors = {}
-    for name, build in references.items():
-        sections = FiniteSections(build())
+    for name, (build, decompose) in references.items():
+        sections = FiniteSections(build(), decompose)
         res = resolvent_convergence_probe(sections, v, 1j, sizes)
         mom = moment_convergence_probe(sections, v, config.probe_max_moment, sizes)
         weak = weak_convergence_probe(sections, v, PROBE_TEST_FNS, sizes)

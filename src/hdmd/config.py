@@ -28,9 +28,7 @@ class ConfigError(ValueError):
     """Configuration failure; carries the field name and source line if known."""
 
     def __init__(self, message: str, field_name: str = "", line: int | None = None):
-        prefix = f"config error"
-        if line is not None:
-            prefix += f" (line {line})"
+        prefix = "config error" if line is None else f"config error (line {line})"
         super().__init__(f"{prefix}: {message}")
         self.field_name = field_name
         self.line = line
@@ -63,40 +61,14 @@ class ExperimentConfig:
         return tuple((self.dict_box_min, self.dict_box_max) for _ in range(dimension))
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
-def _parse_str(raw: str) -> str:
-    return raw
-
-
-def _parse_int_tuple(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok, 10) for tok in raw.split())
-
-
-_PARSERS = {
-    "experiment": _parse_str,
-    "grid": _parse_int_tuple,
-    "dict_box_min": _parse_float,
-    "dict_box_max": _parse_float,
-    "dict_per_axis": _parse_int,
-    "dict_width": _parse_float,
-    "dict_amplitude_re": _parse_float,
-    "dict_amplitude_im": _parse_float,
-    "rank_tolerance": _parse_float,
-    "cluster_radius": _parse_float,
-    "energy_cutoff": _parse_int,
-    "output_dir": _parse_str,
-    "seed": _parse_int,
-    "probe_n_ref": _parse_int,
-    "probe_sizes": _parse_int_tuple,
-    "probe_max_moment": _parse_int,
+# one parser per field type (annotations are strings under `from __future__ import annotations`)
+_PARSE_BY_TYPE = {
+    "int": lambda raw: int(raw, 10),
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": lambda raw: tuple(int(tok, 10) for tok in raw.split()),
 }
+_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
 
 def validate(config: ExperimentConfig) -> ExperimentConfig:

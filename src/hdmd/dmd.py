@@ -96,8 +96,8 @@ class GramPair:
         """Symmetrize G as (G + G^*)/2, eigendecompose it once and apply the cutoff.
 
         Eigenvalues at or below rank_tolerance * lambda_max are dropped and the
-        retained eigenspace is cached for every downstream solve.  Effective
-        rank deficiency is reported as a warning, not a failure.
+        retained eigenspace is cached for every downstream solve.  Rank
+        deficiency is left to the caller to report (see `rank_deficient`).
         """
         g = 0.5 * (g + g.conj().T)
         a = np.asarray(a).view()  # freezing a view leaves the caller's a writeable
@@ -107,11 +107,6 @@ class GramPair:
         rank = int(np.count_nonzero(keep))
         if rank == 0:
             raise ValueError("Gram matrix has no eigenvalue above the truncation floor")
-        if rank < g.shape[0]:
-            logger.warning(
-                "Gram matrix numerically rank deficient: retained %d of %d directions "
-                "(floor %.3e)", rank, g.shape[0], floor,
-            )
         for arr in (g, a):
             arr.setflags(write=False)
         return cls(g, a, float(floor), rank, basis=eigvecs[:, keep], basis_eigenvalues=eigvals[keep])
@@ -150,6 +145,7 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
 
     Blocks are summed in features.dtype and scaled once by features.scale.
     The cutoff is features.rank_tolerance_used; see `GramPair.from_matrices`.
+    Effective rank deficiency is reported as a warning, not a failure.
     """
     if features.snapshot_count != quad.size:
         raise ValueError(
@@ -164,7 +160,11 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
         xw = psi_x.conj().T * w[sl]
         g += xw @ psi_x
         a += xw @ psi_y
-    return GramPair.from_matrices(features.scale * g, features.scale * a, features.rank_tolerance_used)
+    pair = GramPair.from_matrices(features.scale * g, features.scale * a, features.rank_tolerance_used)
+    if pair.rank_deficient:
+        msg = "Gram matrix numerically rank deficient: retained %d of %d directions (floor %.3e)"
+        logger.warning(msg, pair.retained_rank, n, pair.g_eigen_floor)
+    return pair
 
 
 def edmd(pair: GramPair) -> KoopmanMatrix:

@@ -14,7 +14,9 @@ operator-level quantities as n grows:
 Each section is eigendecomposed once, L_n = V diag(lambda) V^*, in a
 `FiniteSections` holder that the resolvent and weak probes share: the
 resolvent is V (lambda - z)^{-1} V^* P_n v and the weak probe's measure has
-atoms lambda with weights |V^* P_n v|^2.  The moment probe keeps exact
+atoms lambda with weights |V^* P_n v|^2.  The decomposition is eigh of the
+section unless the holder is given the reference's closed form
+(`free_jacobi_eigh`, `diagonal_eigh`).  The moment probe keeps exact
 repeated matvecs, so walk-count moments stay exact integers.
 
 The reference is itself a truncation of the operator it models, so each
@@ -75,20 +77,41 @@ def free_jacobi(n: int) -> np.ndarray:
     return mat
 
 
+def free_jacobi_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigh of free_jacobi(n): lambda_k = 2 cos(k pi/(n+1)) ascending,
+    V_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)), j, k = 1..n, built in one n x n array.
+
+    jk is reduced mod 2(n+1), exactly in floats, so every sine argument is below 2 pi.
+    """
+    k = np.arange(n, 0, -1, dtype=float)
+    evecs = np.outer(np.arange(1.0, n + 1), k)
+    np.remainder(evecs, 2 * (n + 1), out=evecs)
+    evecs *= np.pi / (n + 1)
+    np.sin(evecs, out=evecs)
+    evecs *= np.sqrt(2.0 / (n + 1))
+    return 2.0 * np.cos(k * np.pi / (n + 1)), evecs
+
+
+def diagonal_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigh of diag(0, 1, ..., n-1): the diagonal and the identity."""
+    return np.arange(n, dtype=float), np.eye(n)
+
+
 class FiniteSections:
     """A square reference matrix with its leading-section eigendecompositions.
 
     Keeps a read-only view of the matrix (the caller's array stays writeable)
-    and computes eigh(matrix[:n, :n]) once per n, on first use.  The cache
-    assumes the caller leaves the matrix unchanged while the holder is alive.
+    and computes decompose(n), by default eigh(matrix[:n, :n]), once per n on
+    first use.  The cache assumes the matrix stays unchanged meanwhile.
     """
 
-    def __init__(self, matrix) -> None:
+    def __init__(self, matrix, decompose: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None) -> None:
         mat = np.atleast_2d(np.asarray(matrix)).view()
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"reference must be square, got {mat.shape}")
         mat.setflags(write=False)
         self.matrix = mat
+        self._decompose = decompose or (lambda n: np.linalg.eigh(mat[:n, :n]))
         self._eigh: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -98,7 +121,7 @@ class FiniteSections:
     def eigh(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and orthonormal eigenvectors of the n x n section."""
         if n not in self._eigh:
-            self._eigh[n] = np.linalg.eigh(self.matrix[:n, :n])
+            self._eigh[n] = self._decompose(n)
         return self._eigh[n]
 
 
@@ -136,8 +159,9 @@ def resolvent_convergence_probe(
 
     def section_solution(n: int) -> np.ndarray:
         evals, evecs = sections.eigh(n)
+        w = (evecs.conj().T @ vec[:n]) / (evals - zc)
         out = np.zeros(n_ref, dtype=complex)
-        out[:n] = evecs @ ((evecs.conj().T @ vec[:n]) / (evals - zc))
+        out[:n] = evecs @ w.real + 1j * (evecs @ w.imag)  # a real V is never cast to complex
         return out
 
     truth = section_solution(n_ref)
@@ -208,7 +232,7 @@ def weak_convergence_probe(
 
     def integrals(n: int) -> np.ndarray:
         evals, evecs = sections.eigh(n)
-        coeffs = np.abs(evecs.conj().T @ vec[:n].astype(complex)) ** 2
+        coeffs = np.abs(evecs.conj().T @ vec[:n]) ** 2
         fvals = np.array([[float(fn(lam)) for lam in evals] for fn in test_fns])
         return fvals @ coeffs
 

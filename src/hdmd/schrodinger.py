@@ -34,6 +34,7 @@ convention; see README for notes on alternatives.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -46,6 +47,8 @@ from .dictionary import DEFAULT_RANK_TOLERANCE, FeatureMatrices, gaussian_center
 from .dmd import GramPair, KoopmanEig, KoopmanMatrix, eigendecompose, hermitian_dmd
 from .quadrature import QuadratureRule, trapezoid_axes
 from .spectral import AtomicMeasure
+
+logger = logging.getLogger("hdmd")
 
 Box = Sequence[tuple[float, float]]
 
@@ -249,7 +252,15 @@ class SeparableSnapshots:
         axes = tuple(eigendecompose(op) for op in operators)
         sums = reduce(np.add.outer, [e.eigenvalues for e in axes]).ravel()
         order = np.argsort(sums, kind="stable")
-        return KroneckerEig(abs(self.amplitude) ** 2, tuple(operators), axes, sums[order], order)
+        eig = KroneckerEig(abs(self.amplitude) ** 2, tuple(operators), axes, sums[order], order)
+        sizes = [op.source.size for op in operators]
+        if eig.retained_rank < prod(sizes):
+            per_axis = ", ".join(f"{r} of {n}" for r, n in zip(eig.axis_retained_ranks, sizes))
+            logger.warning(
+                "Gram matrix numerically rank deficient: retained %d of %d directions (per axis %s)",
+                eig.retained_rank, prod(sizes), per_axis,
+            )
+        return eig
 
     def moments(self, samples) -> np.ndarray:
         """Psi_X^* W f for samples of f at `nodes`, contracted axis by axis."""
@@ -315,12 +326,7 @@ def exact_spectrum(max_energy: int) -> list[ExactEigenpair]:
     """
     if max_energy < 1:
         raise ValueError(f"max_energy must be >= 1, got {max_energy}")
-    pairs = [
-        ExactEigenpair(m=m, n=e - 1 - m)
-        for e in range(1, max_energy + 1)
-        for m in range(e)
-    ]
-    return pairs
+    return [ExactEigenpair(m=m, n=e - 1 - m) for e in range(1, max_energy + 1) for m in range(e)]
 
 
 def reference_observable(points) -> np.ndarray:
@@ -369,8 +375,5 @@ def exact_spike_weights(
     inner = (hx * wx[None, :]) @ fvals @ (hy * wy[None, :]).T
 
     energies = np.arange(1, max_energy + 1, dtype=float)
-    weights = np.zeros(max_energy)
-    for e in range(1, max_energy + 1):
-        for m in range(e):
-            weights[e - 1] += inner[m, e - 1 - m] ** 2
+    weights = [sum(inner[m, e - 1 - m] ** 2 for m in range(e)) for e in range(1, max_energy + 1)]
     return AtomicMeasure.from_atoms(energies, weights)

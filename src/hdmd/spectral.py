@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +41,14 @@ class ObservableCoefficients:
     gram: GramPair
 
     def mass(self) -> float:
-        """g_c^* G g_c, the squared G-norm of the projected observable."""
-        return float(np.real(self.coeffs.conj() @ self.gram.g @ self.coeffs))
+        """g_c^* G g_c, the squared G-norm of the projected observable.
+
+        Summed as sum_i lambda_i |q_i^* g_c|^2 over the retained eigenpairs of
+        G: multiplying G back onto g_c = G^+ m loses accuracy along tiny
+        retained eigenvalues of an ill-conditioned G.
+        """
+        q, lam = self.gram.basis, self.gram.basis_eigenvalues
+        return float(np.sum(lam * np.abs(q.conj().T @ self.coeffs) ** 2))
 
 
 @dataclass(frozen=True)
@@ -121,12 +127,6 @@ def spectral_measure(eig: KoopmanEig, obs: ObservableCoefficients) -> AtomicMeas
     gf = eig.gram.g @ obs.coeffs
     weights = np.abs(eig.eigenvectors.conj().T @ gf) ** 2
     return AtomicMeasure.from_atoms(eig.eigenvalues, weights)
-
-
-def integrate(measure: AtomicMeasure, test_fn: Callable[[float], float]) -> float:
-    """sum_j c_j * test_fn(lambda_j) for a bounded continuous test function."""
-    vals = np.array([float(test_fn(lam)) for lam in measure.locations])
-    return float(np.dot(measure.weights, vals))
 
 
 def _validate_references(reference_locations, radius: float) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_config_cli import traced_peak
 
 import hdmd.cli as cli
 import hdmd.probes as probes
@@ -236,21 +237,67 @@ def test_finite_sections_leave_caller_matrix_writeable():
         FiniteSections(np.zeros((2, 3)))
 
 
+def default_section_sizes():
+    """The sizes `hdmd probes` decomposes: the probe sizes, the floor at n_ref / 2, n_ref."""
+    config = default_config()
+    return sorted(set(config.probe_sizes) | {config.probe_n_ref // 2, config.probe_n_ref})
+
+
 def test_probes_cli_eigendecomposes_each_section_once_per_reference(tmp_path, monkeypatch):
     calls = []
-    eigh = np.linalg.eigh
 
-    def counting_eigh(mat):
-        calls.append(mat.shape[0])
-        return eigh(mat)
+    def counting(name, decompose):
+        def provider(n):
+            calls.append((name, n))
+            return decompose(n)
 
-    monkeypatch.setattr(probes.np.linalg, "eigh", counting_eigh)
+        return provider
+
+    def no_eigh(mat):
+        raise AssertionError("hdmd probes called np.linalg.eigh")
+
+    monkeypatch.setattr(cli, "free_jacobi_eigh", counting("free_jacobi", probes.free_jacobi_eigh))
+    monkeypatch.setattr(cli, "diagonal_eigh", counting("diagonal", probes.diagonal_eigh))
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
-    config = default_config()
-    # the sizes, the floor section at n_ref / 2 and the full reference
-    distinct = set(config.probe_sizes) | {config.probe_n_ref // 2, config.probe_n_ref}
+    distinct = default_section_sizes()
     assert len(distinct) == 8
-    assert sorted(calls) == sorted(2 * list(distinct))  # free-Jacobi and diagonal references
+    expected = [(name, n) for name in ("diagonal", "free_jacobi") for n in distinct]
+    assert sorted(calls) == expected  # one closed-form decomposition per (reference, n)
+
+
+@pytest.mark.parametrize("n", default_section_sizes())
+def test_closed_form_sections_match_eigh(n):
+    e1 = first_basis_vector(n)
+    for matrix, closed_form in [
+        (free_jacobi(n), probes.free_jacobi_eigh),
+        (np.diag(np.arange(n, dtype=float)), probes.diagonal_eigh),
+    ]:
+        evals, evecs = closed_form(n)
+        ref_evals, ref_evecs = np.linalg.eigh(matrix)
+        assert evecs.shape == (n, n) and evecs.dtype == float
+        assert np.max(np.abs(evals - ref_evals)) <= 1e-13
+        assert np.max(np.abs(evecs.T @ evecs - np.eye(n))) <= 1e-12
+        assert np.max(np.abs(evecs[0] ** 2 - ref_evecs[0] ** 2)) <= 1e-14
+        resolvent = evecs @ ((evecs.T @ e1) / (evals - 1j))
+        ref_resolvent = ref_evecs @ ((ref_evecs.T @ e1) / (ref_evals - 1j))
+        assert np.max(np.abs(resolvent - ref_resolvent)) <= 1e-12
+
+
+def test_diagonal_closed_form_gives_exactly_zero_gaps():
+    n_ref = 64
+    sections = FiniteSections(np.diag(np.arange(n_ref, dtype=float)), probes.diagonal_eigh)
+    v = first_basis_vector(n_ref)
+    assert all(gap == 0.0 for _, gap in resolvent_convergence_probe(sections, v, 1j, SIZES[:4]).gaps("resolvent"))
+    weak = weak_convergence_probe(sections, v, cli.PROBE_TEST_FNS, SIZES[:4])
+    assert all(gap == 0.0 for _, _, gap in weak.rows)
+
+
+def test_probes_cli_traced_peak_stays_under_ceiling(tmp_path):
+    # dense eigh workspaces and complex copies of the real eigenvectors pushed this to 135 MB
+    code, peak = traced_peak(["probes", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert peak < 100e6
 
 
 # ------------------------------------------------------------------

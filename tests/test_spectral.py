@@ -1,14 +1,15 @@
 """Tests for observable projection, atomic measures, and clustering."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import hdmd
-from hdmd.dmd import KoopmanEig, assemble_gram_pair, eigendecompose, hermitian_dmd
+from hdmd.dmd import GramPair, KoopmanEig, assemble_gram_pair, eigendecompose, hermitian_dmd
 from hdmd.spectral import (
     AtomicMeasure,
     cluster_table,
-    integrate,
     project_observable,
     spectral_measure,
 )
@@ -105,6 +106,25 @@ def test_measure_mass_equals_g_norm(rng):
         assert mu.total_mass == pytest.approx(obs.mass(), rel=1e-10)
 
 
+def test_mass_is_accurate_on_ill_conditioned_gram(rng):
+    # G = Q diag(lambda) Q^T with lambda spanning 1e-20..1; g_c = G^+ m is dominated
+    # by the tiny directions, where g_c^* (G g_c) in floating point is off by orders
+    n = 8
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = np.logspace(-20, 0, n)
+    g = (q * lam) @ q.T
+    pair = GramPair(g=g, a=g, g_eigen_floor=0.0, retained_rank=n, basis=q, basis_eigenvalues=lam)
+    coeffs = pair.solve(rng.normal(size=n))
+    obs = hdmd.ObservableCoefficients(coeffs=coeffs, gram=pair)
+
+    exact = float(sum(
+        Fraction(lam[i]) * sum(Fraction(q[j, i]) * Fraction(coeffs[j]) for j in range(n)) ** 2
+        for i in range(n)
+    ))  # c^T (Q diag(lambda) Q^T) c in rational arithmetic
+    assert obs.mass() == pytest.approx(exact, rel=1e-10)
+    assert abs(coeffs @ g @ coeffs - exact) > 1e-3 * exact
+
+
 def test_measure_weights_are_nonnegative(rng):
     pair, fm, quad = small_system(rng)
     eig = eigendecompose(hermitian_dmd(pair))
@@ -146,37 +166,6 @@ def test_measure_invariant_under_degenerate_remixing(rng):
     cluster_a = np.sum(mu_a.weights[np.abs(mu_a.locations - 2.0) < 0.1])
     cluster_b = np.sum(mu_b.weights[np.abs(mu_b.locations - 2.0) < 0.1])
     assert cluster_a == pytest.approx(cluster_b, rel=1e-10)
-
-
-# ------------------------------------------------------------------
-# integrate
-# ------------------------------------------------------------------
-
-
-def test_integrate_constant_gives_mass():
-    mu = AtomicMeasure.from_atoms([0.5, 1.5], [0.25, 0.75])
-    assert integrate(mu, lambda lam: 1.0) == pytest.approx(mu.total_mass, rel=1e-15)
-
-
-def test_integrate_identity_example():
-    mu = AtomicMeasure.from_atoms([1.0, 3.0], [0.5, 0.5])
-    assert integrate(mu, lambda lam: lam) == pytest.approx(2.0, rel=1e-15)
-
-
-def test_integrate_resolvent_matches_dense_oracle(rng):
-    # measure built from an n x n Hermitian matrix with identity Gram
-    n = 30
-    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = 0.5 * (h + h.conj().T)
-    pair, fm, quad = make_pair(np.eye(n, dtype=complex), h)
-    eig = eigendecompose(hermitian_dmd(pair))
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    obs = project_observable(v, fm, quad, pair=pair)
-    mu = spectral_measure(eig, obs)
-
-    got = integrate(mu, lambda lam: lam / (lam * lam + 1.0))  # Re 1/(lam - i)
-    oracle = np.real(np.vdot(v, np.linalg.solve(h - 1j * np.eye(n), v)))
-    assert got == pytest.approx(oracle, rel=1e-10)
 
 
 # ------------------------------------------------------------------

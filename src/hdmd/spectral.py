@@ -133,16 +133,16 @@ def _validate_references(reference_locations, radius: float) -> np.ndarray:
     refs = np.asarray(reference_locations, dtype=float).ravel()
     if refs.size == 0:
         raise ValueError("need at least one reference location")
-    if np.unique(refs).size != refs.size:
+    # sorted gaps, not np.unique: that would import numpy.ma inside the first call
+    gaps = np.diff(np.sort(refs))
+    if np.any(gaps == 0):
         raise ValueError("reference locations must be distinct")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if refs.size > 1:
-        min_gap = float(np.min(np.diff(np.sort(refs))))
-        if not radius < 0.5 * min_gap:
-            raise ValueError(
-                f"radius {radius} must be below half the minimum reference gap ({0.5 * min_gap})"
-            )
+    if gaps.size and not radius < 0.5 * float(np.min(gaps)):
+        raise ValueError(
+            f"radius {radius} must be below half the minimum reference gap ({0.5 * float(np.min(gaps))})"
+        )
     return refs
 
 

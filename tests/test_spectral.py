@@ -1,5 +1,8 @@
 """Tests for observable projection, atomic measures, and clustering."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +218,22 @@ def test_cluster_radius_gap_validation():
         cluster_table(mu, [1.0, 1.0], radius=0.1)
     with pytest.raises(ValueError, match="radius"):
         cluster_table(mu, [1.0], radius=0.0)
+
+
+def test_cluster_table_imports_nothing_at_first_call():
+    # np.unique imports numpy.ma (~10 ms of disk reads) the first time it runs,
+    # which landed inside the first `hdmd schrodinger` call of a process
+    code = (
+        "import sys, hdmd.spectral as s\n"
+        "before = set(sys.modules)\n"
+        "s.cluster_table(s.AtomicMeasure.from_atoms([1.0, 2.1], [1.0, 1.0]), [1.0, 2.0], 0.4)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(hdmd.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cluster_table_reports_empty_clusters():

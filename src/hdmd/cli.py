@@ -56,7 +56,6 @@ from .quadrature import monte_carlo
 from .schrodinger import (
     GaussianDictionarySpec,
     HarmonicOscillatorProblem,
-    exact_spectrum,
     reference_observable,
     separable_snapshots,
 )
@@ -171,11 +170,12 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     moments = snapshots.moments(evaluate_function_samples(snapshots.nodes, reference_observable))
     measure = eig.measure(moments)
 
-    references = [float(p.energy) for p in exact_spectrum(config.energy_cutoff)]
-    references = sorted(set(references))
+    # the distinct exact energies; exact_spectrum lists energy E with multiplicity E
+    references = [float(e) for e in range(1, config.energy_cutoff + 1)]
     rows, _ = cluster_table(measure, references, config.cluster_radius)
 
-    exact = np.array([p.energy for p in exact_spectrum(config.energy_cutoff + 40)])
+    levels = np.arange(1, config.energy_cutoff + 41)
+    exact = np.repeat(levels.astype(float), levels)
     count = min(eig.eigenvalues.shape[0], exact.shape[0])
 
     out_dir.mkdir(parents=True, exist_ok=True)

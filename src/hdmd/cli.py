@@ -108,6 +108,14 @@ def read_points_csv(path) -> np.ndarray:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ValueError(f"{path}: empty snapshot file")
+    pts = None  # one loadtxt pass reads a well-formed file; the line parser names what it rejects
+    if any(lines[1:]):  # loadtxt only warns on a file without data lines
+        try:
+            pts = np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if pts is not None and pts.size and np.isfinite(pts).all():
+        return pts
     rows = []
     width = None
     for lineno, line in enumerate(lines[1:], start=2):

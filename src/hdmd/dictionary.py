@@ -8,8 +8,8 @@ psi_1, ..., psi_N.  Evaluating it at snapshot inputs {x^(m)} and outputs
 
 both M x N.  The Gaussian grid dictionary is one complex amplitude times
 real tensor-product bumps, so `evaluate_snapshots` never materializes them:
-Gram assembly asks for one block of real rows at a time, each row the
-Khatri-Rao product of d per-axis factors, and applies |amp|^2 once.
+Gram assembly asks for one block of real rows at a time, each row sqrt(w_m)
+times the Khatri-Rao product of d per-axis factors, and applies |amp|^2 once.
 """
 
 from __future__ import annotations
@@ -41,16 +41,18 @@ class Dictionary:
     def dimension(self) -> int:
         return len(self.axis_centers)
 
-    def rows(self, points) -> np.ndarray:
-        """Real rows exp(-width |x - c_j|^2) at (M, d) points, without the amplitude.
+    def rows(self, points, row_scale=1.0) -> np.ndarray:
+        """Real rows s_m exp(-width |x_m - c_j|^2) at (M, d) points, without the amplitude.
 
         Each row is the row-wise Kronecker (Khatri-Rao) product of the per-axis
-        bumps exp(-width (x_k - c)^2): d * per_axis exponentials per point.
+        bumps exp(-width (x_k - c)^2): d * per_axis exponentials per point; the
+        scalar or (M,) row_scale s enters with the first axis's factor.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         axes = zip(pts.T, self.axis_centers, strict=True)
         bumps = (np.exp(-self.width * (x[:, None] - c) ** 2) for x, c in axes)
-        return reduce(lambda p, e: (p[:, :, None] * e[:, None, :]).reshape(len(pts), -1), bumps)
+        first = np.reshape(row_scale, (-1, 1))
+        return reduce(lambda p, e: (p[:, :, None] * e[:, None, :]).reshape(len(pts), -1), bumps, first)
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,9 @@ class FeatureMatrices:
 
     scale = 1.0  # the rows are Psi itself
 
-    def block(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        return self.psi_x[rows], self.psi_y[rows]
+    def block(self, rows: slice, row_scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+        s = np.reshape(row_scale, (-1, 1))
+        return s * self.psi_x[rows], s * self.psi_y[rows]
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,8 @@ class SnapshotFeatures:
     def scale(self) -> float:
         return abs(self.dictionary.amplitude) ** 2
 
-    def block(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        return self.dictionary.rows(self.x[rows]), self.dictionary.rows(self.y[rows])
+    def block(self, rows: slice, row_scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+        return self.dictionary.rows(self.x[rows], row_scale), self.dictionary.rows(self.y[rows], row_scale)
 
 
 def gaussian_centers(centers_box, per_axis: int) -> np.ndarray:

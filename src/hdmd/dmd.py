@@ -143,7 +143,8 @@ class KoopmanEig:
 def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: QuadratureRule) -> GramPair:
     """Form G = Psi_X^* W Psi_X and A = Psi_X^* W Psi_Y as weighted snapshot sums.
 
-    Blocks are summed in features.dtype and scaled once by features.scale.
+    The weights are positive, so blocks arrive as rows of W^(1/2) Psi; they are
+    summed in features.dtype and scaled once by features.scale.
     The cutoff is features.rank_tolerance_used; see `GramPair.from_matrices`.
     Effective rank deficiency is reported as a warning, not a failure.
     """
@@ -151,15 +152,15 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
         raise ValueError(
             f"feature rows ({features.snapshot_count}) != quadrature nodes ({quad.size})"
         )
-    w, n = quad.weights, features.dictionary_size
+    root_w, n = np.sqrt(quad.weights), features.dictionary_size
     g = np.zeros((n, n), dtype=features.dtype)
     a = np.zeros_like(g)
     for start in range(0, quad.size, _BLOCK_ROWS):
         sl = slice(start, start + _BLOCK_ROWS)
-        psi_x, psi_y = features.block(sl)
-        xw = psi_x.conj().T * w[sl]
-        g += xw @ psi_x
-        a += xw @ psi_y
+        bx, by = features.block(sl, root_w[sl])  # rows of W^(1/2) Psi_X, W^(1/2) Psi_Y
+        xh = bx.conj().T  # a view for real rows, so bx.T @ bx runs as one symmetric rank-k update
+        g += xh @ bx
+        a += xh @ by
     pair = GramPair.from_matrices(features.scale * g, features.scale * a, features.rank_tolerance_used)
     if pair.rank_deficient:
         msg = "Gram matrix numerically rank deficient: retained %d of %d directions (floor %.3e)"

@@ -20,9 +20,12 @@ def format_float(x: float) -> str:
 
 def write_complex_csv(matrix: np.ndarray, path) -> None:
     m = np.atleast_2d(np.asarray(matrix))
-    pairs = np.empty((m.shape[0], 2 * m.shape[1]))
-    pairs[:, 0::2], pairs[:, 1::2] = m.real, m.imag
     header = ",".join(f"c{j}_re,c{j}_im" for j in range(m.shape[1]))
     # repr is format_float's text, so values still round-trip bitwise
-    lines = [header] + [",".join(map(repr, row.tolist())) for row in pairs]
-    Path(path).write_text("\n".join(lines) + "\n")
+    if m.dtype.kind in "biuf" and m.size:  # every imaginary cell is 0.0: format only the real ones
+        rows = [",0.0,".join(map(repr, row)) + ",0.0" for row in m.astype(float).tolist()]
+    else:
+        pairs = np.empty((m.shape[0], 2 * m.shape[1]))
+        pairs[:, 0::2], pairs[:, 1::2] = m.real, m.imag
+        rows = [",".join(map(repr, row)) for row in pairs.tolist()]
+    Path(path).write_text("\n".join([header] + rows) + "\n")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,84 @@ def test_custom_non_finite_value_exits_2(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def swap_points(seed=11, half=10_000):
+    """Seeded points uniform in [-5, 5]^2 plus their coordinate swaps (M = 2 * half)."""
+    points = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(half, 2))
+    return np.vstack([points, points[:, ::-1]])
+
+
+def line_parser_only(monkeypatch):
+    """Make the loadtxt pass fail, so `read_points_csv` falls through to its line parser."""
+
+    def reject(*args, **kwargs):
+        raise ValueError("loadtxt disabled")
+
+    monkeypatch.setattr(np, "loadtxt", reject)
+
+
+def test_read_points_fast_path_equals_line_parser_bitwise(tmp_path, monkeypatch):
+    write_points(tmp_path / "x.csv", swap_points())
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    fast = cli.read_points_csv(tmp_path / "x.csv")
+    assert calls == [1]
+    line_parser_only(monkeypatch)
+    parsed = cli.read_points_csv(tmp_path / "x.csv")
+    assert fast.dtype == parsed.dtype == np.float64 and fast.shape == parsed.shape == (20_000, 2)
+    assert fast.tobytes() == parsed.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ("x1,x2\n1.0,2.0\n   \n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),  # whitespace-only line skipped
+        ("x1,x2\n1_0,2.0\n", [[10.0, 2.0]]),  # float() accepts digit separators
+        ("x1,x2\r\n1.0,2.0\r\n3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]]),  # CRLF
+        ("t\n0.5\n-1.5\n", [[0.5], [-1.5]]),  # one column
+    ],
+)
+def test_read_points_accepts_what_the_line_parser_accepts(tmp_path, monkeypatch, text, rows):
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = cli.read_points_csv(path)
+    assert not caught
+    assert got.dtype == np.float64 and got.tobytes() == np.array(rows).tobytes() and got.shape == np.shape(rows)
+    line_parser_only(monkeypatch)
+    assert cli.read_points_csv(path).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty snapshot file"),
+        ("\n1.0,2.0\n", "empty snapshot file"),  # a blank header is not skipped
+        ("x1,x2\n", "no data rows"),
+        ("x1,x2\n\n  \n", "no data rows"),
+        ("x1,x2\n1.0,2.0\n# note\n3.0,4.0\n", "line 3: expected 2 columns, got 1"),
+        ("x1,x2\n1.0,2.0\n3.0\n", "line 3: expected 2 columns, got 1"),
+        ("x1,x2\n1.0,2.0\n3.0,\n", "line 3: non-numeric value in '3.0,'"),
+        ("x1,x2\n1.0,2.0\nnan,1.0\n", "line 3: non-finite value in 'nan,1.0'"),
+        ("x1,x2\ninf,1.0\n", "line 2: non-finite value in 'inf,1.0'"),
+        ("x1,x2\n1.0,-inf\n", "line 2: non-finite value in '1.0,-inf'"),
+        ("x1,x2\r\n1.0,2.0\r\n1.0,x\r\n", "line 3: non-numeric value in '1.0,x'"),
+    ],
+)
+def test_custom_bad_snapshot_file_message_names_file_and_line(tmp_path, capsys, text, message):
+    (tmp_path / "x.csv").write_bytes(text.encode())
+    write_points(tmp_path / "y.csv", np.zeros((2, 2)))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["custom", "--out", str(out), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")])
+    assert not caught
+    assert code == 2
+    assert capsys.readouterr().err == f"hdmd: {tmp_path / 'x.csv'}: {message}\n"
+    assert not out.exists()
+
+
 def test_custom_reports_gram_spectrum(tmp_path):
     pts = symmetric_grid_points()
     write_points(tmp_path / "x.csv", pts)
@@ -411,8 +490,7 @@ def cluster_masses(locations, weights):
 
 def test_custom_streamed_swap_matches_complex_pipeline_without_mxn_arrays(tmp_path):
     # the coordinate swap on 10,000 seeded points plus their swaps (M = 20,000, N = 400)
-    points = np.random.default_rng(11).uniform(-5.0, 5.0, size=(10_000, 2))
-    x = np.vstack([points, points[:, ::-1]])
+    x = swap_points()
     y = x[:, ::-1]
     write_points(tmp_path / "x.csv", x)
     write_points(tmp_path / "y.csv", y)
@@ -420,8 +498,9 @@ def test_custom_streamed_swap_matches_complex_pipeline_without_mxn_arrays(tmp_pa
 
     code, peak = traced_peak(argv + [str(tmp_path / "out")])
     assert code == 0
-    # one complex 20,000 x 400 matrix alone is 128 MB; the streamed run stays far below
-    assert peak < 96e6
+    # one complex 20,000 x 400 matrix alone is 128 MB, one 4096-row real block 13 MB;
+    # the streamed run stays far below the first and has no room for an extra block
+    assert peak < 64e6
     assert cli.main(argv + [str(tmp_path / "again")]) == 0
     for name in ("eigenvalues.csv", "measure.csv", "koopman_edmd.csv", "koopman_hermitian.csv"):
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()

@@ -69,6 +69,16 @@ def test_block_rows_match_pointwise_rows_bitwise(rng):
         assert np.array_equal(block[m], d.rows(pts[m])[0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_row_scale_enters_each_row(rng, dim):
+    d = gaussian_grid_dictionary([(-2.0, 2.0)] * dim, 4, width=1.0, amplitude=1 + 1j)
+    pts = rng.uniform(-3, 3, size=(50, dim))
+    scale = np.sqrt(rng.uniform(0.01, 4.0, size=50))
+    want = scale[:, None] * d.rows(pts)
+    np.testing.assert_allclose(d.rows(pts, scale), want, rtol=1e-15, atol=0)
+    assert np.array_equal(d.rows(pts, 1.0), d.rows(pts))
+
+
 def test_reevaluation_is_bitwise_reproducible(rng):
     d = gaussian_grid_dictionary([(-4, 4), (-4, 4)], 6, width=3.0, amplitude=1 + 1j)
     pts = rng.uniform(-5, 5, size=(64, 2))

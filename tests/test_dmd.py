@@ -174,6 +174,52 @@ def test_real_feature_matrices_assemble_real(rng):
     assert np.allclose(pair.a, complex_pair.a, rtol=1e-14, atol=0)
 
 
+def gram_pair_before_cutoff(monkeypatch, features, quad):
+    """G and A exactly as `assemble_gram_pair` hands them to `GramPair.from_matrices`."""
+    seen = []
+    from_matrices = GramPair.from_matrices.__func__
+
+    def spy(cls, g, a, rank_tolerance):
+        seen.append((g.copy(), a.copy()))
+        return from_matrices(cls, g, a, rank_tolerance)
+
+    monkeypatch.setattr(GramPair, "from_matrices", classmethod(spy))
+    assemble_gram_pair(features, quad)
+    return seen[0]
+
+
+def test_real_rows_assemble_bitwise_symmetric_gram(rng, monkeypatch):
+    m = 2 * 4096 + 809  # three blocks, the last one partial
+    x = rng.uniform(-3, 3, size=(m, 2))
+    quad = QuadratureRule(nodes=x, weights=rng.uniform(0.1, 3.0, size=m))
+    dictionary = gaussian_grid_dictionary([(-2.0, 2.0), (-1.5, 2.5)], 7, 1.0, 0.3 - 2.1j)
+    streamed = evaluate_snapshots(dictionary, x, np.cos(x))
+    dense = FeatureMatrices(psi_x=rng.normal(size=(m, 9)), psi_y=rng.normal(size=(m, 9)))
+    for features in (streamed, dense):
+        g, a = gram_pair_before_cutoff(monkeypatch, features, quad)
+        assert g.dtype == a.dtype == np.float64
+        assert np.array_equal(g, g.T)
+
+
+def test_assembly_matches_dense_weighted_oracle_across_blocks(rng):
+    m = 2 * 4096 + 1234
+    w = rng.uniform(0.05, 5.0, size=m) / m  # non-uniform positive weights
+    box = [(-2.0, 2.0), (-1.5, 2.5)]
+    x = rng.uniform(-3, 3, size=(m, 2))
+    y = 0.9 * x + 0.2 * np.sin(x[:, ::-1])
+    pair = streamed_pair(box, 6, 1.0, 0.3 - 2.1j, x, y, w)
+    oracle = complex_oracle_pair(box, 6, 1.0, 0.3 - 2.1j, x, y, w)
+    assert relative_gap(pair.g, oracle.g) <= 1e-13
+    assert relative_gap(pair.a, oracle.a) <= 1e-13
+
+    psi_x = rng.normal(size=(m, 8)) + 1j * rng.normal(size=(m, 8))
+    psi_y = rng.normal(size=(m, 8)) + 1j * rng.normal(size=(m, 8))
+    pair = assemble_gram_pair(FeatureMatrices(psi_x=psi_x, psi_y=psi_y), QuadratureRule(nodes=x, weights=w))
+    g = psi_x.conj().T @ np.diag(w) @ psi_x
+    assert relative_gap(pair.g, 0.5 * (g + g.conj().T)) <= 1e-13
+    assert relative_gap(pair.a, psi_x.conj().T @ np.diag(w) @ psi_y) <= 1e-13
+
+
 # ------------------------------------------------------------------
 # edmd
 # ------------------------------------------------------------------

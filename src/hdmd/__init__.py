@@ -21,7 +21,6 @@ from .dictionary import (
 from .dmd import (
     GramPair,
     KoopmanEig,
-    KoopmanKind,
     KoopmanMatrix,
     assemble_gram_pair,
     edmd,
@@ -46,7 +45,6 @@ from .probes import (
 )
 from .schrodinger import (
     ExactEigenpair,
-    GaussianDictionarySpec,
     HarmonicOscillatorProblem,
     exact_spectrum,
     exact_spike_weights,
@@ -65,11 +63,9 @@ __all__ = [
     "ExperimentConfig",
     "FeatureMatrices",
     "FiniteSections",
-    "GaussianDictionarySpec",
     "GramPair",
     "HarmonicOscillatorProblem",
     "KoopmanEig",
-    "KoopmanKind",
     "KoopmanMatrix",
     "ObservableCoefficients",
     "ProbeResult",

@@ -14,9 +14,9 @@ comes from the ``HDMD_LOG`` environment variable (debug/info/warning).
 Bad input exits 2 and a numerical failure exits 1, each with one line on
 stderr.
 
-All CSV artifacts are deterministic for a fixed config and seed: plot data
-is CSV only, floats are written in shortest round-trip form, and runtime
-appears only in summary.json.
+All CSV artifacts are deterministic for a fixed config and input: plot
+data is CSV only, floats are written in shortest round-trip form, and
+runtime appears only in summary.json.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .config import (
     default_config,
     load_config,
 )
-from .dictionary import evaluate_function_samples, gaussian_grid_dictionary, evaluate_snapshots
+from .dictionary import Dictionary, evaluate_function_samples, gaussian_grid_dictionary, evaluate_snapshots
 from .dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
-from .matio import format_float, write_complex_csv
+from .matio import format_float, write_artifact, write_complex_csv
 from .probes import (
     FiniteSections,
     diagonal_eigh,
@@ -54,7 +54,6 @@ from .probes import (
 )
 from .quadrature import monte_carlo
 from .schrodinger import (
-    GaussianDictionarySpec,
     HarmonicOscillatorProblem,
     reference_observable,
     separable_snapshots,
@@ -72,7 +71,7 @@ FULL_GRID_POINTS = 300
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n")
+    write_artifact(path, "\n".join(lines) + "\n")
 
 
 def _write_eigenvalues_csv(path: Path, computed: np.ndarray, exact=None) -> None:
@@ -96,7 +95,13 @@ def _write_clustered_csv(path: Path, rows) -> None:
 
 
 def _write_summary(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_artifact(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _dictionary(config: ExperimentConfig, dimension: int) -> Dictionary:
+    """The configured Gaussian grid dictionary on `dimension` axes, for every subcommand."""
+    box = ((config.dict_box_min, config.dict_box_max),) * dimension
+    return gaussian_grid_dictionary(box, config.dict_per_axis, config.dict_width, config.dict_amplitude)
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -160,18 +165,12 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     """Benchmark pipeline; writes eigenvalues.csv, measure.csv, clustered.csv, summary.json."""
     t0 = time.perf_counter()
     grid = (FULL_GRID_POINTS, FULL_GRID_POINTS) if full_grid else config.grid
-    spec = GaussianDictionarySpec(
-        centers_box=config.dictionary_box(2),
-        per_axis=config.dict_per_axis,
-        width=config.dict_width,
-        amplitude=config.dict_amplitude,
-    )
     grid_text = " x ".join(map(str, grid))
-    needs = f"dictionary size N = {spec.size} on the {grid_text} grid"
-    _check_fits(_kronecker_bytes(grid, spec.per_axis), needs, "per-axis factors, spectra and grid samples")
-    problem = HarmonicOscillatorProblem(dictionary_spec=spec)
-    snapshots = separable_snapshots(problem, grid)
-    logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), spec.size)
+    needs = f"dictionary size N = {config.dict_per_axis**2} on the {grid_text} grid"
+    _check_fits(_kronecker_bytes(grid, config.dict_per_axis), needs, "per-axis factors, spectra and grid samples")
+    dictionary = _dictionary(config, 2)
+    snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), grid)
+    logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), dictionary.size)
 
     eig = snapshots.kronecker_eig(config.rank_tolerance)
     residual = eig.hermiticity_residual()
@@ -195,7 +194,7 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
         "experiment": "schrodinger",
         "config": config_as_dict(config),
         "grid": list(grid),
-        "dictionary_size": spec.size,
+        "dictionary_size": dictionary.size,
         "retained_rank": eig.retained_rank,
         "axis_retained_ranks": list(eig.axis_retained_ranks),
         "g_eigen_floor": eig.g_eigen_floor,
@@ -204,7 +203,6 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
         "total_mass": measure.total_mass,
         "observable_mass": eig.observable_mass(moments),
         "runtime_seconds": time.perf_counter() - t0,
-        "seed": config.seed,
     }
     _write_summary(out_dir / "summary.json", summary)
 
@@ -279,7 +277,6 @@ def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
         "truncation_sizes": sizes,
         "resolution_floors": floors,
         "runtime_seconds": time.perf_counter() - t0,
-        "seed": config.seed,
     }
     _write_summary(out_dir / "summary.json", summary)
     return EXIT_OK
@@ -302,12 +299,7 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     dim = x_pts.shape[1]
     size = config.dict_per_axis**dim
     _check_fits(8 * size**2 * 8, f"dictionary size N = {size}", "N x N work arrays")
-    dictionary = gaussian_grid_dictionary(
-        config.dictionary_box(dim),
-        config.dict_per_axis,
-        config.dict_width,
-        config.dict_amplitude,
-    )
+    dictionary = _dictionary(config, dim)
     quad = monte_carlo(x_pts, total_mass=1.0)
     features = evaluate_snapshots(dictionary, x_pts, y_pts, rank_tolerance=config.rank_tolerance)
     pair = assemble_gram_pair(features, quad)
@@ -337,7 +329,6 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
         "hermiticity_residual": residual,
         "total_mass": measure.total_mass,
         "runtime_seconds": time.perf_counter() - t0,
-        "seed": config.seed,
     }
     _write_summary(out_dir / "summary.json", summary)
 

@@ -4,7 +4,6 @@ Files look like
 
     # comment lines and blanks are ignored
     schema = 1
-    experiment = schrodinger
     grid = 75 75
     dict_width = 3.0
 
@@ -21,8 +20,6 @@ from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = ("schrodinger", "probes", "custom-snapshots")
-
 
 class ConfigError(ValueError):
     """Configuration failure; carries the field name and source line if known."""
@@ -36,7 +33,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = "schrodinger"
     grid: tuple[int, ...] = (75, 75)
     dict_box_min: float = -4.0
     dict_box_max: float = 4.0
@@ -48,7 +44,6 @@ class ExperimentConfig:
     cluster_radius: float = 0.4
     energy_cutoff: int = 12
     output_dir: str = "hdmd-out"
-    seed: int = 0
     probe_n_ref: int = 2000
     probe_sizes: tuple[int, ...] = (2, 4, 8, 16, 32, 800)
     probe_max_moment: int = 8
@@ -56,9 +51,6 @@ class ExperimentConfig:
     @property
     def dict_amplitude(self) -> complex:
         return complex(self.dict_amplitude_re, self.dict_amplitude_im)
-
-    def dictionary_box(self, dimension: int = 2) -> tuple[tuple[float, float], ...]:
-        return tuple((self.dict_box_min, self.dict_box_max) for _ in range(dimension))
 
 
 # one parser per field type (annotations are strings under `from __future__ import annotations`)
@@ -78,8 +70,6 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"{name} {message}", field_name=name)
 
     c = config
-    if c.experiment not in EXPERIMENTS:
-        fail("experiment", f"must be one of {EXPERIMENTS}, got {c.experiment!r}")
     if len(c.grid) not in (1, 2):
         fail("grid", f"expects 1 or 2 per-axis counts, got {len(c.grid)}")
     if any(n < 2 for n in c.grid):

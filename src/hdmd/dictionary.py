@@ -10,6 +10,8 @@ both M x N.  The Gaussian grid dictionary is one complex amplitude times
 real tensor-product bumps, so `evaluate_snapshots` never materializes them:
 Gram assembly asks for one block of real rows at a time, each row sqrt(w_m)
 times the Khatri-Rao product of d per-axis factors, and applies |amp|^2 once.
+`Dictionary.axis_bumps` is the one place a bump exp(-a (x_k - c)^2) is
+evaluated, for `custom` and for both routes of `hdmd.schrodinger`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 DEFAULT_RANK_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: field-wise == on arrays would raise
 class Dictionary:
     """Bumps amplitude * exp(-width |x - c_j|^2), c_j on the axis_centers grid, last axis fastest."""
 
@@ -41,18 +43,25 @@ class Dictionary:
     def dimension(self) -> int:
         return len(self.axis_centers)
 
+    def axis_bumps(self, coordinates) -> tuple[np.ndarray, ...]:
+        """Per-axis factors exp(-width (x_k - c)^2), (len(x_k), n_k), for one coordinate array per axis."""
+        axes = zip(coordinates, self.axis_centers, strict=True)
+        return tuple(np.exp(-self.width * (x[:, None] - c) ** 2) for x, c in axes)
+
     def rows(self, points, row_scale=1.0) -> np.ndarray:
         """Real rows s_m exp(-width |x_m - c_j|^2) at (M, d) points, without the amplitude.
 
         Each row is the row-wise Kronecker (Khatri-Rao) product of the per-axis
-        bumps exp(-width (x_k - c)^2): d * per_axis exponentials per point; the
-        scalar or (M,) row_scale s enters with the first axis's factor.
+        bumps: d * per_axis exponentials per point; the scalar or (M,)
+        row_scale s enters with the first axis's factor.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        axes = zip(pts.T, self.axis_centers, strict=True)
-        bumps = (np.exp(-self.width * (x[:, None] - c) ** 2) for x, c in axes)
-        first = np.reshape(row_scale, (-1, 1))
-        return reduce(lambda p, e: (p[:, :, None] * e[:, None, :]).reshape(len(pts), -1), bumps, first)
+        return rowwise_kron((np.reshape(row_scale, (-1, 1)),) + self.axis_bumps(pts.T))
+
+
+def rowwise_kron(factors, combine=np.multiply) -> np.ndarray:
+    """Row-wise Kronecker product (Khatri-Rao; sum with combine=np.add) of (M, n_k) factors, last fastest."""
+    return reduce(lambda p, e: combine(p[:, :, None], e[:, None, :]).reshape(len(e), -1), factors)
 
 
 @dataclass(frozen=True)

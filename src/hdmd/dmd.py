@@ -33,7 +33,6 @@ the one place where the cutoff is applied.
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -46,11 +45,6 @@ from .quadrature import QuadratureRule
 logger = logging.getLogger("hdmd")
 
 _BLOCK_ROWS = 4096
-
-
-class KoopmanKind(enum.Enum):
-    EDMD = "edmd"
-    HERMITIAN_DMD = "hermitian_dmd"
 
 
 @dataclass(frozen=True)
@@ -114,10 +108,9 @@ class GramPair:
 
 @dataclass(frozen=True)
 class KoopmanMatrix:
-    """Operator matrix K; Hermitian DMD also keeps Q^* B Q for `eigendecompose`."""
+    """Operator matrix K; Hermitian DMD also keeps Q^* B Q for `eigendecompose` (EDMD: None)."""
 
     k: np.ndarray
-    kind: KoopmanKind
     source: GramPair
     compressed_b: Optional[np.ndarray] = None
 
@@ -170,7 +163,7 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
 
 def edmd(pair: GramPair) -> KoopmanMatrix:
     """Unconstrained least-squares operator K = G^+ A (spectral-cutoff pseudoinverse)."""
-    return KoopmanMatrix(k=pair.solve(pair.a), kind=KoopmanKind.EDMD, source=pair)
+    return KoopmanMatrix(k=pair.solve(pair.a), source=pair)
 
 
 def hermitian_dmd(pair: GramPair) -> KoopmanMatrix:
@@ -187,7 +180,7 @@ def hermitian_dmd(pair: GramPair) -> KoopmanMatrix:
     b_proj = q.conj().T @ pair.hermitian_part_of_a() @ q
     b_proj = 0.5 * (b_proj + b_proj.conj().T)
     k = q @ (b_proj / lam[:, None]) @ q.conj().T
-    return KoopmanMatrix(k=k, kind=KoopmanKind.HERMITIAN_DMD, source=pair, compressed_b=b_proj)
+    return KoopmanMatrix(k=k, source=pair, compressed_b=b_proj)
 
 
 def symmetric_procrustes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -234,8 +227,8 @@ def eigendecompose(k: KoopmanMatrix) -> KoopmanEig:
     construction.  Eigenvalues are real ascending; each eigenvector's phase
     is fixed so its largest-modulus entry is real positive.
     """
-    if k.kind is not KoopmanKind.HERMITIAN_DMD:
-        raise ValueError(f"eigendecompose requires a Hermitian DMD operator, got kind={k.kind.value}")
+    if k.compressed_b is None:
+        raise ValueError("eigendecompose requires a Hermitian DMD operator (from hermitian_dmd), not EDMD")
     pair = k.source
     rootlam = np.sqrt(pair.basis_eigenvalues)
     b_w = k.compressed_b / rootlam[:, None] / rootlam[None, :]

@@ -1,4 +1,4 @@
-"""Complex-matrix serialization as CSV (re/im column pairs).
+"""Artifact writing (`write_artifact`) and complex-matrix CSV serialization (re/im column pairs).
 
 CSV layout
     One header row ``c0_re,c0_im,c1_re,c1_im,...`` followed by one row per
@@ -18,6 +18,14 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def write_artifact(path, text: str) -> None:
+    """Write text to path as a new file: truncating a just-written file instead
+    makes ext4 flush its data first, about 60 ms per CSV of a reused --out."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def write_complex_csv(matrix: np.ndarray, path) -> None:
     m = np.atleast_2d(np.asarray(matrix))
     header = ",".join(f"c{j}_re,c{j}_im" for j in range(m.shape[1]))
@@ -28,4 +36,4 @@ def write_complex_csv(matrix: np.ndarray, path) -> None:
         pairs = np.empty((m.shape[0], 2 * m.shape[1]))
         pairs[:, 0::2], pairs[:, 1::2] = m.real, m.imag
         rows = [",".join(map(repr, row)) for row in pairs.tolist()]
-    Path(path).write_text("\n".join([header] + rows) + "\n")
+    write_artifact(path, "\n".join([header] + rows) + "\n")

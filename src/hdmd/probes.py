@@ -29,12 +29,11 @@ reference, not the section method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .matio import format_float
+from .matio import format_float, write_artifact
 
 
 @dataclass(frozen=True)
@@ -48,19 +47,13 @@ class ProbeResult:
     def gaps(self, key: str) -> list[tuple[int, float]]:
         return [(n, gap) for n, k, gap in self.rows if k == key]
 
-    def keys(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for _, k, _ in self.rows:
-            seen.setdefault(k)
-        return list(seen)
-
     def to_csv(self, path) -> None:
         lines = ["n,key,gap"]
         for n, key, gap in self.rows:
             lines.append(f"{n},{key},{format_float(gap)}")
         for key, floor in self.floors.items():
             lines.append(f"{self.n_ref // 2},{key}|floor,{format_float(floor)}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_artifact(path, "\n".join(lines) + "\n")
 
 
 def free_jacobi(n: int) -> np.ndarray:

@@ -5,7 +5,8 @@ The Hamiltonian
     H u = -1/2 Laplacian(u) + V u,    V(x, y) = (x^2 + y^2) / 2,
 
 is self-adjoint, and pairs (u, H u) play the role of snapshot data for a
-dictionary of Gaussian bumps u = c exp(-a |p - center|^2).  For such bumps
+dictionary of Gaussian bumps u = c exp(-a |p - center|^2) (the problem's
+`Dictionary`, the type `hdmd custom` uses too).  For such bumps
 H u has the closed form
 
     H u = u * sum_k (a - 2 a^2 d_k^2 + x_k^2 / 2),    d = p - center,
@@ -17,8 +18,9 @@ the pipeline is quadrature plus the dictionary itself.
 Bumps, multiplier and the trapezoid rule all separate over axes, so
 `separable_snapshots` keeps 1-D factors, contracts Psi_X^* W f axis by axis
 and solves the Hermitian DMD one axis at a time (`KroneckerEig`); no N x N
-matrix is formed.  The dense `generate_snapshots` stays as the general
-route and the oracle.
+matrix is formed.  The dense `generate_snapshots` (`Dictionary.rows` times
+the row-wise Kronecker sum of the per-axis multipliers) stays as the
+general route and the oracle.
 
 Exact eigenpairs are phi_{m,n}(x, y) = H_m(x) H_n(y) exp(-(x^2+y^2)/2) with
 energies E = m + n + 1, using physicists' Hermite polynomials H_m.  The
@@ -43,7 +45,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dictionary import DEFAULT_RANK_TOLERANCE, FeatureMatrices, gaussian_centers
+from .dictionary import DEFAULT_RANK_TOLERANCE, Dictionary, FeatureMatrices, gaussian_grid_dictionary, rowwise_kron
 from .dmd import GramPair, KoopmanEig, KoopmanMatrix, eigendecompose, hermitian_dmd
 from .quadrature import QuadratureRule, trapezoid_axes
 from .spectral import AtomicMeasure
@@ -54,29 +56,13 @@ Box = Sequence[tuple[float, float]]
 
 
 @dataclass(frozen=True)
-class GaussianDictionarySpec:
-    """Parameters of the Gaussian-bump dictionary grid."""
-
-    centers_box: tuple[tuple[float, float], ...] = ((-4.0, 4.0), (-4.0, 4.0))
-    per_axis: int = 20
-    width: float = 3.0
-    amplitude: complex = 1 + 1j
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"width must be positive, got {self.width}")
-
-    @property
-    def size(self) -> int:
-        return self.per_axis ** len(self.centers_box)
-
-
-@dataclass(frozen=True)
 class HarmonicOscillatorProblem:
-    """Benchmark problem: harmonic potential on a truncated square domain."""
+    """Benchmark problem: harmonic potential on a truncated square domain, Gaussian dictionary."""
 
     domain: tuple[tuple[float, float], ...] = ((-5.0, 5.0), (-5.0, 5.0))
-    dictionary_spec: GaussianDictionarySpec = field(default_factory=GaussianDictionarySpec)
+    dictionary: Dictionary = field(
+        default_factory=lambda: gaussian_grid_dictionary(((-4.0, 4.0), (-4.0, 4.0)), 20, 3.0, 1 + 1j)
+    )
 
 
 def _axis_multiplier(a: float, d: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -100,24 +86,21 @@ def generate_snapshots(
     nothing is time-stepped).  This is the dense route, for any rule.
     """
     nodes = quad.nodes
-    lo = np.array([a for a, _ in problem.domain])
-    hi = np.array([b for _, b in problem.domain])
+    lo, hi = np.array(problem.domain, dtype=float).T
     if nodes.shape[1] != len(problem.domain):
         raise ValueError(f"nodes are {nodes.shape[1]}-D but the domain is {len(problem.domain)}-D")
     if np.any(nodes < lo[None, :]) or np.any(nodes > hi[None, :]):
         raise ValueError("quadrature nodes must lie inside the problem domain")
 
-    spec = problem.dictionary_spec
-    centers = gaussian_centers(spec.centers_box, spec.per_axis)
-    a = float(spec.width)
-    psi_x = np.empty((nodes.shape[0], centers.shape[0]), dtype=complex)
+    dictionary = problem.dictionary
+    psi_x = np.empty((nodes.shape[0], dictionary.size), dtype=complex)
     psi_y = np.empty_like(psi_x)
-    block = 4096
-    for start in range(0, nodes.shape[0], block):
-        sl = slice(start, start + block)
-        d = nodes[sl, None, :] - centers[None, :, :]
-        psi_x[sl] = complex(spec.amplitude) * np.exp(-a * np.sum(d**2, axis=2))
-        psi_y[sl] = psi_x[sl] * np.sum(_axis_multiplier(a, d, nodes[sl, None, :]), axis=2)
+    for start in range(0, nodes.shape[0], 4096):
+        sl = slice(start, start + 4096)
+        axes = zip(nodes[sl].T, dictionary.axis_centers, strict=True)
+        terms = [_axis_multiplier(dictionary.width, x[:, None] - c, x[:, None]) for x, c in axes]
+        psi_x[sl] = dictionary.amplitude * dictionary.rows(nodes[sl])
+        psi_y[sl] = psi_x[sl] * rowwise_kron(terms, np.add)
     return FeatureMatrices(psi_x=psi_x, psi_y=psi_y, rank_tolerance_used=rank_tolerance)
 
 
@@ -271,17 +254,15 @@ class SeparableSnapshots:
 
 def separable_snapshots(problem: HarmonicOscillatorProblem, points_per_axis) -> SeparableSnapshots:
     """Factors for the tensor trapezoid rule with points_per_axis on problem.domain."""
-    spec = problem.dictionary_spec
-    a = float(spec.width)
+    dictionary = problem.dictionary
     axes, weights = zip(*trapezoid_axes(problem.domain, points_per_axis))
-    boxes = zip(axes, spec.centers_box, strict=True)
-    d = [x[:, None] - gaussian_centers([box], spec.per_axis)[None, :, 0] for x, box in boxes]
+    centers = zip(axes, dictionary.axis_centers, strict=True)
     return SeparableSnapshots(
-        amplitude=complex(spec.amplitude),
+        amplitude=dictionary.amplitude,
         axes=axes,
         weights=weights,
-        bumps=tuple(np.exp(-a * dk**2) for dk in d),
-        multipliers=tuple(_axis_multiplier(a, dk, x[:, None]) for dk, x in zip(d, axes)),
+        bumps=dictionary.axis_bumps(axes),
+        multipliers=tuple(_axis_multiplier(dictionary.width, x[:, None] - c, x[:, None]) for x, c in centers),
     )
 
 

@@ -22,14 +22,13 @@ sums unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dictionary import FeatureMatrices
 from .dmd import GramPair, KoopmanEig, assemble_gram_pair
-from .matio import format_float
+from .matio import format_float, write_artifact
 from .quadrature import QuadratureRule
 
 
@@ -86,7 +85,7 @@ class AtomicMeasure:
         lines = ["lambda,weight"]
         for lam, w in zip(self.locations, self.weights):
             lines.append(f"{format_float(lam)},{format_float(w)}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_artifact(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_atoms(cls, locations, weights) -> "AtomicMeasure":
@@ -150,13 +149,12 @@ def cluster_table(
     measure: AtomicMeasure,
     reference_locations: Sequence[float],
     radius: float,
-    weighted_mean: bool = True,
 ):
     """Per-reference summary rows (reference, location, weight, atom_count).
 
     The cluster of a reference E collects atoms with |lambda - E| <= radius;
-    its location is their weight-averaged mean (plain mean with
-    weighted_mean=False) and its weight the plain sum.  Empty clusters give
+    its location is their weight-averaged mean (the plain mean if every
+    weight is zero) and its weight the plain sum.  Empty clusters give
     (E, nan, 0.0, 0).  Also returns the boolean mask of atoms matched by any
     reference.  Requires distinct references and radius below half the
     minimum reference gap, so clusters cannot overlap.
@@ -173,7 +171,7 @@ def cluster_table(
             continue
         matched |= mask
         cw = float(np.sum(wts[mask]))
-        if weighted_mean and cw > 0:
+        if cw > 0:
             loc = float(np.dot(wts[mask], locs[mask]) / cw)
         else:
             loc = float(np.mean(locs[mask]))

@@ -16,6 +16,7 @@ from hdmd.config import ConfigError, default_config, load_config, validate
 from hdmd.dictionary import FeatureMatrices, gaussian_centers
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from hdmd.quadrature import monte_carlo
+from hdmd.schrodinger import HarmonicOscillatorProblem
 from hdmd.spectral import cluster_table, project_observable, spectral_measure
 
 
@@ -70,7 +71,6 @@ def test_minimal_file_equals_defaults(tmp_path):
 def test_full_round_trip(tmp_path):
     path = write_config(
         tmp_path,
-        "experiment = probes\n"
         "grid = 40 50\n"
         "# a comment\n"
         "dict_per_axis = 5\n"
@@ -78,14 +78,16 @@ def test_full_round_trip(tmp_path):
         "rank_tolerance = 1e-10\n"
         "probe_sizes = 2 4 8\n"
         "probe_n_ref = 64\n"
-        "seed = 7\n",
+        "energy_cutoff = 9\n",
     )
     c = load_config(path)
-    assert c.experiment == "probes"
     assert c.grid == (40, 50)
     assert c.dict_per_axis == 5
+    assert c.dict_width == 1.5
+    assert c.rank_tolerance == 1e-10
     assert c.probe_sizes == (2, 4, 8)
-    assert c.seed == 7
+    assert c.probe_n_ref == 64
+    assert c.energy_cutoff == 9
 
 
 def test_single_grid_count_broadcasts(tmp_path):
@@ -100,7 +102,7 @@ def test_unknown_key_rejected_with_line(tmp_path):
 
 
 def test_duplicate_key_rejected(tmp_path):
-    path = write_config(tmp_path, "seed = 1\nseed = 2\n")
+    path = write_config(tmp_path, "grid = 40 40\ngrid = 50 50\n")
     with pytest.raises(ConfigError, match="duplicate"):
         load_config(path)
 
@@ -132,8 +134,8 @@ def test_validation_names_field(tmp_path):
         load_config(write_config(tmp_path, "cluster_radius = 0.6\n"))
     with pytest.raises(ConfigError, match="probe_sizes"):
         load_config(write_config(tmp_path, "probe_sizes = 8 4\n"))
-    with pytest.raises(ConfigError, match="experiment"):
-        load_config(write_config(tmp_path, "experiment = nope\n"))
+    with pytest.raises(ConfigError, match="energy_cutoff"):
+        load_config(write_config(tmp_path, "energy_cutoff = 0\n"))
 
 
 def test_validate_is_idempotent():
@@ -202,6 +204,25 @@ def test_schrodinger_invalid_config_exits_2(tmp_path, capsys):
     code = cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "dict_width" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["seed = 7", "experiment = probes"])
+def test_dropped_keys_exit_2_as_unknown_naming_line(tmp_path, capsys, line):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"schema = 1\ngrid = 20 20\n{line}\n")
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    key = line.split()[0]
+    assert capsys.readouterr().err == f"hdmd: config error (line 3): unknown key {key!r}\n"
+
+
+def test_problem_default_dictionary_is_the_cli_default():
+    """HarmonicOscillatorProblem's default and the dictionary cli builds from default_config() agree."""
+    built = cli._dictionary(default_config(), 2)
+    default = HarmonicOscillatorProblem().dictionary
+    assert (default.width, default.amplitude) == (built.width, built.amplitude)
+    assert len(default.axis_centers) == len(built.axis_centers) == 2
+    for ours, theirs in zip(default.axis_centers, built.axis_centers):
+        assert np.array_equal(ours, theirs)
 
 
 def test_schrodinger_fails_loudly_on_hermiticity_breach(tmp_path, monkeypatch):
@@ -470,7 +491,7 @@ def test_custom_shape_mismatch_exits_2(tmp_path, capsys):
 def complex_swap_pipeline(x, y):
     """The custom pipeline with Psi_X, Psi_Y materialized in complex (the pre-streaming route)."""
     config = default_config()
-    centers = gaussian_centers(config.dictionary_box(2), config.dict_per_axis)
+    centers = gaussian_centers([(config.dict_box_min, config.dict_box_max)] * 2, config.dict_per_axis)
     psi = [np.empty((x.shape[0], centers.shape[0]), dtype=complex) for _ in range(2)]
     for start in range(0, x.shape[0], 4096):
         for out, pts in zip(psi, (x, y)):
@@ -534,7 +555,7 @@ def test_custom_measure_mass_is_norm_of_first_function(tmp_path, rng):
     assert cli.main(["custom", "--config", str(cfg), "--out", str(out),
                      str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]) == 0
     config = default_config()
-    c0 = gaussian_centers(config.dictionary_box(2), 3)[0]
+    c0 = gaussian_centers([(config.dict_box_min, config.dict_box_max)] * 2, 3)[0]
     psi0 = config.dict_amplitude * np.exp(-config.dict_width * np.sum((x - c0) ** 2, axis=1))
     summary = json.loads((out / "summary.json").read_text())
     assert summary["total_mass"] == pytest.approx(np.mean(np.abs(psi0) ** 2), rel=1e-10)

@@ -9,7 +9,6 @@ import pytest
 from hdmd.dictionary import FeatureMatrices, evaluate_snapshots, gaussian_centers, gaussian_grid_dictionary
 from hdmd.dmd import (
     GramPair,
-    KoopmanKind,
     assemble_gram_pair,
     edmd,
     eigendecompose,
@@ -230,7 +229,7 @@ def test_edmd_identity_gram_returns_a(rng):
     target = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     pair, _, _ = make_pair(q, q @ target)
     k = edmd(pair)
-    assert k.kind is KoopmanKind.EDMD
+    assert k.compressed_b is None
     assert np.allclose(k.k, target, atol=1e-12)
 
 
@@ -262,7 +261,7 @@ def test_hermitian_dmd_symmetrizes_with_identity_gram(rng):
     target = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     pair, _, _ = make_pair(q, q @ target)
     k = hermitian_dmd(pair)
-    assert k.kind is KoopmanKind.HERMITIAN_DMD
+    assert k.compressed_b is not None
     assert np.allclose(k.k, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
 
 

@@ -1,10 +1,10 @@
-"""Tests for complex-matrix CSV serialization and the tests' CSV reader."""
+"""Tests for artifact writing, complex-matrix CSV serialization and the tests' CSV reader."""
 
 import numpy as np
 import pytest
 from csv_helpers import read_complex_csv
 
-from hdmd.matio import format_float, write_complex_csv
+from hdmd.matio import format_float, write_artifact, write_complex_csv
 
 
 def random_complex(rng, shape):
@@ -62,3 +62,13 @@ def test_csv_rejects_non_finite_with_file_and_line(tmp_path, bad):
     (tmp_path / "bad.csv").write_text(f"c0_re,c0_im\n1.0,2.0\n3.0,{bad}\n")
     with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-finite"):
         read_complex_csv(tmp_path / "bad.csv")
+
+
+def test_write_artifact_replaces_the_file_instead_of_truncating_it(tmp_path):
+    # a hard link to the old file keeps the old text only if the writer made a new file
+    path, link = tmp_path / "a.csv", tmp_path / "link.csv"
+    write_artifact(path, "a")
+    link.hardlink_to(path)
+    write_artifact(path, "b")
+    assert path.read_text() == "b"
+    assert link.read_text() == "a"

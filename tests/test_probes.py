@@ -339,4 +339,4 @@ def test_probe_csv_layout(tmp_path):
     assert lines[0] == "n,key,gap"
     assert len(lines) == 1 + 2 * 3 + 3  # header + rows + one floor row per key
     assert sum(1 for ln in lines if "|floor" in ln) == 3
-    assert probe.keys() == ["k=0", "k=1", "k=2"]
+    assert [ln.split(",")[1] for ln in lines[1:4]] == ["k=0", "k=1", "k=2"]

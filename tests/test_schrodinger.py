@@ -8,12 +8,11 @@ from math import factorial, pi, sqrt
 import numpy as np
 import pytest
 
-from hdmd.dictionary import evaluate_function_samples, gaussian_centers
+from hdmd.dictionary import evaluate_function_samples, gaussian_centers, gaussian_grid_dictionary
 from hdmd.dmd import KoopmanMatrix, assemble_gram_pair, eigendecompose, hermitian_dmd
 from hdmd.quadrature import QuadratureRule, tensor_trapezoid
 from hdmd.schrodinger import (
     ExactEigenpair,
-    GaussianDictionarySpec,
     HarmonicOscillatorProblem,
     _axis_multiplier,
     _normalized_hermite_table,
@@ -24,6 +23,11 @@ from hdmd.schrodinger import (
     separable_snapshots,
 )
 from hdmd.spectral import cluster_table, project_observable, spectral_measure
+
+
+def gaussians(centers_box=((-4.0, 4.0), (-4.0, 4.0)), per_axis=20, width=3.0, amplitude=1 + 1j):
+    """The Gaussian grid dictionary, by default the benchmark's."""
+    return gaussian_grid_dictionary(centers_box, per_axis, width, amplitude)
 
 
 def gaussian(center, width, amplitude, pts):
@@ -77,20 +81,14 @@ def test_hamiltonian_gaussian_matches_finite_differences(rng):
         assert abs(fd - closed) <= 1e-6 * max(abs(closed), 1e-12)
 
 
-def test_hamiltonian_gaussian_rejects_bad_width():
-    with pytest.raises(ValueError, match="width"):
-        GaussianDictionarySpec(width=-1.0)
-
-
 # ------------------------------------------------------------------
 # generate_snapshots
 # ------------------------------------------------------------------
 
 
 def test_snapshots_single_gaussian_at_its_center():
-    spec = GaussianDictionarySpec(centers_box=((1.0, 1.0), (0.0, 0.0)), per_axis=1,
-                                  width=3.0, amplitude=1 + 1j)
-    problem = HarmonicOscillatorProblem(dictionary_spec=spec)
+    dictionary = gaussians(centers_box=((1.0, 1.0), (0.0, 0.0)), per_axis=1, width=3.0, amplitude=1 + 1j)
+    problem = HarmonicOscillatorProblem(dictionary=dictionary)
     quad = QuadratureRule(nodes=np.array([[1.0, 0.0]]), weights=np.array([1.0]))
     fm = generate_snapshots(problem, quad)
     assert fm.psi_x[0, 0] == 1 + 1j
@@ -106,15 +104,15 @@ def test_snapshots_full_benchmark_dimensions():
 
 
 def test_snapshots_match_finite_difference_hamiltonian(rng):
-    spec = GaussianDictionarySpec(per_axis=4)
-    problem = HarmonicOscillatorProblem(dictionary_spec=spec)
+    dictionary = gaussians(per_axis=4)
+    problem = HarmonicOscillatorProblem(dictionary=dictionary)
     nodes = rng.uniform(-4.5, 4.5, size=(10, 2))
     quad = QuadratureRule(nodes=nodes, weights=np.ones(10))
     fm = generate_snapshots(problem, quad)
-    centers = gaussian_centers(spec.centers_box, spec.per_axis)
+    centers = gaussian_centers(((-4.0, 4.0), (-4.0, 4.0)), 4)
     for j in (0, 7, 15):
         fd = hamiltonian_by_finite_differences(
-            lambda p: gaussian(centers[j], spec.width, spec.amplitude, p), nodes
+            lambda p: gaussian(centers[j], dictionary.width, dictionary.amplitude, p), nodes
         )
         scale = np.maximum(np.abs(fm.psi_y[:, j]), 1e-12)
         assert np.all(np.abs(fd - fm.psi_y[:, j]) / scale <= 1e-6)
@@ -125,6 +123,24 @@ def test_snapshots_reject_nodes_outside_domain():
     quad = QuadratureRule(nodes=np.array([[6.0, 0.0]]), weights=np.array([1.0]))
     with pytest.raises(ValueError, match="inside the problem domain"):
         generate_snapshots(problem, quad)
+
+
+ONE_FORMULA_CASES = [((70, 70), gaussians()), ((50, 45), gaussians(((-3.0, 4.5), (-1.0, 2.0)), 8, 1.3, 0.3 - 2.1j))]
+
+
+@pytest.mark.parametrize("grid, dictionary", ONE_FORMULA_CASES, ids=["defaults-two-blocks", "asymmetric"])
+def test_dense_psi_x_is_amplitude_times_dictionary_rows(grid, dictionary):
+    problem = HarmonicOscillatorProblem(dictionary=dictionary)
+    quad = tensor_trapezoid(problem.domain, grid)
+    features = generate_snapshots(problem, quad)
+    assert np.array_equal(features.psi_x, dictionary.amplitude * dictionary.rows(quad.nodes))
+
+
+@pytest.mark.parametrize("grid, dictionary", ONE_FORMULA_CASES, ids=["defaults-two-blocks", "asymmetric"])
+def test_separable_bumps_are_the_dictionary_rows_factors(grid, dictionary):
+    snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), grid)
+    # on a tensor grid, the Khatri-Rao product of the rows' factors is the Kronecker product of the axes'
+    assert np.array_equal(np.kron(*snapshots.bumps), dictionary.rows(snapshots.nodes))
 
 
 # ------------------------------------------------------------------
@@ -141,12 +157,12 @@ def relative_error(x, y):
 
 
 SEPARABLE_CASES = [
-    ((75, 75), GaussianDictionarySpec()),
-    ((40, 55), GaussianDictionarySpec()),
-    ((50, 45), GaussianDictionarySpec(centers_box=((-3.0, 4.5), (-1.0, 2.0)), per_axis=8)),
-    ((30, 30), GaussianDictionarySpec(per_axis=1)),
-    ((50, 50), GaussianDictionarySpec(per_axis=10, amplitude=0.3 - 2.1j)),
-    ((60, 60), GaussianDictionarySpec(per_axis=40)),
+    ((75, 75), gaussians()),
+    ((40, 55), gaussians()),
+    ((50, 45), gaussians(centers_box=((-3.0, 4.5), (-1.0, 2.0)), per_axis=8)),
+    ((30, 30), gaussians(per_axis=1)),
+    ((50, 50), gaussians(per_axis=10, amplitude=0.3 - 2.1j)),
+    ((60, 60), gaussians(per_axis=40)),
 ]
 SEPARABLE_IDS = ["75sq-defaults", "40x55", "asymmetric-box", "per-axis-1", "amplitude-phase", "60sq-40sq-deficient"]
 
@@ -162,15 +178,15 @@ def kron_all(mats):
     return reduce(np.kron, mats)
 
 
-@pytest.mark.parametrize("grid, spec", SEPARABLE_CASES, ids=SEPARABLE_IDS)
-def test_separable_matches_dense(grid, spec):
-    problem = HarmonicOscillatorProblem(dictionary_spec=spec)
+@pytest.mark.parametrize("grid, dictionary", SEPARABLE_CASES, ids=SEPARABLE_IDS)
+def test_separable_matches_dense(grid, dictionary):
+    problem = HarmonicOscillatorProblem(dictionary=dictionary)
     quad = tensor_trapezoid(problem.domain, grid)
     features = generate_snapshots(problem, quad)
     dense = assemble_gram_pair(features, quad)
     snapshots = separable_snapshots(problem, grid)
     g1, h1 = axis_matrices(snapshots)
-    scale = abs(spec.amplitude) ** 2
+    scale = abs(dictionary.amplitude) ** 2
     g = scale * kron_all(g1)
     a = scale * (np.kron(h1[0], g1[1]) + np.kron(g1[0], h1[1]))
     samples = evaluate_function_samples(quad.nodes, nonseparable_observable)
@@ -187,8 +203,8 @@ def test_separable_matches_dense(grid, spec):
 # ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("grid, spec", SEPARABLE_CASES, ids=SEPARABLE_IDS)
-def test_kronecker_eig_matches_dense(grid, spec):
+@pytest.mark.parametrize("grid, dictionary", SEPARABLE_CASES, ids=SEPARABLE_IDS)
+def test_kronecker_eig_matches_dense(grid, dictionary):
     """Eigenvalues, heavy cluster sums and observable mass agree with the dense pipeline.
 
     At full rank both routes solve the same pencil.  In the rank-deficient
@@ -196,7 +212,7 @@ def test_kronecker_eig_matches_dense(grid, spec):
     contains the 2-D floor's staircase (1046), so by min-max each Ritz value
     can only fall and the projected mass can only grow; both stay close.
     """
-    problem = HarmonicOscillatorProblem(dictionary_spec=spec)
+    problem = HarmonicOscillatorProblem(dictionary=dictionary)
     quad = tensor_trapezoid(problem.domain, grid)
     features = generate_snapshots(problem, quad)
     pair = assemble_gram_pair(features, quad)
@@ -229,7 +245,7 @@ def test_kronecker_eig_matches_dense(grid, spec):
         for weight, dense_weight in heavy:
             assert weight == pytest.approx(dense_weight, rel=1e-6)
     else:
-        assert eig.retained_rank == pair.retained_rank == spec.size
+        assert eig.retained_rank == pair.retained_rank == dictionary.size
         assert np.max(np.abs(gaps)) <= 1e-11
         assert mass == pytest.approx(observable.mass(), rel=1e-13)
         for weight, dense_weight in heavy:
@@ -238,8 +254,8 @@ def test_kronecker_eig_matches_dense(grid, spec):
 
 def test_kronecker_weights_keep_imaginary_part_of_complex_observable():
     """Per-atom weights equal |v^* G g_c|^2 for v = (u_x (x) u_y) / |amp| formed densely."""
-    spec = GaussianDictionarySpec(per_axis=10, amplitude=0.3 - 2.1j)
-    problem = HarmonicOscillatorProblem(dictionary_spec=spec)
+    dictionary = gaussians(per_axis=10, amplitude=0.3 - 2.1j)
+    problem = HarmonicOscillatorProblem(dictionary=dictionary)
     snapshots = separable_snapshots(problem, (50, 50))
     eig = snapshots.kronecker_eig()
     samples = evaluate_function_samples(snapshots.nodes, nonseparable_observable)
@@ -248,9 +264,9 @@ def test_kronecker_weights_keep_imaginary_part_of_complex_observable():
     measure = eig.measure(moments)
 
     g1, _ = axis_matrices(snapshots)
-    g = abs(spec.amplitude) ** 2 * kron_all(g1)
+    g = abs(dictionary.amplitude) ** 2 * kron_all(g1)
     coeffs = np.linalg.solve(g, moments)  # full rank here
-    vectors = kron_all([e.eigenvectors for e in eig.axes])[:, eig.order] / abs(spec.amplitude)
+    vectors = kron_all([e.eigenvectors for e in eig.axes])[:, eig.order] / abs(dictionary.amplitude)
     projections = vectors.conj().T @ (g @ coeffs)
     # a weight that dropped the imaginary part (or squared without the modulus) would be visibly off
     assert np.linalg.norm(projections.imag) > 0.3 * np.linalg.norm(projections)
@@ -259,14 +275,14 @@ def test_kronecker_weights_keep_imaginary_part_of_complex_observable():
     assert np.real(np.vdot(coeffs, g @ coeffs)) == pytest.approx(eig.observable_mass(moments), rel=1e-12)
 
 
-@pytest.mark.parametrize("grid, spec", SEPARABLE_CASES, ids=SEPARABLE_IDS)
-def test_kronecker_axes_are_gram_orthonormal(grid, spec):
+@pytest.mark.parametrize("grid, dictionary", SEPARABLE_CASES, ids=SEPARABLE_IDS)
+def test_kronecker_axes_are_gram_orthonormal(grid, dictionary):
     # U^T G1 U = I up to roundoff amplified by cond(G1), through ||U||^2 ~ 1 / min retained g
-    eig = separable_snapshots(HarmonicOscillatorProblem(dictionary_spec=spec), grid).kronecker_eig()
+    eig = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), grid).kronecker_eig()
     for axis in eig.axes:
         assert axis.orthonormality_residual() <= 1e-16 * axis.gram.condition_number + 1e-12
     assert eig.condition_number == pytest.approx(np.prod([a.gram.condition_number for a in eig.axes]))
-    kept = np.multiply.outer(*[a.gram.basis_eigenvalues for a in eig.axes]) * abs(spec.amplitude) ** 2
+    kept = np.multiply.outer(*[a.gram.basis_eigenvalues for a in eig.axes]) * abs(dictionary.amplitude) ** 2
     assert np.min(kept) > eig.g_eigen_floor
 
 
@@ -285,8 +301,8 @@ def dense_hermiticity_residual(eig):
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_kronecker_hermiticity_residual_matches_dense_formula(dimension, rng):
     box = ((-4.0, 4.0),) * dimension
-    spec = GaussianDictionarySpec(centers_box=box, per_axis=5, width=1.0, amplitude=0.3 - 2.1j)
-    problem = HarmonicOscillatorProblem(domain=((-5.0, 5.0),) * dimension, dictionary_spec=spec)
+    dictionary = gaussians(centers_box=box, per_axis=5, width=1.0, amplitude=0.3 - 2.1j)
+    problem = HarmonicOscillatorProblem(domain=((-5.0, 5.0),) * dimension, dictionary=dictionary)
     eig = separable_snapshots(problem, (30,) * dimension).kronecker_eig()
     assert eig.hermiticity_residual() <= 1e-13
     assert dense_hermiticity_residual(eig) <= 1e-13
@@ -296,7 +312,6 @@ def test_kronecker_hermiticity_residual_matches_dense_formula(dimension, rng):
     skewed = tuple(
         KoopmanMatrix(
             k=op.k + 0.3 * rng.normal(size=op.k.shape),
-            kind=op.kind,
             source=replace(op.source, g=op.source.g + 0.3 * rng.normal(size=op.k.shape)),
         )
         for op in eig.operators
@@ -308,8 +323,8 @@ def test_kronecker_hermiticity_residual_matches_dense_formula(dimension, rng):
 
 
 def test_kronecker_eig_warns_once_with_axis_and_product_ranks(caplog):
-    spec = GaussianDictionarySpec(per_axis=40)  # the oscillator_wide dictionary
-    snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary_spec=spec), (60, 60))
+    dictionary = gaussians(per_axis=40)  # the oscillator_wide dictionary
+    snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), (60, 60))
     with caplog.at_level(logging.WARNING, logger="hdmd"):
         eig = snapshots.kronecker_eig()
     assert eig.axis_retained_ranks == (36, 36)

@@ -66,8 +66,8 @@ def test_project_benchmark_mass_grows_toward_norm():
     quad = hdmd.tensor_trapezoid([(-5, 5), (-5, 5)], [50, 50])
     samples = hdmd.evaluate_function_samples(quad.nodes, hdmd.reference_observable)
     for per_axis in (6, 10, 14):
-        spec = hdmd.GaussianDictionarySpec(per_axis=per_axis)
-        problem = hdmd.HarmonicOscillatorProblem(dictionary_spec=spec)
+        dictionary = hdmd.gaussian_grid_dictionary([(-4, 4), (-4, 4)], per_axis, 3.0, 1 + 1j)
+        problem = hdmd.HarmonicOscillatorProblem(dictionary=dictionary)
         features = hdmd.generate_snapshots(problem, quad)
         pair = assemble_gram_pair(features, quad)
         obs = project_observable(samples, features, quad, pair=pair)
@@ -203,11 +203,11 @@ def test_cluster_preserves_total_mass(rng):
 
 
 def test_cluster_weighted_vs_plain_mean():
-    mu = AtomicMeasure.from_atoms([2.8, 3.2], [3.0, 1.0])
-    weighted, _ = cluster_table(mu, [3.0], radius=0.4)
-    plain, _ = cluster_table(mu, [3.0], radius=0.4, weighted_mean=False)
+    # the location is the weighted mean 2.9, not the plain mean 3.0; all-zero weights fall back to the plain mean
+    weighted, _ = cluster_table(AtomicMeasure.from_atoms([2.8, 3.2], [3.0, 1.0]), [3.0], radius=0.4)
+    plain, _ = cluster_table(AtomicMeasure.from_atoms([2.8, 3.1], [0.0, 0.0]), [3.0], radius=0.4)
     assert weighted[0][1] == pytest.approx(2.9, rel=1e-12)
-    assert plain[0][1] == pytest.approx(3.0, rel=1e-12)
+    assert plain[0][1] == pytest.approx(2.95, rel=1e-12)
 
 
 def test_cluster_radius_gap_validation():

@@ -27,6 +27,7 @@ import logging
 import os
 import sys
 import time
+from itertools import count
 from math import isfinite, isnan, prod
 from pathlib import Path
 
@@ -58,7 +59,7 @@ from .schrodinger import (
     reference_observable,
     separable_snapshots,
 )
-from .spectral import ObservableCoefficients, cluster_table, spectral_measure
+from .spectral import AtomicMeasure, cluster_table
 
 logger = logging.getLogger("hdmd")
 
@@ -67,23 +68,16 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 HERMITICITY_LIMIT = 1e-8
+# K is G-Hermitian only to about eps * cond(G): eigh's backward error in G, amplified by ||K|| ~ 1 / min g
+HERMITICITY_MESSAGE = (
+    "hermiticity residual %.3e exceeds %.1e: cond(G) = %.3e at retained rank %d of %d "
+    "(rank_tolerance %g); raising rank_tolerance trades rank for G-Hermiticity"
+)
 FULL_GRID_POINTS = 300
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
     write_artifact(path, "\n".join(lines) + "\n")
-
-
-def _write_eigenvalues_csv(path: Path, computed: np.ndarray, exact=None) -> None:
-    if exact is None:
-        lines = ["index,computed"]
-        for i, lam in enumerate(computed):
-            lines.append(f"{i},{format_float(lam)}")
-    else:
-        lines = ["index,computed,exact"]
-        for i, (lam, e) in enumerate(zip(computed, exact)):
-            lines.append(f"{i},{format_float(lam)},{format_float(e)}")
-    _write_lines(path, lines)
 
 
 def _write_clustered_csv(path: Path, rows) -> None:
@@ -96,6 +90,45 @@ def _write_clustered_csv(path: Path, rows) -> None:
 
 def _write_summary(path: Path, payload: dict) -> None:
     write_artifact(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _report(
+    out_dir: Path, t0: float, config: ExperimentConfig, experiment: str, dictionary: Dictionary,
+    spectrum, residual: float, measure: AtomicMeasure, observable_mass: float, exact=None, **route_keys,
+) -> int:
+    """Write eigenvalues.csv, measure.csv and summary.json, then apply the Hermiticity gate.
+
+    `spectrum` is the retained Gram spectrum (a GramPair or a KroneckerEig)
+    and the measure's atoms are the computed eigenvalues; eigenvalues.csv
+    pairs them with `exact`, if given, while both last.  summary.json is
+    written before the gate, so a failed run still reports its residual.
+    """
+    columns = [measure.locations] if exact is None else [measure.locations, exact]
+    header = ",".join(["index", "computed", "exact"][: len(columns) + 1])
+    cells = zip(map(str, count()), *[map(repr, c.tolist()) for c in columns])  # repr: format_float's text
+    _write_lines(out_dir / "eigenvalues.csv", [header, *map(",".join, cells)])
+    measure.to_csv(out_dir / "measure.csv")
+    summary = {
+        "schema": 1,
+        "experiment": experiment,
+        "config": config_as_dict(config),
+        "dictionary_size": dictionary.size,
+        **route_keys,
+        "retained_rank": spectrum.retained_rank,
+        "g_eigen_floor": spectrum.g_eigen_floor,
+        "gram_condition_number": spectrum.condition_number,
+        "hermiticity_residual": residual,
+        "total_mass": measure.total_mass,
+        "observable_mass": observable_mass,
+        "runtime_seconds": time.perf_counter() - t0,
+    }
+    _write_summary(out_dir / "summary.json", summary)
+    if residual > HERMITICITY_LIMIT:
+        logger.error(HERMITICITY_MESSAGE, residual, HERMITICITY_LIMIT, spectrum.condition_number,
+                     spectrum.retained_rank, dictionary.size, config.rank_tolerance)
+        return EXIT_NUMERICAL
+    logger.info("done in %.2fs, total mass %.6f", summary["runtime_seconds"], measure.total_mass)
+    return EXIT_OK
 
 
 def _dictionary(config: ExperimentConfig, dimension: int) -> Dictionary:
@@ -173,9 +206,8 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), dictionary.size)
 
     eig = snapshots.kronecker_eig(config.rank_tolerance)
-    residual = eig.hermiticity_residual()
     moments = snapshots.moments(evaluate_function_samples(snapshots.nodes, reference_observable))
-    measure = eig.measure(moments)
+    measure = AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(moments))
 
     # the distinct exact energies; exact_spectrum lists energy E with multiplicity E
     references = [float(e) for e in range(1, config.energy_cutoff + 1)]
@@ -183,34 +215,14 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
 
     levels = np.arange(1, config.energy_cutoff + 41)
     exact = np.repeat(levels.astype(float), levels)
-    count = min(eig.eigenvalues.shape[0], exact.shape[0])
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_eigenvalues_csv(out_dir / "eigenvalues.csv", eig.eigenvalues[:count], exact[:count])
-    measure.to_csv(out_dir / "measure.csv")
     _write_clustered_csv(out_dir / "clustered.csv", rows)
-    summary = {
-        "schema": 1,
-        "experiment": "schrodinger",
-        "config": config_as_dict(config),
-        "grid": list(grid),
-        "dictionary_size": dictionary.size,
-        "retained_rank": eig.retained_rank,
-        "axis_retained_ranks": list(eig.axis_retained_ranks),
-        "g_eigen_floor": eig.g_eigen_floor,
-        "gram_condition_number": eig.condition_number,
-        "hermiticity_residual": residual,
-        "total_mass": measure.total_mass,
-        "observable_mass": eig.observable_mass(moments),
-        "runtime_seconds": time.perf_counter() - t0,
-    }
-    _write_summary(out_dir / "summary.json", summary)
-
-    if residual > HERMITICITY_LIMIT:
-        logger.error("hermiticity residual %.3e exceeds %.1e", residual, HERMITICITY_LIMIT)
-        return EXIT_NUMERICAL
-    logger.info("done in %.2fs, total mass %.6f", summary["runtime_seconds"], measure.total_mass)
-    return EXIT_OK
+    return _report(
+        out_dir, t0, config, "schrodinger", dictionary, eig, eig.hermiticity_residual(), measure,
+        eig.observable_mass(moments), exact=exact, grid=list(grid),
+        axis_retained_ranks=list(eig.axis_retained_ranks),
+    )
 
 
 # weak-probe test functions; their names become the CSV row keys
@@ -305,37 +317,17 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     pair = assemble_gram_pair(features, quad)
     k_edmd = edmd(pair)
     k_herm = hermitian_dmd(pair)
-    residual = k_herm.hermiticity_residual()
     eig = eigendecompose(k_herm)
-    # the observable is psi_0, so Psi_X^* W psi_0 = G e_0 exactly
-    observable = ObservableCoefficients(coeffs=pair.solve(pair.g[:, 0]), gram=pair)
-    measure = spectral_measure(eig, observable)
+    moments = pair.g[:, 0]  # the observable is psi_0, so Psi_X^* W psi_0 = G e_0 exactly
+    measure = AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(moments))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_eigenvalues_csv(out_dir / "eigenvalues.csv", eig.eigenvalues)
-    measure.to_csv(out_dir / "measure.csv")
     write_complex_csv(k_edmd.k, out_dir / "koopman_edmd.csv")
     write_complex_csv(k_herm.k, out_dir / "koopman_hermitian.csv")
-    summary = {
-        "schema": 1,
-        "experiment": "custom-snapshots",
-        "config": config_as_dict(config),
-        "snapshot_count": int(x_pts.shape[0]),
-        "snapshot_dimension": dim,
-        "dictionary_size": dictionary.size,
-        "retained_rank": pair.retained_rank,
-        "g_eigen_floor": pair.g_eigen_floor,
-        "gram_condition_number": pair.condition_number,
-        "hermiticity_residual": residual,
-        "total_mass": measure.total_mass,
-        "runtime_seconds": time.perf_counter() - t0,
-    }
-    _write_summary(out_dir / "summary.json", summary)
-
-    if residual > HERMITICITY_LIMIT:
-        logger.error("hermiticity residual %.3e exceeds %.1e", residual, HERMITICITY_LIMIT)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return _report(
+        out_dir, t0, config, "custom-snapshots", dictionary, pair, k_herm.hermiticity_residual(), measure,
+        eig.observable_mass(moments), snapshot_count=int(x_pts.shape[0]), snapshot_dimension=dim,
+    )
 
 
 def _configure_logging() -> None:

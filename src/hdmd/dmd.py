@@ -132,6 +132,22 @@ class KoopmanEig:
         vgv = self.eigenvectors.conj().T @ self.gram.g @ self.eigenvectors
         return float(np.max(np.abs(vgv - np.eye(vgv.shape[0]))))
 
+    def weights(self, moments) -> np.ndarray:
+        """Weights |v_j^* m|^2, in eigenvalue order, of the observable with moments m = Psi_X^* W f.
+
+        They equal |v_j^* G g_c|^2 for g_c = G^+ m, since each v_j lies in the
+        retained space, where G G^+ is the identity; no N x N product is needed.
+        """
+        return np.abs(self.eigenvectors.conj().T @ moments) ** 2
+
+    def observable_mass(self, moments) -> float:
+        """g_c^* G g_c = sum_i |q_i^* m|^2 / lambda_i over the retained Gram eigenpairs (Q, Lambda).
+
+        It does not use the DMD eigenvectors, so the weights' sum is checked against it (Parseval).
+        """
+        q, lam = self.gram.basis, self.gram.basis_eigenvalues
+        return float(np.sum(np.abs(q.conj().T @ moments) ** 2 / lam))
+
 
 def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: QuadratureRule) -> GramPair:
     """Form G = Psi_X^* W Psi_X and A = Psi_X^* W Psi_Y as weighted snapshot sums.

@@ -162,15 +162,14 @@ class KroneckerEig:
     def _tensor(self, moments) -> np.ndarray:
         return np.asarray(moments).reshape([e.gram.size for e in self.axes])
 
-    def measure(self, moments) -> AtomicMeasure:
-        """Atoms (lambda, |v^* G g_c|^2) of the observable with moments m = Psi_X^* W f.
+    def weights(self, moments) -> np.ndarray:
+        """Weights |v^* m|^2, in eigenvalue order, of the observable with moments m = Psi_X^* W f.
 
-        g_c = G^+ m lies in the retained space, so v^* G g_c = v^* m =
-        ((x)_k u_k)^* m / |amp|; complex moments keep their imaginary part.
+        As in `KoopmanEig.weights`, v^* m = v^* G g_c for g_c = G^+ m; here v^* m =
+        ((x)_k u_k)^* m / |amp|, and complex moments keep their imaginary part.
         """
         t = _along_axes(self._tensor(moments), [e.eigenvectors.conj().T for e in self.axes])
-        weights = np.abs(t.ravel()[self.order]) ** 2 / self.scale
-        return AtomicMeasure.from_atoms(self.eigenvalues, weights)
+        return np.abs(t.ravel()[self.order]) ** 2 / self.scale
 
     def observable_mass(self, moments) -> float:
         """g_c^* G g_c = ||(x)_k Lambda_k^{-1/2} Q_k^* m||^2 / s for g_c = G^+ m.
@@ -293,11 +292,6 @@ class ExactEigenpair:
     @property
     def energy(self) -> float:
         return float(self.m + self.n + 1)
-
-    @property
-    def normalization(self) -> float:
-        """L2(R^2) normalization constant (2^{m+n} m! n! pi)^{-1/2}."""
-        return 1.0 / sqrt(2.0 ** (self.m + self.n) * factorial(self.m) * factorial(self.n) * pi)
 
 
 def exact_spectrum(max_energy: int) -> list[ExactEigenpair]:

@@ -11,7 +11,7 @@ computed with the same spectral-cutoff pseudoinverse as the operators in
 eigenpairs (lambda_j, v_j) with v_i^* G v_j = delta_ij, the spectral measure
 of the observable is the atomic measure
 
-    mu = sum_j c_j delta_{lambda_j},    c_j = |v_j^* G g_c|^2.
+    mu = sum_j c_j delta_{lambda_j},    c_j = |v_j^* G g_c|^2 = |v_j^* Psi_X^* W g_samples|^2
 
 Because the weights are squared moduli of G-orthonormal expansion
 coefficients, the total mass equals g_c^* G g_c (discrete Parseval), and any
@@ -77,10 +77,6 @@ class AtomicMeasure:
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "weights", wts)
 
-    @property
-    def atom_count(self) -> int:
-        return self.locations.shape[0]
-
     def to_csv(self, path) -> None:
         lines = ["lambda,weight"]
         for lam, w in zip(self.locations, self.weights):
@@ -123,9 +119,7 @@ def spectral_measure(eig: KoopmanEig, obs: ObservableCoefficients) -> AtomicMeas
     """Atoms (lambda_j, |v_j^* G f|^2) of the observable's spectral measure."""
     if eig.gram is not obs.gram:
         raise ValueError("eigenpairs and observable coefficients use different GramPairs")
-    gf = eig.gram.g @ obs.coeffs
-    weights = np.abs(eig.eigenvectors.conj().T @ gf) ** 2
-    return AtomicMeasure.from_atoms(eig.eigenvalues, weights)
+    return AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(eig.gram.g @ obs.coeffs))
 
 
 def _validate_references(reference_locations, radius: float) -> np.ndarray:

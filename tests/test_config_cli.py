@@ -1,6 +1,7 @@
 """Tests for the config format and the command-line front end."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -543,6 +544,8 @@ def test_custom_streamed_swap_matches_complex_pipeline_without_mxn_arrays(tmp_pa
     streamed = cluster_masses(atoms[:, 0], atoms[:, 1])
     oracle = cluster_masses(measure.locations, measure.weights)
     assert streamed == pytest.approx(oracle, rel=1e-9, abs=1e-15)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["total_mass"] == pytest.approx(summary["observable_mass"], rel=1e-9)  # Parseval
 
 
 def test_custom_measure_mass_is_norm_of_first_function(tmp_path, rng):
@@ -559,6 +562,59 @@ def test_custom_measure_mass_is_norm_of_first_function(tmp_path, rng):
     psi0 = config.dict_amplitude * np.exp(-config.dict_width * np.sum((x - c0) ** 2, axis=1))
     summary = json.loads((out / "summary.json").read_text())
     assert summary["total_mass"] == pytest.approx(np.mean(np.abs(psi0) ** 2), rel=1e-10)
+
+
+def test_custom_gate_names_condition_rank_and_tolerance(tmp_path, caplog):
+    """Full-rank swap data that fails the 1e-8 Hermiticity gate at the default cutoff.
+
+    cond(G) = 5.8e11 is admitted by rank_tolerance = 1e-12, and K is
+    G-Hermitian only to about cond(G) times roundoff; a larger
+    rank_tolerance drops the smallest directions and passes.
+    """
+    x = np.random.default_rng(11).uniform(-5.0, 5.0, size=(500, 2))
+    write_points(tmp_path / "x.csv", x)
+    write_points(tmp_path / "y.csv", x[:, ::-1])
+    inputs = [str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]
+    with caplog.at_level(logging.ERROR, logger="hdmd"):
+        assert cli.main(["custom", "--out", str(tmp_path / "out"), *inputs]) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())  # written before the gate
+    assert summary["retained_rank"] == 400
+    assert summary["hermiticity_residual"] > 1e-8
+    [message] = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert f"cond(G) = {summary['gram_condition_number']:.3e}" in message
+    assert "retained rank 400 of 400" in message and "rank_tolerance 1e-12" in message
+    assert "raising rank_tolerance trades rank for G-Hermiticity" in message
+
+    cfg = write_config(tmp_path, "rank_tolerance = 1e-9\n")
+    assert cli.main(["custom", "--config", str(cfg), "--out", str(tmp_path / "cut"), *inputs]) == 0
+    cut = json.loads((tmp_path / "cut" / "summary.json").read_text())
+    assert cut["retained_rank"] < 400 and cut["hermiticity_residual"] <= 1e-8
+
+
+def test_schrodinger_and_custom_report_alike(tmp_path, caplog, monkeypatch):
+    """Both routes write the same common summary keys and log the same closing line."""
+    monkeypatch.setenv("HDMD_LOG", "info")
+    pts = symmetric_grid_points()
+    write_points(tmp_path / "x.csv", pts)
+    write_points(tmp_path / "y.csv", -pts)
+    cfg = write_config(tmp_path, "grid = 20 20\ndict_per_axis = 4\nenergy_cutoff = 2\n")
+    runs = {
+        "schrodinger": ["schrodinger"],
+        "custom": ["custom", str(tmp_path / "x.csv"), str(tmp_path / "y.csv")],
+    }
+    route_keys = {"schrodinger": {"grid", "axis_retained_ranks"}, "custom": {"snapshot_count", "snapshot_dimension"}}
+    common = []
+    for name, argv in runs.items():
+        caplog.clear()
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        done = [r.getMessage() for r in caplog.records if r.getMessage().startswith("done in ")]
+        assert len(done) == 1 and ", total mass " in done[0]
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        assert route_keys[name] <= summary.keys()
+        common.append(summary.keys() - route_keys[name])
+    assert common[0] == common[1]
+    assert {"retained_rank", "g_eigen_floor", "gram_condition_number", "hermiticity_residual",
+            "total_mass", "observable_mass", "runtime_seconds"} <= common[0]
 
 
 def test_custom_refuses_dictionary_beyond_physical_memory(tmp_path, capsys, monkeypatch):

@@ -171,6 +171,38 @@ def test_measure_invariant_under_degenerate_remixing(rng):
     assert cluster_a == pytest.approx(cluster_b, rel=1e-10)
 
 
+def oscillating_observable(points):
+    return np.cos(2 * points[:, 0]) + 1j * np.cos(3 * points[:, 1])
+
+
+@pytest.mark.parametrize("per_axis, rank", [(20, 400), (30, 856)], ids=["full-rank", "truncated"])
+def test_eig_weights_from_moments_match_projected_measure(per_axis, rank):
+    """|v^* m|^2 and sum_i |q_i^* m|^2 / lambda_i against spectral_measure and ObservableCoefficients.mass.
+
+    Dense oscillator data on a 40^2 trapezoid grid.  With 30^2 bumps G is cut
+    to rank 856 (cond 9e11); there |v^* G G^+ m|^2 sums to the mass only to
+    about 5e-10, while the moment formula keeps Parseval at roundoff.
+    """
+    dictionary = hdmd.gaussian_grid_dictionary(((-4.0, 4.0), (-4.0, 4.0)), per_axis, 3.0, 1 + 1j)
+    problem = hdmd.HarmonicOscillatorProblem(dictionary=dictionary)
+    quad = hdmd.tensor_trapezoid(problem.domain, (40, 40))
+    features = hdmd.generate_snapshots(problem, quad)
+    pair = assemble_gram_pair(features, quad)
+    assert pair.retained_rank == rank
+    eig = eigendecompose(hermitian_dmd(pair))
+    samples = hdmd.evaluate_function_samples(quad.nodes, oscillating_observable)
+    moments = features.psi_x.conj().T @ (quad.weights * samples)
+    reference = project_observable(samples, features, quad, pair=pair)
+
+    weights = eig.weights(moments)
+    mass = eig.observable_mass(moments)
+    assert np.linalg.norm((eig.eigenvectors.conj().T @ moments).imag) > 0.3 * np.sqrt(weights.sum())
+    assert mass == pytest.approx(reference.mass(), rel=1e-12)
+    assert weights.sum() == pytest.approx(mass, rel=1e-10)
+    gap = np.max(np.abs(weights - spectral_measure(eig, reference).weights)) / weights.max()
+    assert gap <= (1e-12 if rank == pair.size else 1e-8)
+
+
 # ------------------------------------------------------------------
 # cluster_table
 # ------------------------------------------------------------------

@@ -22,13 +22,11 @@ runtime appears only in summary.json.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
 import time
-from itertools import count
-from math import isfinite, isnan, prod
+from math import isfinite, isqrt, prod
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +35,12 @@ from . import __version__
 from .config import (
     ConfigError,
     ExperimentConfig,
-    config_as_dict,
     default_config,
     load_config,
 )
 from .dictionary import Dictionary, evaluate_function_samples, gaussian_grid_dictionary, evaluate_snapshots
 from .dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
-from .matio import format_float, write_artifact, write_complex_csv
+from .matio import write_complex_csv, write_csv, write_summary
 from .probes import (
     FiniteSections,
     diagonal_eigh,
@@ -76,22 +73,6 @@ HERMITICITY_MESSAGE = (
 FULL_GRID_POINTS = 300
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    write_artifact(path, "\n".join(lines) + "\n")
-
-
-def _write_clustered_csv(path: Path, rows) -> None:
-    lines = ["reference,location,weight,atom_count"]
-    for ref, loc, weight, count in rows:
-        loc_txt = "" if isnan(loc) else format_float(loc)
-        lines.append(f"{format_float(ref)},{loc_txt},{format_float(weight)},{count}")
-    _write_lines(path, lines)
-
-
-def _write_summary(path: Path, payload: dict) -> None:
-    write_artifact(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _report(
     out_dir: Path, t0: float, config: ExperimentConfig, experiment: str, dictionary: Dictionary,
     spectrum, residual: float, measure: AtomicMeasure, observable_mass: float, exact=None, **route_keys,
@@ -105,24 +86,19 @@ def _report(
     """
     columns = [measure.locations] if exact is None else [measure.locations, exact]
     header = ",".join(["index", "computed", "exact"][: len(columns) + 1])
-    cells = zip(map(str, count()), *[map(repr, c.tolist()) for c in columns])  # repr: format_float's text
-    _write_lines(out_dir / "eigenvalues.csv", [header, *map(",".join, cells)])
-    measure.to_csv(out_dir / "measure.csv")
-    summary = {
-        "schema": 1,
-        "experiment": experiment,
-        "config": config_as_dict(config),
-        "dictionary_size": dictionary.size,
+    write_csv(out_dir / "eigenvalues.csv", header, np.arange(measure.locations.size), *columns)
+    write_csv(out_dir / "measure.csv", "lambda,weight", measure.locations, measure.weights)
+    summary = write_summary(
+        out_dir / "summary.json", experiment, config, t0,
+        dictionary_size=dictionary.size,
         **route_keys,
-        "retained_rank": spectrum.retained_rank,
-        "g_eigen_floor": spectrum.g_eigen_floor,
-        "gram_condition_number": spectrum.condition_number,
-        "hermiticity_residual": residual,
-        "total_mass": measure.total_mass,
-        "observable_mass": observable_mass,
-        "runtime_seconds": time.perf_counter() - t0,
-    }
-    _write_summary(out_dir / "summary.json", summary)
+        retained_rank=spectrum.retained_rank,
+        g_eigen_floor=spectrum.g_eigen_floor,
+        gram_condition_number=spectrum.condition_number,
+        hermiticity_residual=residual,
+        total_mass=measure.total_mass,
+        observable_mass=observable_mass,
+    )
     if residual > HERMITICITY_LIMIT:
         logger.error(HERMITICITY_MESSAGE, residual, HERMITICITY_LIMIT, spectrum.condition_number,
                      spectrum.retained_rank, dictionary.size, config.rank_tolerance)
@@ -141,7 +117,7 @@ def read_points_csv(path) -> np.ndarray:
     """Read snapshot coordinates: one header line, then rows of floats."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -213,11 +189,12 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     references = [float(e) for e in range(1, config.energy_cutoff + 1)]
     rows, _ = cluster_table(measure, references, config.cluster_radius)
 
-    levels = np.arange(1, config.energy_cutoff + 41)
-    exact = np.repeat(levels.astype(float), levels)
+    # the fewest levels L whose L(L + 1) / 2 energies cover every computed eigenvalue
+    levels = (isqrt(8 * measure.locations.size) + 1) // 2
+    exact = np.repeat(np.arange(1.0, levels + 1), np.arange(1, levels + 1))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_clustered_csv(out_dir / "clustered.csv", rows)
+    write_csv(out_dir / "clustered.csv", "reference,location,weight,atom_count", *zip(*rows))
     return _report(
         out_dir, t0, config, "schrodinger", dictionary, eig, eig.hermiticity_residual(), measure,
         eig.observable_mass(moments), exact=exact, grid=list(grid),
@@ -254,6 +231,9 @@ def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     n_ref = config.probe_n_ref
     sizes = list(config.probe_sizes)
+    # the reference and, per section size, one cached n x n eigenvector table
+    tables = n_ref**2 + sum(n**2 for n in {*sizes, n_ref // 2, n_ref})
+    _check_fits(8 * tables, f"probe_n_ref = {n_ref}", "reference and section eigenvector tables")
     # built one at a time: each holder caches its sections' eigenvectors,
     # taken from the reference's closed-form eigendecomposition
     references = {
@@ -267,30 +247,23 @@ def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
     floors = {}
     for name, (build, decompose) in references.items():
         sections = FiniteSections(build(), decompose)
-        res = resolvent_convergence_probe(sections, v, 1j, sizes)
-        mom = moment_convergence_probe(sections, v, config.probe_max_moment, sizes)
-        weak = weak_convergence_probe(sections, v, PROBE_TEST_FNS, sizes)
-        del sections  # release the cached eigenvectors before the next reference
-        res.to_csv(out_dir / f"resolvent_{name}.csv")
-        mom.to_csv(out_dir / f"moments_{name}.csv")
-        weak.to_csv(out_dir / f"weak_{name}.csv")
-        floors[name] = {
-            "resolvent": res.floors,
-            "moments": mom.floors,
-            "weak": weak.floors,
+        probes = {
+            "resolvent": resolvent_convergence_probe(sections, v, 1j, sizes),
+            "moments": moment_convergence_probe(sections, v, config.probe_max_moment, sizes),
+            "weak": weak_convergence_probe(sections, v, PROBE_TEST_FNS, sizes),
         }
+        del sections  # release the cached eigenvectors before the next reference
+        for kind, probe in probes.items():
+            # each key's resolution floor is one more row, at n = n_ref // 2 with key "<key>|floor"
+            floor_rows = [(n_ref // 2, f"{key}|floor", gap) for key, gap in probe.floors.items()]
+            write_csv(out_dir / f"{kind}_{name}.csv", "n,key,gap", *zip(*probe.rows, *floor_rows))
+        floors[name] = {kind: probe.floors for kind, probe in probes.items()}
         logger.info("probes for %s reference done", name)
 
-    summary = {
-        "schema": 1,
-        "experiment": "probes",
-        "config": config_as_dict(config),
-        "n_ref": n_ref,
-        "truncation_sizes": sizes,
-        "resolution_floors": floors,
-        "runtime_seconds": time.perf_counter() - t0,
-    }
-    _write_summary(out_dir / "summary.json", summary)
+    write_summary(
+        out_dir / "summary.json", "probes", config, t0,
+        n_ref=n_ref, truncation_sizes=sizes, resolution_floors=floors,
+    )
     return EXIT_OK
 
 

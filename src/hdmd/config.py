@@ -107,7 +107,10 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; defaults fill unset keys."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     values: dict[str, object] = {}
     seen_schema = False
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -153,11 +156,3 @@ def load_config(path) -> ExperimentConfig:
 
 def default_config() -> ExperimentConfig:
     return validate(ExperimentConfig())
-
-
-def config_as_dict(config: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out

@@ -128,10 +128,6 @@ class KoopmanEig:
     eigenvectors: np.ndarray
     gram: GramPair
 
-    def orthonormality_residual(self) -> float:
-        vgv = self.eigenvectors.conj().T @ self.gram.g @ self.eigenvectors
-        return float(np.max(np.abs(vgv - np.eye(vgv.shape[0]))))
-
     def weights(self, moments) -> np.ndarray:
         """Weights |v_j^* m|^2, in eigenvalue order, of the observable with moments m = Psi_X^* W f.
 

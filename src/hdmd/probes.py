@@ -33,27 +33,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .matio import format_float, write_artifact
-
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """Rows (n, key, gap) plus per-key resolution floors at n_ref/2."""
+    """Rows (n, key, gap) plus per-key resolution floors at n = n_ref // 2."""
 
     rows: tuple[tuple[int, str, float], ...]
     floors: dict[str, float]
-    n_ref: int
 
     def gaps(self, key: str) -> list[tuple[int, float]]:
         return [(n, gap) for n, k, gap in self.rows if k == key]
-
-    def to_csv(self, path) -> None:
-        lines = ["n,key,gap"]
-        for n, key, gap in self.rows:
-            lines.append(f"{n},{key},{format_float(gap)}")
-        for key, floor in self.floors.items():
-            lines.append(f"{self.n_ref // 2},{key}|floor,{format_float(floor)}")
-        write_artifact(path, "\n".join(lines) + "\n")
 
 
 def free_jacobi(n: int) -> np.ndarray:
@@ -162,7 +151,7 @@ def resolvent_convergence_probe(
         (n, "resolvent", float(np.linalg.norm(section_solution(n) - truth))) for n in sizes
     )
     floor = float(np.linalg.norm(section_solution(n_ref // 2) - truth))
-    return ProbeResult(rows=rows, floors={"resolvent": floor}, n_ref=n_ref)
+    return ProbeResult(rows=rows, floors={"resolvent": floor})
 
 
 def _section_moments(mat: np.ndarray, vec: np.ndarray, k_max: int) -> np.ndarray:
@@ -197,7 +186,7 @@ def moment_convergence_probe(
         for k, gap in enumerate(gaps_at(n)):
             rows.append((n, f"k={k}", float(gap)))
     floors = {f"k={k}": float(g) for k, g in enumerate(gaps_at(n_ref // 2))}
-    return ProbeResult(rows=tuple(rows), floors=floors, n_ref=n_ref)
+    return ProbeResult(rows=tuple(rows), floors=floors)
 
 
 def _fn_keys(test_fns: Sequence[Callable[[float], float]]) -> list[str]:
@@ -236,4 +225,4 @@ def weak_convergence_probe(
             rows.append((n, key, float(gap)))
     floors = dict(zip(keys, np.abs(integrals(n_ref // 2) - truth)))
     floors = {k: float(g) for k, g in floors.items()}
-    return ProbeResult(rows=tuple(rows), floors=floors, n_ref=n_ref)
+    return ProbeResult(rows=tuple(rows), floors=floors)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .dictionary import FeatureMatrices
 from .dmd import GramPair, KoopmanEig, assemble_gram_pair
-from .matio import format_float, write_artifact
 from .quadrature import QuadratureRule
 
 
@@ -76,12 +75,6 @@ class AtomicMeasure:
         wts.setflags(write=False)
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "weights", wts)
-
-    def to_csv(self, path) -> None:
-        lines = ["lambda,weight"]
-        for lam, w in zip(self.locations, self.weights):
-            lines.append(f"{format_float(lam)},{format_float(w)}")
-        write_artifact(path, "\n".join(lines) + "\n")
 
     @classmethod
     def from_atoms(cls, locations, weights) -> "AtomicMeasure":

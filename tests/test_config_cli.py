@@ -240,6 +240,31 @@ def test_schrodinger_fails_loudly_on_hermiticity_breach(tmp_path, monkeypatch):
     assert summary["hermiticity_residual"] == 1e-3  # reported even on failure
 
 
+def test_schrodinger_eigenvalues_csv_lists_every_computed_eigenvalue(tmp_path):
+    # 40^2 narrow bumps retain 1600 eigenvalues, more than the 1378 exact
+    # energies of levels 1..energy_cutoff + 40 that once sized the exact column
+    cfg = write_config(tmp_path, "grid = 300 300\ndict_per_axis = 40\ndict_width = 8.0\n")
+    out = tmp_path / "out"
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(out)]) == 0
+    measure = np.loadtxt(out / "measure.csv", delimiter=",", skiprows=1)
+    table = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1)
+    assert len(measure) == len(table) == 1600
+    assert np.array_equal(table[:, 0], np.arange(1600))
+    assert np.array_equal(table[:, 1], measure[:, 0])
+    levels = np.arange(1, 58)  # 57 levels hold 1653 energies, 56 only 1596
+    assert np.array_equal(table[:, 2], np.repeat(levels, levels)[:1600])
+
+
+def test_schrodinger_clustered_csv_writes_empty_clusters(tmp_path):
+    # 3^2 bumps give 9 eigenvalues, so most of the 12 reference energies get no atom
+    cfg = write_config(tmp_path, "grid = 20 20\ndict_per_axis = 3\n")
+    out = tmp_path / "out"
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "clustered.csv").read_text().splitlines()
+    assert lines[0] == "reference,location,weight,atom_count"
+    assert len(lines) == 13 and "1.0,,0.0,0" in lines and "12.0,,0.0,0" in lines
+
+
 def read_clusters(path):
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     return [(float(r[0]), float(r[1]) if r[1] else float("nan"), float(r[2])) for r in rows]
@@ -449,6 +474,25 @@ def test_custom_bad_snapshot_file_message_names_file_and_line(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_custom_undecodable_snapshot_file_names_file(tmp_path, capsys):
+    (tmp_path / "x.csv").write_bytes(b"x1,x2\n1.0,\xff\n")
+    write_points(tmp_path / "y.csv", np.zeros((1, 2)))
+    code = cli.main(["custom", "--out", str(tmp_path / "o"), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hdmd: {tmp_path / 'x.csv'}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
+
+def test_undecodable_config_names_file(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"schema = 1\n# \xff\n")
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hdmd: config error: {cfg}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    with pytest.raises(ConfigError, match="exp.cfg"):
+        load_config(cfg)
+
+
 def test_custom_reports_gram_spectrum(tmp_path):
     pts = symmetric_grid_points()
     write_points(tmp_path / "x.csv", pts)
@@ -644,6 +688,20 @@ def test_schrodinger_refuses_dictionary_beyond_physical_memory(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert "N = 1000000000000 on the 75 x 75 grid" in err and "physical memory" in err
+
+
+def test_probes_refuse_reference_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the size guard must refuse before the reference is built")
+
+    monkeypatch.setattr(cli, "free_jacobi", unreachable)
+    # the dense 10^7 x 10^7 reference alone would be 800 TB
+    cfg = write_config(tmp_path, "probe_n_ref = 10000000\n")
+    out = tmp_path / "o"
+    assert cli.main(["probes", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hdmd: probe_n_ref = 10000000 needs about ") and "physical memory" in err
+    assert not out.exists()
 
 
 def test_schrodinger_runs_dictionary_of_ten_thousand(tmp_path):

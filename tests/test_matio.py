@@ -1,10 +1,10 @@
-"""Tests for artifact writing, complex-matrix CSV serialization and the tests' CSV reader."""
+"""Tests for artifact writing, columnar and complex-matrix CSV serialization and the tests' CSV reader."""
 
 import numpy as np
 import pytest
 from csv_helpers import read_complex_csv
 
-from hdmd.matio import format_float, write_artifact, write_complex_csv
+from hdmd.matio import write_artifact, write_complex_csv, write_csv
 
 
 def random_complex(rng, shape):
@@ -20,16 +20,41 @@ def test_csv_round_trip_bitwise(rng, shape, tmp_path):
 
 
 def test_csv_text_matches_per_entry_formatting(rng, tmp_path):
-    """The vectorized writer emits the same bytes as formatting each entry with format_float."""
+    """The vectorized writer emits the same bytes as formatting each entry with repr."""
     m = random_complex(rng, (4, 5)) * np.logspace(-300, 300, 5)
     m[0, :4] = [-0.0, np.inf, complex(0.0, np.nan), 1e-320j]
     lines = [",".join(f"c{j}_re,c{j}_im" for j in range(5))]
-    lines += [",".join(f"{format_float(v.real)},{format_float(v.imag)}" for v in row) for row in m]
+    lines += [",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) for row in m]
     write_complex_csv(m, tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_text() == "\n".join(lines) + "\n"
     write_complex_csv(m.real, tmp_path / "real.csv")
     write_complex_csv(m.real.astype(complex), tmp_path / "cast.csv")
     assert (tmp_path / "real.csv").read_bytes() == (tmp_path / "cast.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "columns, body",
+    [
+        # measure.csv: floats in shortest round-trip form
+        (([0.1, -0.0, 1e-320], [1 / 3, np.inf, 2.5e300]), ["0.1,0.3333333333333333", "-0.0,inf", "1e-320,2.5e+300"]),
+        # a probe CSV: int, str and float columns
+        (([4, 16], ["k=0", "k=0|floor"], [0.0, 1.5]), ["4,k=0,0.0", "16,k=0|floor,1.5"]),
+        # clustered.csv: an empty cluster has an empty location cell and atom_count 0
+        (([1.0, 2.0], [1.25, np.nan], [0.5, 0.0], [2, 0]), ["1.0,1.25,0.5,2", "2.0,,0.0,0"]),
+        # eigenvalues.csv: the shortest column ends the table
+        ((np.arange(3), [0.5, 1.5], [1.0, 2.0, 2.0, 3.0]), ["0,0.5,1.0", "1,1.5,2.0"]),
+    ],
+    ids=["floats", "int-str-float", "empty-cluster", "shortest-column"],
+)
+def test_write_csv_layout(tmp_path, columns, body):
+    write_csv(tmp_path / "t.csv", "h", *columns)
+    assert (tmp_path / "t.csv").read_text() == "\n".join(["h", *body]) + "\n"
+
+
+def test_write_csv_floats_round_trip_bitwise(rng, tmp_path):
+    values = rng.normal(size=50) * np.logspace(-300, 300, 50)
+    write_csv(tmp_path / "t.csv", "x", values)
+    assert np.array_equal(np.loadtxt(tmp_path / "t.csv", skiprows=1), values)
 
 
 def test_csv_header_names_columns(tmp_path):

@@ -331,12 +331,14 @@ def test_probe_validation():
 
 
 def test_probe_csv_layout(tmp_path):
-    ref = free_jacobi(32)
-    probe = moment_convergence_probe(ref, first_basis_vector(32), 2, [4, 8])
-    path = tmp_path / "probe.csv"
-    probe.to_csv(path)
-    lines = path.read_text().splitlines()
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("schema = 1\nprobe_n_ref = 32\nprobe_sizes = 4 8\nprobe_max_moment = 2\n")
+    assert cli.main(["probes", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "moments_free_jacobi.csv").read_text().splitlines()
     assert lines[0] == "n,key,gap"
     assert len(lines) == 1 + 2 * 3 + 3  # header + rows + one floor row per key
-    assert sum(1 for ln in lines if "|floor" in ln) == 3
-    assert [ln.split(",")[1] for ln in lines[1:4]] == ["k=0", "k=1", "k=2"]
+    assert [ln.split(",")[:2] for ln in lines[1:4]] == [["4", "k=0"], ["4", "k=1"], ["4", "k=2"]]
+    # the floors close the table, at n = n_ref // 2
+    assert [ln.split(",")[:2] for ln in lines[7:]] == [["16", "k=0|floor"], ["16", "k=1|floor"], ["16", "k=2|floor"]]
+    probe = moment_convergence_probe(free_jacobi(32), first_basis_vector(32), 2, [4, 8])
+    assert [float(ln.split(",")[2]) for ln in lines[7:]] == list(probe.floors.values())

@@ -10,6 +10,7 @@ import pytest
 
 import hdmd
 from hdmd.dmd import GramPair, KoopmanEig, assemble_gram_pair, eigendecompose, hermitian_dmd
+from hdmd.matio import write_csv
 from hdmd.spectral import (
     AtomicMeasure,
     cluster_table,
@@ -293,7 +294,7 @@ def test_measure_validation():
 def test_measure_serialization(tmp_path):
     mu = AtomicMeasure.from_atoms([3.0, 1.0], [0.25, 0.5])
     csv_path = tmp_path / "measure.csv"
-    mu.to_csv(csv_path)
+    write_csv(csv_path, "lambda,weight", mu.locations, mu.weights)  # as the CLI writes measure.csv
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "lambda,weight"
     assert lines[1] == "1.0,0.5"  # sorted ascending

@@ -37,15 +37,14 @@ from .config import (
     ExperimentConfig,
     default_config,
     load_config,
+    undecodable,
 )
 from .dictionary import Dictionary, evaluate_function_samples, gaussian_grid_dictionary, evaluate_snapshots
 from .dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from .matio import write_complex_csv, write_csv, write_summary
 from .probes import (
-    FiniteSections,
-    diagonal_eigh,
-    free_jacobi,
-    free_jacobi_eigh,
+    DiagonalSections,
+    FreeJacobiSections,
     moment_convergence_probe,
     resolvent_convergence_probe,
     weak_convergence_probe,
@@ -117,7 +116,9 @@ def read_points_csv(path) -> np.ndarray:
     """Read snapshot coordinates: one header line, then rows of floats."""
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise ValueError(undecodable(path, exc)) from None
+    except OSError as exc:
         raise ValueError(f"{path}: {exc}") from None
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -168,6 +169,14 @@ def _kronecker_bytes(grid, per_axis: int) -> int:
     size, snapshots = per_axis ** len(grid), prod(grid)
     words = 8 * per_axis * sum(grid) + 40 * per_axis**2 * len(grid) + 32 * size
     return 8 * (words + (2 * len(grid) + 8) * snapshots)
+
+
+def _probe_bytes(n_ref: int) -> int:
+    """About what `probes` allocates, O(n_ref): at its peak the weak probe holds the
+    spectrum as Python floats, the test functions' values on it and a few
+    length-n_ref vectors, about 15 words per n_ref; 24 words per n_ref and
+    64 KB for the CSV and summary text cover that."""
+    return 8 * (24 * n_ref + 8192)
 
 
 def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = False) -> int:
@@ -231,28 +240,20 @@ def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     n_ref = config.probe_n_ref
     sizes = list(config.probe_sizes)
-    # the reference and, per section size, one cached n x n eigenvector table
-    tables = n_ref**2 + sum(n**2 for n in {*sizes, n_ref // 2, n_ref})
-    _check_fits(8 * tables, f"probe_n_ref = {n_ref}", "reference and section eigenvector tables")
-    # built one at a time: each holder caches its sections' eigenvectors,
-    # taken from the reference's closed-form eigendecomposition
-    references = {
-        "free_jacobi": (lambda: free_jacobi(n_ref), free_jacobi_eigh),
-        "diagonal": (lambda: np.diag(np.arange(n_ref, dtype=float)), diagonal_eigh),
-    }
+    _check_fits(_probe_bytes(n_ref), f"probe_n_ref = {n_ref}", "length-n_ref work vectors")
+    # closed forms: the probes form no n x n array and call no eigh
+    references = {"free_jacobi": FreeJacobiSections(n_ref), "diagonal": DiagonalSections(n_ref)}
     v = np.zeros(n_ref)
     v[0] = 1.0
 
     out_dir.mkdir(parents=True, exist_ok=True)
     floors = {}
-    for name, (build, decompose) in references.items():
-        sections = FiniteSections(build(), decompose)
+    for name, sections in references.items():
         probes = {
             "resolvent": resolvent_convergence_probe(sections, v, 1j, sizes),
             "moments": moment_convergence_probe(sections, v, config.probe_max_moment, sizes),
             "weak": weak_convergence_probe(sections, v, PROBE_TEST_FNS, sizes),
         }
-        del sections  # release the cached eigenvectors before the next reference
         for kind, probe in probes.items():
             # each key's resolution floor is one more row, at n = n_ref // 2 with key "<key>|floor"
             floor_rows = [(n_ref // 2, f"{key}|floor", gap) for key, gap in probe.floors.items()]

@@ -105,12 +105,18 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     return c
 
 
+def undecodable(path, exc: UnicodeDecodeError) -> str:
+    """`path: line N: <reason>` for a file whose bytes failed to decode; lines count from 1."""
+    line = exc.object.count(b"\n", 0, exc.start) + 1
+    return f"{path}: line {line}: {exc}"
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a config file; defaults fill unset keys."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(undecodable(path, exc)) from None
     values: dict[str, object] = {}
     seen_schema = False
     for lineno, raw_line in enumerate(text.splitlines(), start=1):

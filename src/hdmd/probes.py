@@ -1,6 +1,6 @@
-"""Finite-section convergence diagnostics against dense matrix references.
+"""Finite-section convergence diagnostics against large Hermitian references.
 
-A large Hermitian reference matrix L (n_ref x n_ref) stands in for an
+A large Hermitian reference L (n_ref x n_ref) stands in for an
 operator; P_n is the projection onto the first n coordinates.  Three probes
 quantify how fast the leading principal sections P_n L P_n^* recover
 operator-level quantities as n grows:
@@ -11,13 +11,15 @@ operator-level quantities as n grows:
                 where mu_{v,n} is the spectral measure of the n x n section
                 with respect to P_n v.
 
-Each section is eigendecomposed once, L_n = V diag(lambda) V^*, in a
-`FiniteSections` holder that the resolvent and weak probes share: the
-resolvent is V (lambda - z)^{-1} V^* P_n v and the weak probe's measure has
-atoms lambda with weights |V^* P_n v|^2.  The decomposition is eigh of the
-section unless the holder is given the reference's closed form
-(`free_jacobi_eigh`, `diagonal_eigh`).  The moment probe keeps exact
-repeated matvecs, so walk-count moments stay exact integers.
+The probes see a reference only through a `Sections` holder, which gives
+for each section L_n = V diag(lambda) V^* its ascending eigenvalues, the
+transforms x -> V^* x and w -> V w, and the matvec u -> L_n u.  The
+resolvent is V (lambda - z)^{-1} V^* P_n v, the weak probe's measure has
+atoms lambda with weights |V^* P_n v|^2, and the moment probe keeps exact
+repeated matvecs, so walk-count moments stay exact integers.  A plain
+matrix goes into `FiniteSections`, which eigendecomposes each section once;
+`FreeJacobiSections` and `DiagonalSections` give the built-in references in
+closed form (a DST-I, the identity) and form no n x n array.
 
 The reference is itself a truncation of the operator it models, so each
 probe also reports a resolution floor: the same gap evaluated at
@@ -59,56 +61,129 @@ def free_jacobi(n: int) -> np.ndarray:
     return mat
 
 
-def free_jacobi_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigh of free_jacobi(n): lambda_k = 2 cos(k pi/(n+1)) ascending,
-    V_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)), j, k = 1..n, built in one n x n array.
+class Sections:
+    """Leading sections L_n = V_n diag(lambda) V_n^* of a size x size Hermitian reference.
 
-    jk is reduced mod 2(n+1), exactly in floats, so every sine argument is below 2 pi.
+    The probes use only these four operations; each vector argument has the
+    section's length n.
     """
-    k = np.arange(n, 0, -1, dtype=float)
-    evecs = np.outer(np.arange(1.0, n + 1), k)
-    np.remainder(evecs, 2 * (n + 1), out=evecs)
-    evecs *= np.pi / (n + 1)
-    np.sin(evecs, out=evecs)
-    evecs *= np.sqrt(2.0 / (n + 1))
-    return 2.0 * np.cos(k * np.pi / (n + 1)), evecs
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+
+    def eigenvalues(self, n: int) -> np.ndarray:
+        """Ascending eigenvalues lambda of L_n."""
+        raise NotImplementedError
+
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        """V_n^* x."""
+        raise NotImplementedError
+
+    def from_eigenbasis(self, w: np.ndarray) -> np.ndarray:
+        """V_n w."""
+        raise NotImplementedError
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        """L_n u."""
+        raise NotImplementedError
 
 
-def diagonal_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigh of diag(0, 1, ..., n-1): the diagonal and the identity."""
-    return np.arange(n, dtype=float), np.eye(n)
-
-
-class FiniteSections:
+class FiniteSections(Sections):
     """A square reference matrix with its leading-section eigendecompositions.
 
     Keeps a read-only view of the matrix (the caller's array stays writeable)
-    and computes decompose(n), by default eigh(matrix[:n, :n]), once per n on
-    first use.  The cache assumes the matrix stays unchanged meanwhile.
+    and computes eigh(matrix[:n, :n]) once per n on first use.  The cache
+    assumes the matrix stays unchanged meanwhile.
     """
 
-    def __init__(self, matrix, decompose: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None) -> None:
+    def __init__(self, matrix) -> None:
         mat = np.atleast_2d(np.asarray(matrix)).view()
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"reference must be square, got {mat.shape}")
         mat.setflags(write=False)
+        super().__init__(mat.shape[0])
         self.matrix = mat
-        self._decompose = decompose or (lambda n: np.linalg.eigh(mat[:n, :n]))
         self._eigh: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
     def eigh(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and orthonormal eigenvectors of the n x n section."""
         if n not in self._eigh:
-            self._eigh[n] = self._decompose(n)
+            self._eigh[n] = np.linalg.eigh(self.matrix[:n, :n])
         return self._eigh[n]
+
+    def eigenvalues(self, n: int) -> np.ndarray:
+        return self.eigh(n)[0]
+
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        return self.eigh(x.shape[0])[1].conj().T @ x
+
+    def from_eigenbasis(self, w: np.ndarray) -> np.ndarray:
+        evecs = self.eigh(w.shape[0])[1]
+        return evecs @ w.real + 1j * (evecs @ w.imag)  # a real V is never cast to complex
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        n = u.shape[0]
+        return self.matrix[:n, :n] @ u
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I, y_k = sqrt(2/(n+1)) sum_j x_j sin(jk pi/(n+1)), j, k = 1..n.
+
+    The FFT of the length-2(n+1) odd extension (0, x, 0, -x reversed) is
+    -2i times the sine sum at frequencies 1..n.
+    """
+    n = x.shape[0]
+    ext = np.zeros(2 * (n + 1), dtype=np.result_type(x, float))
+    ext[1 : n + 1] = x
+    ext[n + 2 :] = -x[::-1]
+    scale = np.sqrt(0.5 / (n + 1))  # sqrt(2/(n+1)) / 2
+    if np.iscomplexobj(ext):
+        return np.fft.fft(ext)[1 : n + 1] * (1j * scale)
+    return np.fft.rfft(ext)[1 : n + 1].imag * -scale
+
+
+class FreeJacobiSections(Sections):
+    """The sections of free_jacobi(size) in closed form, without forming a matrix.
+
+    lambda_k = 2 cos(k pi/(n+1)) and V_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)),
+    j, k = 1..n.  V is symmetric and orthogonal, so both transforms are a
+    DST-I; ascending lambda is k = n..1, a reversal of V's columns.
+    """
+
+    def eigenvalues(self, n: int) -> np.ndarray:
+        return 2.0 * np.cos(np.arange(n, 0, -1, dtype=float) * np.pi / (n + 1))
+
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        return _dst1(x)[::-1]
+
+    def from_eigenbasis(self, w: np.ndarray) -> np.ndarray:
+        return _dst1(w[::-1])
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(u)
+        out[1:] = u[:-1]
+        out[:-1] += u[1:]
+        return out
+
+
+class DiagonalSections(Sections):
+    """The sections of diag(0, 1, ..., size - 1) in closed form: lambda = 0..n-1 and V = I."""
+
+    def eigenvalues(self, n: int) -> np.ndarray:
+        return np.arange(n, dtype=float)
+
+    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def from_eigenbasis(self, w: np.ndarray) -> np.ndarray:
+        return w
+
+    def matvec(self, u: np.ndarray) -> np.ndarray:
+        return np.arange(u.shape[0]) * u
 
 
 def _check_reference(reference, v, truncation_sizes):
-    if not isinstance(reference, FiniteSections):
+    if not isinstance(reference, Sections):
         reference = FiniteSections(reference)
     n_ref = reference.size
     vec = np.asarray(v).ravel()
@@ -140,10 +215,9 @@ def resolvent_convergence_probe(
     zc = complex(z)
 
     def section_solution(n: int) -> np.ndarray:
-        evals, evecs = sections.eigh(n)
-        w = (evecs.conj().T @ vec[:n]) / (evals - zc)
+        w = sections.to_eigenbasis(vec[:n]) / (sections.eigenvalues(n) - zc)
         out = np.zeros(n_ref, dtype=complex)
-        out[:n] = evecs @ w.real + 1j * (evecs @ w.imag)  # a real V is never cast to complex
+        out[:n] = sections.from_eigenbasis(w)
         return out
 
     truth = section_solution(n_ref)
@@ -154,14 +228,14 @@ def resolvent_convergence_probe(
     return ProbeResult(rows=rows, floors={"resolvent": floor})
 
 
-def _section_moments(mat: np.ndarray, vec: np.ndarray, k_max: int) -> np.ndarray:
+def _section_moments(matvec: Callable[[np.ndarray], np.ndarray], vec: np.ndarray, k_max: int) -> np.ndarray:
     """<M^k v, v> for k = 0..k_max via repeated matvec."""
     moments = np.empty(k_max + 1)
-    u = vec.astype(np.result_type(mat, vec, float))  # a real reference stays real
+    u = vec.astype(np.result_type(vec, float))
     for k in range(k_max + 1):
         moments[k] = np.real(np.vdot(vec, u))
         if k < k_max:
-            u = mat @ u
+            u = matvec(u)
     return moments
 
 
@@ -175,11 +249,11 @@ def moment_convergence_probe(
     sections, vec, sizes = _check_reference(reference, v, truncation_sizes)
     if max_moment < 0:
         raise ValueError("max_moment must be >= 0")
-    ref, n_ref = sections.matrix, sections.size
-    truth = _section_moments(ref, vec, max_moment)
+    n_ref = sections.size
+    truth = _section_moments(sections.matvec, vec, max_moment)
 
     def gaps_at(n: int) -> np.ndarray:
-        return np.abs(_section_moments(ref[:n, :n], vec[:n], max_moment) - truth)
+        return np.abs(_section_moments(sections.matvec, vec[:n], max_moment) - truth)
 
     rows = []
     for n in sizes:
@@ -213,9 +287,9 @@ def weak_convergence_probe(
     n_ref = sections.size
 
     def integrals(n: int) -> np.ndarray:
-        evals, evecs = sections.eigh(n)
-        coeffs = np.abs(evecs.conj().T @ vec[:n]) ** 2
-        fvals = np.array([[float(fn(lam)) for lam in evals] for fn in test_fns])
+        coeffs = np.abs(sections.to_eigenbasis(vec[:n])) ** 2
+        lams = sections.eigenvalues(n).tolist()  # Python floats: each call is cheaper than on numpy scalars
+        fvals = np.array([np.fromiter(map(fn, lams), float, n) for fn in test_fns])
         return fvals @ coeffs
 
     truth = integrals(n_ref)

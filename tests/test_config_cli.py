@@ -480,7 +480,7 @@ def test_custom_undecodable_snapshot_file_names_file(tmp_path, capsys):
     code = cli.main(["custom", "--out", str(tmp_path / "o"), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"hdmd: {tmp_path / 'x.csv'}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert err.startswith(f"hdmd: {tmp_path / 'x.csv'}: line 2: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
 
 
 def test_undecodable_config_names_file(tmp_path, capsys):
@@ -488,8 +488,8 @@ def test_undecodable_config_names_file(tmp_path, capsys):
     cfg.write_bytes(b"schema = 1\n# \xff\n")
     assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"hdmd: config error: {cfg}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
-    with pytest.raises(ConfigError, match="exp.cfg"):
+    assert err.startswith(f"hdmd: config error: {cfg}: line 2: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    with pytest.raises(ConfigError, match="exp.cfg: line 2"):
         load_config(cfg)
 
 
@@ -694,13 +694,13 @@ def test_probes_refuse_reference_beyond_physical_memory(tmp_path, capsys, monkey
     def unreachable(*args, **kwargs):
         raise AssertionError("the size guard must refuse before the reference is built")
 
-    monkeypatch.setattr(cli, "free_jacobi", unreachable)
-    # the dense 10^7 x 10^7 reference alone would be 800 TB
-    cfg = write_config(tmp_path, "probe_n_ref = 10000000\n")
+    monkeypatch.setattr(cli, "FreeJacobiSections", unreachable)
+    # the work vectors are O(n_ref): at 10^15 the input vector alone would be 8 PB
+    cfg = write_config(tmp_path, "probe_n_ref = 1000000000000000\n")
     out = tmp_path / "o"
     assert cli.main(["probes", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("hdmd: probe_n_ref = 10000000 needs about ") and "physical memory" in err
+    assert err.startswith("hdmd: probe_n_ref = 1000000000000000 needs about ") and "physical memory" in err
     assert not out.exists()
 
 
@@ -739,14 +739,41 @@ def test_schrodinger_size_estimate_covers_what_it_allocates(tmp_path, grid, per_
     assert peak <= cli._kronecker_bytes(grid, per_axis) <= 10 * peak
 
 
-def test_console_entry_point_runs():
-    # the child imports the same hdmd as this process, installed or not
+@pytest.mark.parametrize("n_ref", [2000, 20000])
+def test_probes_size_estimate_covers_what_it_allocates(tmp_path, n_ref):
+    # n_ref = 2000 is the default; the guard's estimate is O(n_ref) like the allocations
+    cfg = write_config(tmp_path, f"probe_n_ref = {n_ref}\n")
+    argv = ["probes", "--config", str(cfg), "--out"]
+    assert cli.main(argv + [str(tmp_path / "warm")]) == 0
+    code, peak = traced_peak(argv + [str(tmp_path / "out")])
+    assert code == 0
+    assert peak <= cli._probe_bytes(n_ref) <= 10 * peak
+
+
+def child_env():
+    """The environment of a child that imports the same hdmd as this process, installed or not."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "hdmd.cli", "--version"],
-        capture_output=True, text=True, env=env,
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_import_and_probes_load_neither_fft_nor_scipy(tmp_path):
+    # numpy.fft is imported on first use by the probes, outside every run's import time
+    code = (
+        "import sys, hdmd, hdmd.cli\n"
+        "loaded = lambda name: any(m == name or m.startswith(name + '.') for m in sys.modules)\n"
+        "print(loaded('numpy.fft'), loaded('scipy'))\n"
+        "assert hdmd.cli.main(['probes', '--out', sys.argv[1]]) == 0\n"
+        "print(loaded('scipy'))\n"
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False"]
+
+
+def test_console_entry_point_runs():
+    proc = subprocess.run([sys.executable, "-m", "hdmd.cli", "--version"], capture_output=True, text=True, env=child_env())
     # argparse --version exits 0 and prints the version string
     assert proc.returncode == 0
     assert "hdmd" in proc.stdout

@@ -8,7 +8,9 @@ import hdmd.cli as cli
 import hdmd.probes as probes
 from hdmd.config import default_config
 from hdmd.probes import (
+    DiagonalSections,
     FiniteSections,
+    FreeJacobiSections,
     free_jacobi,
     moment_convergence_probe,
     resolvent_convergence_probe,
@@ -243,50 +245,59 @@ def default_section_sizes():
     return sorted(set(config.probe_sizes) | {config.probe_n_ref // 2, config.probe_n_ref})
 
 
-def test_probes_cli_eigendecomposes_each_section_once_per_reference(tmp_path, monkeypatch):
-    calls = []
+def test_probes_cli_uses_closed_forms_without_eigh(tmp_path, monkeypatch):
+    requested = []
 
-    def counting(name, decompose):
-        def provider(n):
-            calls.append((name, n))
-            return decompose(n)
+    def recording(name, eigenvalues):
+        def wrapper(self, n):
+            requested.append((name, n))
+            return eigenvalues(self, n)
 
-        return provider
+        return wrapper
 
-    def no_eigh(mat):
-        raise AssertionError("hdmd probes called np.linalg.eigh")
+    def no_dense(*args, **kwargs):
+        raise AssertionError("hdmd probes decomposed a dense section")
 
-    monkeypatch.setattr(cli, "free_jacobi_eigh", counting("free_jacobi", probes.free_jacobi_eigh))
-    monkeypatch.setattr(cli, "diagonal_eigh", counting("diagonal", probes.diagonal_eigh))
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(FreeJacobiSections, "eigenvalues", recording("free_jacobi", FreeJacobiSections.eigenvalues))
+    monkeypatch.setattr(DiagonalSections, "eigenvalues", recording("diagonal", DiagonalSections.eigenvalues))
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    monkeypatch.setattr(probes, "FiniteSections", no_dense)
     assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
     distinct = default_section_sizes()
     assert len(distinct) == 8
     expected = [(name, n) for name in ("diagonal", "free_jacobi") for n in distinct]
-    assert sorted(calls) == expected  # one closed-form decomposition per (reference, n)
+    assert sorted(set(requested)) == expected  # every section of both references, in closed form
 
 
-@pytest.mark.parametrize("n", default_section_sizes())
-def test_closed_form_sections_match_eigh(n):
-    e1 = first_basis_vector(n)
-    for matrix, closed_form in [
-        (free_jacobi(n), probes.free_jacobi_eigh),
-        (np.diag(np.arange(n, dtype=float)), probes.diagonal_eigh),
+def unit(x):
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("n", sorted({1, 2, 3, *default_section_sizes()}))
+def test_closed_form_sections_match_eigh(n, rng):
+    xs = [unit(rng.normal(size=n)), unit(rng.normal(size=n) + 1j * rng.normal(size=n))]
+    for sections, matrix in [
+        (FreeJacobiSections(n), free_jacobi(n)),
+        (DiagonalSections(n), np.diag(np.arange(n, dtype=float))),
     ]:
-        evals, evecs = closed_form(n)
         ref_evals, ref_evecs = np.linalg.eigh(matrix)
-        assert evecs.shape == (n, n) and evecs.dtype == float
+        evals = sections.eigenvalues(n)
         assert np.max(np.abs(evals - ref_evals)) <= 1e-13
-        assert np.max(np.abs(evecs.T @ evecs - np.eye(n))) <= 1e-12
-        assert np.max(np.abs(evecs[0] ** 2 - ref_evecs[0] ** 2)) <= 1e-14
-        resolvent = evecs @ ((evecs.T @ e1) / (evals - 1j))
-        ref_resolvent = ref_evecs @ ((ref_evecs.T @ e1) / (ref_evals - 1j))
-        assert np.max(np.abs(resolvent - ref_resolvent)) <= 1e-12
+        for x in xs:
+            coeffs = sections.to_eigenbasis(x)
+            ref_coeffs = ref_evecs.T @ x
+            # eigenvector signs are arbitrary; |V^* x|^2 and the resolvent are not
+            assert np.max(np.abs(np.abs(coeffs) ** 2 - np.abs(ref_coeffs) ** 2)) <= 1e-12
+            resolvent = sections.from_eigenbasis(coeffs / (evals - 1j))
+            ref_resolvent = ref_evecs @ (ref_coeffs / (ref_evals - 1j))
+            assert np.max(np.abs(resolvent - ref_resolvent)) <= 1e-12
+            assert np.max(np.abs(sections.from_eigenbasis(coeffs) - x)) <= 1e-13
+            assert np.array_equal(sections.matvec(x), matrix @ x)
 
 
 def test_diagonal_closed_form_gives_exactly_zero_gaps():
     n_ref = 64
-    sections = FiniteSections(np.diag(np.arange(n_ref, dtype=float)), probes.diagonal_eigh)
+    sections = DiagonalSections(n_ref)
     v = first_basis_vector(n_ref)
     assert all(gap == 0.0 for _, gap in resolvent_convergence_probe(sections, v, 1j, SIZES[:4]).gaps("resolvent"))
     weak = weak_convergence_probe(sections, v, cli.PROBE_TEST_FNS, SIZES[:4])
@@ -294,10 +305,10 @@ def test_diagonal_closed_form_gives_exactly_zero_gaps():
 
 
 def test_probes_cli_traced_peak_stays_under_ceiling(tmp_path):
-    # dense eigh workspaces and complex copies of the real eigenvectors pushed this to 135 MB
+    # one 2000 x 2000 float64 is 32 MB, so no n x n array at the default n_ref fits under the ceiling
     code, peak = traced_peak(["probes", "--out", str(tmp_path / "out")])
     assert code == 0
-    assert peak < 100e6
+    assert peak < 4e6
 
 
 # ------------------------------------------------------------------

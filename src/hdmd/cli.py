@@ -98,7 +98,7 @@ def _report(
         total_mass=measure.total_mass,
         observable_mass=observable_mass,
     )
-    if residual > HERMITICITY_LIMIT:
+    if not residual <= HERMITICITY_LIMIT:  # a NaN residual fails too
         logger.error(HERMITICITY_MESSAGE, residual, HERMITICITY_LIMIT, spectrum.condition_number,
                      spectrum.retained_rank, dictionary.size, config.rank_tolerance)
         return EXIT_NUMERICAL
@@ -172,10 +172,10 @@ def _kronecker_bytes(grid, per_axis: int) -> int:
 
 
 def _probe_bytes(n_ref: int) -> int:
-    """About what `probes` allocates, O(n_ref): at its peak the weak probe holds the
-    spectrum as Python floats, the test functions' values on it and a few
-    length-n_ref vectors, about 15 words per n_ref; 24 words per n_ref and
-    64 KB for the CSV and summary text cover that."""
+    """About what `probes` allocates, O(n_ref): a traced peak of about 15 words per
+    n_ref, set by the free-Jacobi resolvent's complex DST-I buffers (the weak probe's
+    spectrum, test-function values and temporaries reach about 10); 24 words per
+    n_ref and 64 KB for the CSV and summary text cover that."""
     return 8 * (24 * n_ref + 8192)
 
 
@@ -211,25 +211,26 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     )
 
 
-# weak-probe test functions; their names become the CSV row keys
-def constant(lam: float) -> float:
-    return 1.0
+# weak-probe test functions, applied to a section's whole spectrum; their names become the CSV row keys
+def constant(lam: np.ndarray) -> np.ndarray:
+    return np.ones_like(lam)
 
 
-def resolvent_re(lam: float) -> float:
+def resolvent_re(lam: np.ndarray) -> np.ndarray:
     # Re 1/(lam - i)
     return lam / (lam * lam + 1.0)
 
 
-def resolvent_re_shifted(lam: float) -> float:
+def resolvent_re_shifted(lam: np.ndarray) -> np.ndarray:
     # Re 1/(lam - (1 + i)); asymmetric, so symmetric spectra give nonzero values
     return (lam - 1.0) / ((lam - 1.0) ** 2 + 1.0)
 
 
-def bump_off_spectrum(lam: float) -> float:
-    # smooth bump supported on [4, 6], disjoint from the references' spectra
-    t = lam - 5.0
-    return float(np.exp(-1.0 / (1.0 - t * t))) if abs(t) < 1.0 else 0.0
+def bump_off_spectrum(lam: np.ndarray) -> np.ndarray:
+    # smooth bump supported on [4, 6], disjoint from the references' spectra; exp(-1/0) = 0 outside (4, 6)
+    t = np.minimum(np.abs(lam - 5.0), 1.0)
+    with np.errstate(divide="ignore"):
+        return np.exp(-1.0 / (1.0 - t * t))
 
 
 PROBE_TEST_FNS = (constant, resolvent_re, resolvent_re_shifted, bump_off_spectrum)
@@ -305,10 +306,9 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("HDMD_LOG", "warning").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    level = logging.getLevelName(os.environ.get("HDMD_LOG", "warning").upper())  # an int only for a level name
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logger.setLevel(level)
+    logger.setLevel(level if isinstance(level, int) else logging.WARNING)
 
 
 def _build_parser() -> argparse.ArgumentParser:

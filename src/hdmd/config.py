@@ -16,6 +16,7 @@ offending field.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from math import isfinite
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -53,12 +54,18 @@ class ExperimentConfig:
         return complex(self.dict_amplitude_re, self.dict_amplitude_im)
 
 
-# one parser per field type (annotations are strings under `from __future__ import annotations`)
+def _finite_float(raw: str) -> float:
+    if not isfinite(value := float(raw)):  # float() accepts nan and inf, which no setting can take
+        raise ValueError(raw)
+    return value
+
+
+# one parser and what it expects per field type (annotations are strings under `from __future__ import annotations`)
 _PARSE_BY_TYPE = {
-    "int": lambda raw: int(raw, 10),
-    "float": float,
-    "str": str,
-    "tuple[int, ...]": lambda raw: tuple(int(tok, 10) for tok in raw.split()),
+    "int": (lambda raw: int(raw, 10), "an integer"),
+    "float": (_finite_float, "a finite number"),
+    "str": (str, "text"),
+    "tuple[int, ...]": (lambda raw: tuple(int(tok, 10) for tok in raw.split()), "integers"),
 }
 _PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
 
@@ -149,11 +156,12 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r}", field_name=key, line=lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", field_name=key, line=lineno)
+        parse, expected = _PARSERS[key]
         try:
-            values[key] = _PARSERS[key](raw_value)
+            values[key] = parse(raw_value)
         except ValueError:
             raise ConfigError(
-                f"{key}: cannot parse value {raw_value!r}", field_name=key, line=lineno
+                f"{key}: cannot parse value {raw_value!r} as {expected}", field_name=key, line=lineno
             ) from None
     if not seen_schema:
         raise ConfigError("missing 'schema = 1' line", field_name="schema")

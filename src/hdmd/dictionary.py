@@ -182,13 +182,10 @@ def evaluate_snapshots(
 def evaluate_function_samples(points, g) -> np.ndarray:
     """Sample a scalar observable at quadrature nodes: entry m is g(x^(m)).
 
-    `g` may be vectorized over an (M, d) array or accept single points.
+    `g` takes the (M, d) array of nodes and returns their M values in one call.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    try:
-        vals = np.asarray(g(pts))
-        if vals.shape == (pts.shape[0],):
-            return vals.astype(complex)
-    except Exception:
-        pass
-    return np.array([complex(g(p)) for p in pts], dtype=complex)
+    vals = np.asarray(g(pts))
+    if vals.shape != (pts.shape[0],):
+        raise ValueError(f"observable must return {pts.shape[0]} values, one per point, got shape {vals.shape}")
+    return vals.astype(complex)

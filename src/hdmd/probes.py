@@ -11,15 +11,17 @@ operator-level quantities as n grows:
                 where mu_{v,n} is the spectral measure of the n x n section
                 with respect to P_n v.
 
-The probes see a reference only through a `Sections` holder, which gives
-for each section L_n = V diag(lambda) V^* its ascending eigenvalues, the
+The probes see a reference through one of three holders, each giving for
+a section L_n = V diag(lambda) V^* its ascending eigenvalues, the
 transforms x -> V^* x and w -> V w, and the matvec u -> L_n u.  The
 resolvent is V (lambda - z)^{-1} V^* P_n v, the weak probe's measure has
 atoms lambda with weights |V^* P_n v|^2, and the moment probe keeps exact
 repeated matvecs, so walk-count moments stay exact integers.  A plain
 matrix goes into `FiniteSections`, which eigendecomposes each section once;
 `FreeJacobiSections` and `DiagonalSections` give the built-in references in
-closed form (a DST-I, the identity) and form no n x n array.
+closed form (a DST-I, the identity) and form no n x n array.  A weak test
+function maps the array of a section's eigenvalues to an array of values
+(or one scalar), so it is called once per section.
 
 The reference is itself a truncation of the operator it models, so each
 probe also reports a resolution floor: the same gap evaluated at
@@ -61,34 +63,7 @@ def free_jacobi(n: int) -> np.ndarray:
     return mat
 
 
-class Sections:
-    """Leading sections L_n = V_n diag(lambda) V_n^* of a size x size Hermitian reference.
-
-    The probes use only these four operations; each vector argument has the
-    section's length n.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-
-    def eigenvalues(self, n: int) -> np.ndarray:
-        """Ascending eigenvalues lambda of L_n."""
-        raise NotImplementedError
-
-    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        """V_n^* x."""
-        raise NotImplementedError
-
-    def from_eigenbasis(self, w: np.ndarray) -> np.ndarray:
-        """V_n w."""
-        raise NotImplementedError
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        """L_n u."""
-        raise NotImplementedError
-
-
-class FiniteSections(Sections):
+class FiniteSections:
     """A square reference matrix with its leading-section eigendecompositions.
 
     Keeps a read-only view of the matrix (the caller's array stays writeable)
@@ -101,7 +76,7 @@ class FiniteSections(Sections):
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"reference must be square, got {mat.shape}")
         mat.setflags(write=False)
-        super().__init__(mat.shape[0])
+        self.size = mat.shape[0]
         self.matrix = mat
         self._eigh: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -142,13 +117,16 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(ext)[1 : n + 1].imag * -scale
 
 
-class FreeJacobiSections(Sections):
+@dataclass(frozen=True)
+class FreeJacobiSections:
     """The sections of free_jacobi(size) in closed form, without forming a matrix.
 
     lambda_k = 2 cos(k pi/(n+1)) and V_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)),
     j, k = 1..n.  V is symmetric and orthogonal, so both transforms are a
     DST-I; ascending lambda is k = n..1, a reversal of V's columns.
     """
+
+    size: int
 
     def eigenvalues(self, n: int) -> np.ndarray:
         return 2.0 * np.cos(np.arange(n, 0, -1, dtype=float) * np.pi / (n + 1))
@@ -166,8 +144,11 @@ class FreeJacobiSections(Sections):
         return out
 
 
-class DiagonalSections(Sections):
+@dataclass(frozen=True)
+class DiagonalSections:
     """The sections of diag(0, 1, ..., size - 1) in closed form: lambda = 0..n-1 and V = I."""
+
+    size: int
 
     def eigenvalues(self, n: int) -> np.ndarray:
         return np.arange(n, dtype=float)
@@ -183,7 +164,7 @@ class DiagonalSections(Sections):
 
 
 def _check_reference(reference, v, truncation_sizes):
-    if not isinstance(reference, Sections):
+    if not isinstance(reference, (FiniteSections, FreeJacobiSections, DiagonalSections)):
         reference = FiniteSections(reference)
     n_ref = reference.size
     vec = np.asarray(v).ravel()
@@ -201,6 +182,15 @@ def _check_reference(reference, v, truncation_sizes):
     return reference, vec, sizes
 
 
+def _table(keys: Sequence[str], sizes: Sequence[int], n_ref: int, section, gap=np.abs) -> ProbeResult:
+    """Rows (n, key, gap) for n in sizes and floors at n = n_ref // 2 from the per-key
+    gaps gap(section(n) - section(n_ref)); section is evaluated once per distinct n."""
+    truth = section(n_ref)
+    gaps = {n: gap((truth if n == n_ref else section(n)) - truth) for n in dict.fromkeys([*sizes, n_ref // 2])}
+    rows = tuple((n, key, float(g)) for n in sizes for key, g in zip(keys, gaps[n]))
+    return ProbeResult(rows=rows, floors={key: float(g) for key, g in zip(keys, gaps[n_ref // 2])})
+
+
 def resolvent_convergence_probe(
     reference,
     v,
@@ -212,20 +202,14 @@ def resolvent_convergence_probe(
     if np.imag(z) == 0:
         raise ValueError("z must have nonzero imaginary part")
     n_ref = sections.size
-    zc = complex(z)
 
     def section_solution(n: int) -> np.ndarray:
-        w = sections.to_eigenbasis(vec[:n]) / (sections.eigenvalues(n) - zc)
+        w = sections.to_eigenbasis(vec[:n]) / (sections.eigenvalues(n) - z)
         out = np.zeros(n_ref, dtype=complex)
         out[:n] = sections.from_eigenbasis(w)
         return out
 
-    truth = section_solution(n_ref)
-    rows = tuple(
-        (n, "resolvent", float(np.linalg.norm(section_solution(n) - truth))) for n in sizes
-    )
-    floor = float(np.linalg.norm(section_solution(n_ref // 2) - truth))
-    return ProbeResult(rows=rows, floors={"resolvent": floor})
+    return _table(["resolvent"], sizes, n_ref, section_solution, lambda diff: [np.linalg.norm(diff)])
 
 
 def _section_moments(matvec: Callable[[np.ndarray], np.ndarray], vec: np.ndarray, k_max: int) -> np.ndarray:
@@ -249,54 +233,39 @@ def moment_convergence_probe(
     sections, vec, sizes = _check_reference(reference, v, truncation_sizes)
     if max_moment < 0:
         raise ValueError("max_moment must be >= 0")
-    n_ref = sections.size
-    truth = _section_moments(sections.matvec, vec, max_moment)
-
-    def gaps_at(n: int) -> np.ndarray:
-        return np.abs(_section_moments(sections.matvec, vec[:n], max_moment) - truth)
-
-    rows = []
-    for n in sizes:
-        for k, gap in enumerate(gaps_at(n)):
-            rows.append((n, f"k={k}", float(gap)))
-    floors = {f"k={k}": float(g) for k, g in enumerate(gaps_at(n_ref // 2))}
-    return ProbeResult(rows=tuple(rows), floors=floors)
+    keys = [f"k={k}" for k in range(max_moment + 1)]
+    return _table(keys, sizes, sections.size, lambda n: _section_moments(sections.matvec, vec[:n], max_moment))
 
 
-def _fn_keys(test_fns: Sequence[Callable[[float], float]]) -> list[str]:
-    keys = []
-    for i, fn in enumerate(test_fns):
-        name = getattr(fn, "__name__", "")
-        keys.append(name if name and name != "<lambda>" else f"fn{i}")
-    if len(set(keys)) != len(keys):
-        keys = [f"fn{i}:{k}" for i, k in enumerate(keys)]
-    return keys
+def _fn_keys(test_fns: Sequence[Callable[[np.ndarray], np.ndarray]]) -> list[str]:
+    names = [getattr(fn, "__name__", "") for fn in test_fns]
+    keys = [name if name not in ("", "<lambda>") else f"fn{i}" for i, name in enumerate(names)]
+    return keys if len(set(keys)) == len(keys) else [f"fn{i}:{k}" for i, k in enumerate(keys)]
 
 
 def weak_convergence_probe(
     reference,
     v,
-    test_fns: Sequence[Callable[[float], float]],
+    test_fns: Sequence[Callable[[np.ndarray], np.ndarray]],
     truncation_sizes: Sequence[int],
 ) -> ProbeResult:
-    """Gaps |int f d mu_{v,n} - int f d mu_v| from the sections' eigendecompositions."""
+    """Gaps |int f d mu_{v,n} - int f d mu_v|; each f maps a section's eigenvalue
+    array to as many real values, or to one real scalar, which broadcasts."""
     sections, vec, sizes = _check_reference(reference, v, truncation_sizes)
     if not test_fns:
         raise ValueError("need at least one test function")
     keys = _fn_keys(test_fns)
-    n_ref = sections.size
 
     def integrals(n: int) -> np.ndarray:
         coeffs = np.abs(sections.to_eigenbasis(vec[:n])) ** 2
-        lams = sections.eigenvalues(n).tolist()  # Python floats: each call is cheaper than on numpy scalars
-        fvals = np.array([np.fromiter(map(fn, lams), float, n) for fn in test_fns])
+        lams = sections.eigenvalues(n)
+        fvals = np.empty((len(test_fns), n))
+        for row, key, fn in zip(fvals, keys, test_fns):
+            vals = np.asarray(fn(lams))
+            if np.iscomplexobj(vals) or vals.shape not in ((), lams.shape):
+                got = f"{vals.dtype} of shape {vals.shape}"
+                raise ValueError(f"test function {key} returned {got}, not real values of shape {lams.shape} or ()")
+            row[:] = vals
         return fvals @ coeffs
 
-    truth = integrals(n_ref)
-    rows = []
-    for n in sizes:
-        for key, gap in zip(keys, np.abs(integrals(n) - truth)):
-            rows.append((n, key, float(gap)))
-    floors = dict(zip(keys, np.abs(integrals(n_ref // 2) - truth)))
-    floors = {k: float(g) for k, g in floors.items()}
-    return ProbeResult(rows=tuple(rows), floors=floors)
+    return _table(keys, sizes, sections.size, integrals)

@@ -52,14 +52,6 @@ class QuadratureRule:
     def size(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def dimension(self) -> int:
-        return self.nodes.shape[1]
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
 
 def _check_box(domain: Box) -> list[tuple[float, float]]:
     box = [(float(a), float(b)) for a, b in domain]

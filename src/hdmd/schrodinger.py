@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from math import factorial, pi, prod, sqrt
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,8 +51,6 @@ from .quadrature import QuadratureRule, trapezoid_axes
 from .spectral import AtomicMeasure
 
 logger = logging.getLogger("hdmd")
-
-Box = Sequence[tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -315,33 +313,30 @@ def reference_observable(points) -> np.ndarray:
 
 def exact_spike_weights(
     max_energy: int,
-    observable: Optional[Callable] = None,
+    observable: Callable[[np.ndarray], np.ndarray] = reference_observable,
     quad_resolution: int = 400,
-    domain: Box = ((-5.0, 5.0), (-5.0, 5.0)),
 ) -> AtomicMeasure:
     """Oracle spike weights sum_{m+n+1=E} |<f, phi_hat_{m,n}>|^2 for E <= max_energy.
 
     Inner products use a Gauss-Legendre tensor grid with quad_resolution
-    points per axis, entirely independent of the DMD pipeline.  The default
-    resolution leaves the weights converged far below 1e-4 for the built-in
-    observable (doubling the resolution moves them at roundoff level only).
+    points per axis on the problem's domain, entirely independent of the DMD
+    pipeline.  The default resolution leaves the weights converged far below
+    1e-4 for the built-in observable (doubling the resolution moves them at
+    roundoff level only).
     """
     if max_energy < 1:
         raise ValueError(f"max_energy must be >= 1, got {max_energy}")
     if quad_resolution < 2:
         raise ValueError("quad_resolution must be >= 2")
-    f = reference_observable if observable is None else observable
 
-    (ax, bx), (ay, by) = domain
     base_x, base_w = np.polynomial.legendre.leggauss(quad_resolution)
-    gx = 0.5 * (bx - ax) * base_x + 0.5 * (bx + ax)
-    wx = 0.5 * (bx - ax) * base_w
-    gy = 0.5 * (by - ay) * base_x + 0.5 * (by + ay)
-    wy = 0.5 * (by - ay) * base_w
+    (gx, wx), (gy, wy) = [
+        (0.5 * (b - a) * base_x + 0.5 * (b + a), 0.5 * (b - a) * base_w) for a, b in HarmonicOscillatorProblem.domain
+    ]
 
     xx, yy = np.meshgrid(gx, gy, indexing="ij")
     grid = np.column_stack([xx.ravel(), yy.ravel()])
-    fvals = np.asarray(f(grid), dtype=float).reshape(quad_resolution, quad_resolution)
+    fvals = np.asarray(observable(grid), dtype=float).reshape(quad_resolution, quad_resolution)
 
     m_max = max_energy - 1
     hx = _normalized_hermite_table(m_max, gx)

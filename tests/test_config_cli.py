@@ -7,13 +7,14 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from csv_helpers import read_complex_csv
 
 import hdmd.cli as cli
-from hdmd.config import ConfigError, default_config, load_config, validate
+from hdmd.config import ConfigError, ExperimentConfig, default_config, load_config, validate
 from hdmd.dictionary import FeatureMatrices, gaussian_centers
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from hdmd.quadrature import monte_carlo
@@ -139,6 +140,21 @@ def test_validation_names_field(tmp_path):
         load_config(write_config(tmp_path, "energy_cutoff = 0\n"))
 
 
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "infinity"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_exits_2_naming_key_and_line(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, f"grid = 20 20\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"line 3.*{key}.*finite"):
+        load_config(cfg)
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_is_idempotent():
     c = validate(default_config())
     assert validate(c) == c
@@ -238,6 +254,17 @@ def test_schrodinger_fails_loudly_on_hermiticity_breach(tmp_path, monkeypatch):
     assert code == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["hermiticity_residual"] == 1e-3  # reported even on failure
+
+
+def test_schrodinger_fails_on_nan_hermiticity_residual(tmp_path, monkeypatch, caplog):
+    # NaN compares False with every limit, so the gate must not read "residual > limit"
+    import hdmd.schrodinger
+
+    monkeypatch.setattr(hdmd.schrodinger.KroneckerEig, "hermiticity_residual", lambda self: float("nan"))
+    cfg = write_config(tmp_path, "grid = 20 20\ndict_per_axis = 3\nenergy_cutoff = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "hermiticity residual nan" in caplog.text
 
 
 def test_schrodinger_eigenvalues_csv_lists_every_computed_eigenvalue(tmp_path):
@@ -659,6 +686,16 @@ def test_schrodinger_and_custom_report_alike(tmp_path, caplog, monkeypatch):
     assert common[0] == common[1]
     assert {"retained_rank", "g_eigen_floor", "gram_condition_number", "hermiticity_residual",
             "total_mass", "observable_mass", "runtime_seconds"} <= common[0]
+
+
+@pytest.mark.parametrize("name, level", [("basic_format", logging.WARNING), ("root", logging.WARNING),
+                                         ("", logging.WARNING), ("info", logging.INFO), ("Debug", logging.DEBUG)])
+def test_hdmd_log_accepts_only_level_names(tmp_path, monkeypatch, name, level):
+    # logging's module attributes include non-levels such as BASIC_FORMAT; those fall back to warning
+    monkeypatch.setenv("HDMD_LOG", name)
+    monkeypatch.setattr(logging.getLogger("hdmd"), "level", logging.NOTSET)
+    assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
+    assert logging.getLogger("hdmd").level == level
 
 
 def test_custom_refuses_dictionary_beyond_physical_memory(tmp_path, capsys, monkeypatch):

@@ -99,31 +99,35 @@ def test_snapshot_dimension_mismatch():
 
 def test_function_samples_zero():
     pts = np.zeros((5, 2))
-    vals = evaluate_function_samples(pts, lambda p: 0.0)
+    vals = evaluate_function_samples(pts, lambda p: np.zeros(p.shape[0]))
     assert np.array_equal(vals, np.zeros(5, dtype=complex))
 
 
 def test_function_samples_analytic_point():
     # sin(pi x / 5) sin(pi y / 5) at (2.5, 2.5) is exactly sin(pi/2)^2 = 1
     def f(p):
-        return np.sin(np.pi * p[0] / 5) * np.sin(np.pi * p[1] / 5)
+        return np.sin(np.pi * p[:, 0] / 5) * np.sin(np.pi * p[:, 1] / 5)
 
     vals = evaluate_function_samples(np.array([[2.5, 2.5]]), f)
     assert vals[0] == pytest.approx(1.0, rel=1e-15)
 
 
-def test_function_samples_vectorized_matches_scalar(rng):
-    pts = rng.uniform(-5, 5, size=(20, 2))
+@pytest.mark.parametrize(
+    "g",
+    [lambda p: 0.0, lambda p: p, lambda p: p[:-1, 0], lambda p: p[:, :1]],
+    ids=["scalar", "points", "short", "column"],
+)
+def test_function_samples_reject_a_wrong_shape(g):
+    # g is called once on all nodes; a return without one value per node is an error, not a cue to loop
+    calls = []
 
-    def vec(p):
-        return np.sin(p[:, 0]) * np.cos(p[:, 1])
+    def counted(p):
+        calls.append(p.shape)
+        return g(p)
 
-    def scalar(p):
-        return np.sin(p[0]) * np.cos(p[1])
-
-    assert np.allclose(
-        evaluate_function_samples(pts, vec), evaluate_function_samples(pts, scalar), rtol=0, atol=0
-    )
+    with pytest.raises(ValueError, match="one per point"):
+        evaluate_function_samples(np.zeros((5, 2)), counted)
+    assert calls == [(5, 2)]
 
 
 def test_feature_matrix_validation():

@@ -1,11 +1,12 @@
 """Tests for the finite-section convergence probes."""
 
+import re
+
 import numpy as np
 import pytest
 from test_config_cli import traced_peak
 
 import hdmd.cli as cli
-import hdmd.probes as probes
 from hdmd.config import default_config
 from hdmd.probes import (
     DiagonalSections,
@@ -157,14 +158,60 @@ def test_weak_probe_constant_function_tracks_projection_mass(rng):
 
 
 def test_weak_probe_bump_off_spectrum_is_null():
-    def bump(lam):
-        t = lam - 5.0
-        return float(np.exp(-1.0 / (1.0 - t * t))) if abs(t) < 1.0 else 0.0
-
     ref = free_jacobi(N_REF)  # spectrum inside [-2, 2]
-    probe = weak_convergence_probe(ref, first_basis_vector(N_REF), [bump], SIZES)
+    probe = weak_convergence_probe(ref, first_basis_vector(N_REF), [cli.bump_off_spectrum], SIZES)
     for n, _, gap in probe.rows:
         assert gap == 0.0
+
+
+def test_bump_off_spectrum_matches_scalar_formula():
+    inside = np.linspace(4.0, 6.0, 201)[1:-1]
+    expected = [np.exp(-1.0 / (1.0 - (lam - 5.0) ** 2)) for lam in inside]
+    assert np.array_equal(cli.bump_off_spectrum(inside), expected)
+    outside = np.array([-np.inf, -2.0, 0.0, 3.999, 4.0, 6.0, 6.001, 1e300, np.inf])
+    with np.errstate(all="raise"):  # no warning escapes at the support's edges or beyond
+        values = cli.bump_off_spectrum(outside)
+    assert values.tolist() == [0.0] * outside.size
+
+
+def test_weak_probe_calls_each_test_function_once_per_section(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(lam):
+            calls.append((fn.__name__, lam.shape))
+            return fn(lam)
+
+        wrapper.__name__ = fn.__name__  # the row keys stay the same
+        return wrapper
+
+    monkeypatch.setattr(cli, "PROBE_TEST_FNS", tuple(counted(fn) for fn in cli.PROBE_TEST_FNS))
+    assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
+    distinct = default_section_sizes()
+    assert len(distinct) == 8
+    names = [fn.__name__ for fn in cli.PROBE_TEST_FNS]
+    # one array call per distinct section and reference: 8 per reference at the defaults
+    assert sorted(calls) == sorted((name, (n,)) for name in names for n in distinct for _ in range(2))
+
+
+@pytest.mark.parametrize(
+    "fn, got",
+    [
+        (lambda lam: lam[:-1], "float64 of shape (31,)"),
+        (lambda lam: np.stack([lam, lam]), "float64 of shape (2, 32)"),
+        (lambda lam: [1.0, 2.0], "float64 of shape (2,)"),
+        (lambda lam: 1.0 / (lam - 1j), "complex128 of shape (32,)"),
+        (lambda lam: 1j, "complex128 of shape ()"),
+    ],
+    ids=["short", "stacked", "list", "complex", "complex-scalar"],
+)
+def test_weak_probe_rejects_wrong_shape_or_complex_values(fn, got):
+    def good(lam):
+        return lam
+
+    ref = free_jacobi(32)
+    with pytest.raises(ValueError, match=r"test function fn1 .*" + re.escape(got)):
+        weak_convergence_probe(ref, first_basis_vector(32), [good, fn], [4, 8])
 
 
 def test_weak_probe_matches_manual_dense_oracle(rng):
@@ -261,7 +308,7 @@ def test_probes_cli_uses_closed_forms_without_eigh(tmp_path, monkeypatch):
     monkeypatch.setattr(FreeJacobiSections, "eigenvalues", recording("free_jacobi", FreeJacobiSections.eigenvalues))
     monkeypatch.setattr(DiagonalSections, "eigenvalues", recording("diagonal", DiagonalSections.eigenvalues))
     monkeypatch.setattr(np.linalg, "eigh", no_dense)
-    monkeypatch.setattr(probes, "FiniteSections", no_dense)
+    monkeypatch.setattr(FiniteSections, "__init__", no_dense)
     assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
     distinct = default_section_sizes()
     assert len(distinct) == 8

@@ -15,7 +15,6 @@ from .dictionary import (
     FeatureMatrices,
     evaluate_function_samples,
     evaluate_snapshots,
-    gaussian_centers,
     gaussian_grid_dictionary,
 )
 from .dmd import (
@@ -80,7 +79,6 @@ __all__ = [
     "exact_spectrum",
     "exact_spike_weights",
     "free_jacobi",
-    "gaussian_centers",
     "gaussian_grid_dictionary",
     "generate_snapshots",
     "hermitian_dmd",

@@ -301,7 +301,7 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     write_complex_csv(k_herm.k, out_dir / "koopman_hermitian.csv")
     return _report(
         out_dir, t0, config, "custom-snapshots", dictionary, pair, k_herm.hermiticity_residual(), measure,
-        eig.observable_mass(moments), snapshot_count=int(x_pts.shape[0]), snapshot_dimension=dim,
+        pair.observable_mass(moments), snapshot_count=int(x_pts.shape[0]), snapshot_dimension=dim,
     )
 
 

@@ -23,13 +23,11 @@ SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """Configuration failure; carries the field name and source line if known."""
+    """Configuration failure; the message names the source line if known."""
 
-    def __init__(self, message: str, field_name: str = "", line: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         prefix = "config error" if line is None else f"config error (line {line})"
         super().__init__(f"{prefix}: {message}")
-        self.field_name = field_name
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,19 @@ _PARSE_BY_TYPE = {
     "tuple[int, ...]": (lambda raw: tuple(int(tok, 10) for tok in raw.split()), "integers"),
 }
 _PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in fields(ExperimentConfig)}
+_FLOAT_FIELDS = [f.name for f in fields(ExperimentConfig) if f.type == "float"]
 
 
 def validate(config: ExperimentConfig) -> ExperimentConfig:
     """Range-check every field; raises ConfigError naming the first bad one."""
 
     def fail(name: str, message: str):
-        raise ConfigError(f"{name} {message}", field_name=name)
+        raise ConfigError(f"{name} {message}")
 
     c = config
+    for name in _FLOAT_FIELDS:  # the parser rejects nan and inf too; this covers configs built in code
+        if not isfinite(getattr(c, name)):
+            fail(name, f"must be a finite number, got {getattr(c, name)}")
     if len(c.grid) not in (1, 2):
         fail("grid", f"expects 1 or 2 per-axis counts, got {len(c.grid)}")
     if any(n < 2 for n in c.grid):
@@ -139,32 +141,30 @@ def load_config(path) -> ExperimentConfig:
             if key != "schema":
                 raise ConfigError(
                     f"first setting must be 'schema = {SCHEMA_VERSION}', got key {key!r}",
-                    field_name="schema",
                     line=lineno,
                 )
             if raw_value != str(SCHEMA_VERSION):
                 raise ConfigError(
                     f"unsupported schema version {raw_value!r} (expected {SCHEMA_VERSION})",
-                    field_name="schema",
                     line=lineno,
                 )
             seen_schema = True
             continue
         if key == "schema":
-            raise ConfigError("duplicate schema line", field_name="schema", line=lineno)
+            raise ConfigError("duplicate schema line", line=lineno)
         if key not in _PARSERS:
-            raise ConfigError(f"unknown key {key!r}", field_name=key, line=lineno)
+            raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in values:
-            raise ConfigError(f"duplicate key {key!r}", field_name=key, line=lineno)
+            raise ConfigError(f"duplicate key {key!r}", line=lineno)
         parse, expected = _PARSERS[key]
         try:
             values[key] = parse(raw_value)
         except ValueError:
             raise ConfigError(
-                f"{key}: cannot parse value {raw_value!r} as {expected}", field_name=key, line=lineno
+                f"{key}: cannot parse value {raw_value!r} as {expected}", line=lineno
             ) from None
     if not seen_schema:
-        raise ConfigError("missing 'schema = 1' line", field_name="schema")
+        raise ConfigError("missing 'schema = 1' line")
     return validate(ExperimentConfig(**values))
 
 

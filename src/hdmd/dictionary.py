@@ -131,12 +131,15 @@ class SnapshotFeatures:
         return self.dictionary.rows(self.x[rows], row_scale), self.dictionary.rows(self.y[rows], row_scale)
 
 
-def gaussian_centers(centers_box, per_axis: int) -> np.ndarray:
-    """Uniform tensor grid of centers, endpoints included when per_axis >= 2.
+def gaussian_grid_dictionary(centers_box, per_axis: int, width: float, amplitude: complex) -> Dictionary:
+    """Dictionary of N = per_axis^d Gaussian bumps on a uniform tensor grid of centers.
 
-    With per_axis == 1 the single center sits at the box midpoint.  Ordering
-    is row-major with the last axis fastest, matching the quadrature grids.
+    Each observable is psi_j(x) = amplitude * exp(-width * |x - c_j|^2).  Each
+    axis has per_axis centers, endpoints included when per_axis >= 2; with
+    per_axis == 1 the single center sits at the box midpoint.
     """
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width}")
     if per_axis < 1:
         raise ValueError(f"per_axis must be >= 1, got {per_axis}")
     axes = []
@@ -145,19 +148,7 @@ def gaussian_centers(centers_box, per_axis: int) -> np.ndarray:
         if b < a:
             raise ValueError(f"center box [{a}, {b}] is inverted")
         axes.append(np.array([0.5 * (a + b)]) if per_axis == 1 else np.linspace(a, b, per_axis))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
-
-
-def gaussian_grid_dictionary(centers_box, per_axis: int, width: float, amplitude: complex) -> Dictionary:
-    """Dictionary of N = per_axis^d Gaussian bumps on the `gaussian_centers` grid.
-
-    Each observable is psi_j(x) = amplitude * exp(-width * |x - c_j|^2).
-    """
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
-    axes = tuple(gaussian_centers([box], per_axis)[:, 0] for box in centers_box)
-    return Dictionary(axis_centers=axes, width=float(width), amplitude=complex(amplitude))
+    return Dictionary(axis_centers=tuple(axes), width=float(width), amplitude=complex(amplitude))
 
 
 def evaluate_snapshots(

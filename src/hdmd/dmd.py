@@ -77,13 +77,19 @@ class GramPair:
         """Largest over smallest retained eigenvalue of G."""
         return float(self.basis_eigenvalues[-1] / self.basis_eigenvalues[0])
 
-    def hermitian_part_of_a(self) -> np.ndarray:
-        return 0.5 * (self.a + self.a.conj().T)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """G^+ rhs with the spectral-cutoff pseudoinverse (vector or matrix rhs)."""
         q, lam = self.basis, self.basis_eigenvalues
         return q @ ((q.conj().T @ rhs) / lam.reshape((-1,) + (1,) * (np.ndim(rhs) - 1)))
+
+    def observable_mass(self, moments) -> float:
+        """g_c^* G g_c = sum_i |q_i^* m|^2 / lambda_i for g_c = G^+ m, over the retained eigenpairs (Q, Lambda).
+
+        It does not use the DMD eigenvectors, so the weights' sum is checked
+        against it (Parseval); applying G to G^+ m instead would lose accuracy
+        along tiny retained eigenvalues of an ill-conditioned G.
+        """
+        return float(np.sum(np.abs(self.basis.conj().T @ moments) ** 2 / self.basis_eigenvalues))
 
     @classmethod
     def from_matrices(cls, g: np.ndarray, a: np.ndarray, rank_tolerance: float) -> "GramPair":
@@ -136,14 +142,6 @@ class KoopmanEig:
         """
         return np.abs(self.eigenvectors.conj().T @ moments) ** 2
 
-    def observable_mass(self, moments) -> float:
-        """g_c^* G g_c = sum_i |q_i^* m|^2 / lambda_i over the retained Gram eigenpairs (Q, Lambda).
-
-        It does not use the DMD eigenvectors, so the weights' sum is checked against it (Parseval).
-        """
-        q, lam = self.gram.basis, self.gram.basis_eigenvalues
-        return float(np.sum(np.abs(q.conj().T @ moments) ** 2 / lam))
-
 
 def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: QuadratureRule) -> GramPair:
     """Form G = Psi_X^* W Psi_X and A = Psi_X^* W Psi_Y as weighted snapshot sums.
@@ -189,7 +187,7 @@ def hermitian_dmd(pair: GramPair) -> KoopmanMatrix:
     in every case.
     """
     q, lam = pair.basis, pair.basis_eigenvalues
-    b_proj = q.conj().T @ pair.hermitian_part_of_a() @ q
+    b_proj = q.conj().T @ (0.5 * (pair.a + pair.a.conj().T)) @ q
     b_proj = 0.5 * (b_proj + b_proj.conj().T)
     k = q @ (b_proj / lam[:, None]) @ q.conj().T
     return KoopmanMatrix(k=k, source=pair, compressed_b=b_proj)

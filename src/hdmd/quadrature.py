@@ -84,16 +84,19 @@ def trapezoid_axes(domain: Box, points_per_axis: Sequence[int]) -> list[tuple[np
     return rules
 
 
+def grid_nodes(axes) -> np.ndarray:
+    """Tensor grid (M, d) of the 1-D coordinate arrays in axes, row-major with the last axis fastest."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
 def tensor_trapezoid(domain: Box, points_per_axis: Sequence[int]) -> QuadratureRule:
     """Tensor product of the `trapezoid_axes` rules.
 
     Tensor weights are products of the 1-D factors, so the total mass is
-    the box volume (up to roundoff).  Nodes are ordered row-major with the
-    last axis varying fastest.
+    the box volume (up to roundoff).  Nodes are `grid_nodes` of the axes.
     """
     axes, axis_weights = zip(*trapezoid_axes(domain, points_per_axis))
-    nodes = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    return QuadratureRule(nodes=nodes, weights=reduce(np.multiply.outer, axis_weights).ravel())
+    return QuadratureRule(nodes=grid_nodes(axes), weights=reduce(np.multiply.outer, axis_weights).ravel())
 
 
 def monte_carlo(samples, total_mass: float) -> QuadratureRule:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .dictionary import DEFAULT_RANK_TOLERANCE, Dictionary, FeatureMatrices, gaussian_grid_dictionary, rowwise_kron
 from .dmd import GramPair, KoopmanEig, KoopmanMatrix, eigendecompose, hermitian_dmd
-from .quadrature import QuadratureRule, trapezoid_axes
+from .quadrature import QuadratureRule, grid_nodes, trapezoid_axes
 from .spectral import AtomicMeasure
 
 logger = logging.getLogger("hdmd")
@@ -220,7 +220,7 @@ class SeparableSnapshots:
     @property
     def nodes(self) -> np.ndarray:
         """Grid nodes (M, d), row-major with the last axis fastest, like the centers."""
-        return np.column_stack([g.ravel() for g in np.meshgrid(*self.axes, indexing="ij")])
+        return grid_nodes(self.axes)
 
     def kronecker_eig(self, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> KroneckerEig:
         """G1, H1 of each axis through `GramPair.from_matrices` and `hermitian_dmd`."""
@@ -316,7 +316,7 @@ def exact_spike_weights(
     observable: Callable[[np.ndarray], np.ndarray] = reference_observable,
     quad_resolution: int = 400,
 ) -> AtomicMeasure:
-    """Oracle spike weights sum_{m+n+1=E} |<f, phi_hat_{m,n}>|^2 for E <= max_energy.
+    """Oracle spike weights sum_{m+n+1=E} |<f, phi_hat_{m,n}>|^2 for E <= max_energy, f real or complex.
 
     Inner products use a Gauss-Legendre tensor grid with quad_resolution
     points per axis on the problem's domain, entirely independent of the DMD
@@ -334,9 +334,7 @@ def exact_spike_weights(
         (0.5 * (b - a) * base_x + 0.5 * (b + a), 0.5 * (b - a) * base_w) for a, b in HarmonicOscillatorProblem.domain
     ]
 
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    grid = np.column_stack([xx.ravel(), yy.ravel()])
-    fvals = np.asarray(observable(grid), dtype=float).reshape(quad_resolution, quad_resolution)
+    fvals = np.asarray(observable(grid_nodes((gx, gy)))).reshape(quad_resolution, quad_resolution)
 
     m_max = max_energy - 1
     hx = _normalized_hermite_table(m_max, gx)
@@ -345,5 +343,5 @@ def exact_spike_weights(
     inner = (hx * wx[None, :]) @ fvals @ (hy * wy[None, :]).T
 
     energies = np.arange(1, max_energy + 1, dtype=float)
-    weights = [sum(inner[m, e - 1 - m] ** 2 for m in range(e)) for e in range(1, max_energy + 1)]
+    weights = [sum(abs(inner[m, e - 1 - m]) ** 2 for m in range(e)) for e in range(1, max_energy + 1)]
     return AtomicMeasure.from_atoms(energies, weights)

@@ -1,22 +1,19 @@
-"""Atomic spectral measures of Hermitian DMD operators.
+"""Atomic spectral measures of Hermitian DMD operators, from an observable's moments.
 
-Projecting an observable g onto the dictionary span via weighted least
-squares gives coefficients
-
-    g_c = (W^{1/2} Psi_X)^+ W^{1/2} (g(x^(1)), ..., g(x^(M)))^T
-        = G^+ Psi_X^* W g_samples,
-
-computed with the same spectral-cutoff pseudoinverse as the operators in
-`hdmd.dmd` so that g_c always lies in the retained eigenspace of G.  Given
+An observable g sampled at the snapshots enters only through its moments
+m = Psi_X^* W g_samples.  Its weighted least-squares expansion in the
+dictionary is g_c = G^+ m, with the same spectral-cutoff pseudoinverse as the
+operators in `hdmd.dmd`, so g_c lies in the retained eigenspace of G.  Given
 eigenpairs (lambda_j, v_j) with v_i^* G v_j = delta_ij, the spectral measure
 of the observable is the atomic measure
 
-    mu = sum_j c_j delta_{lambda_j},    c_j = |v_j^* G g_c|^2 = |v_j^* Psi_X^* W g_samples|^2
+    mu = sum_j c_j delta_{lambda_j},    c_j = |v_j^* m|^2 = |v_j^* G g_c|^2
 
 Because the weights are squared moduli of G-orthonormal expansion
-coefficients, the total mass equals g_c^* G g_c (discrete Parseval), and any
-unitary re-mixing inside a degenerate eigenvalue cluster leaves cluster
-sums unchanged.
+coefficients, the total mass equals g_c^* G g_c = `GramPair.observable_mass(m)`
+(discrete Parseval), and any unitary re-mixing inside a degenerate eigenvalue
+cluster leaves cluster sums unchanged.  Neither weights nor mass multiply G
+back onto G^+ m, which loses accuracy along tiny retained eigenvalues of G.
 """
 
 from __future__ import annotations
@@ -33,20 +30,19 @@ from .quadrature import QuadratureRule
 
 @dataclass(frozen=True)
 class ObservableCoefficients:
-    """Least-squares expansion of an observable in the dictionary."""
+    """An observable's moments m = Psi_X^* W g and the GramPair its expansion g_c = G^+ m uses."""
 
-    coeffs: np.ndarray
+    moments: np.ndarray
     gram: GramPair
 
-    def mass(self) -> float:
-        """g_c^* G g_c, the squared G-norm of the projected observable.
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Least-squares expansion coefficients g_c = G^+ m in the dictionary."""
+        return self.gram.solve(self.moments)
 
-        Summed as sum_i lambda_i |q_i^* g_c|^2 over the retained eigenpairs of
-        G: multiplying G back onto g_c = G^+ m loses accuracy along tiny
-        retained eigenvalues of an ill-conditioned G.
-        """
-        q, lam = self.gram.basis, self.gram.basis_eigenvalues
-        return float(np.sum(lam * np.abs(q.conj().T @ self.coeffs) ** 2))
+    def mass(self) -> float:
+        """g_c^* G g_c, the squared G-norm of the projected observable (`GramPair.observable_mass`)."""
+        return self.gram.observable_mass(self.moments)
 
 
 @dataclass(frozen=True)
@@ -104,15 +100,14 @@ def project_observable(
         pair = assemble_gram_pair(features, quad)
     elif pair.size != features.dictionary_size:
         raise ValueError("GramPair size does not match the feature matrices")
-    rhs = features.psi_x.conj().T @ (quad.weights * vals)
-    return ObservableCoefficients(coeffs=pair.solve(rhs), gram=pair)
+    return ObservableCoefficients(moments=features.psi_x.conj().T @ (quad.weights * vals), gram=pair)
 
 
 def spectral_measure(eig: KoopmanEig, obs: ObservableCoefficients) -> AtomicMeasure:
-    """Atoms (lambda_j, |v_j^* G f|^2) of the observable's spectral measure."""
+    """Atoms (lambda_j, |v_j^* m|^2) of the observable's spectral measure, from its moments m."""
     if eig.gram is not obs.gram:
         raise ValueError("eigenpairs and observable coefficients use different GramPairs")
-    return AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(eig.gram.g @ obs.coeffs))
+    return AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(obs.moments))
 
 
 def _validate_references(reference_locations, radius: float) -> np.ndarray:

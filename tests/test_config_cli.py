@@ -7,17 +7,18 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from csv_helpers import read_complex_csv
 
+import hdmd
 import hdmd.cli as cli
 from hdmd.config import ConfigError, ExperimentConfig, default_config, load_config, validate
-from hdmd.dictionary import FeatureMatrices, gaussian_centers
+from hdmd.dictionary import FeatureMatrices, gaussian_grid_dictionary
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
-from hdmd.quadrature import monte_carlo
+from hdmd.quadrature import grid_nodes, monte_carlo
 from hdmd.schrodinger import HarmonicOscillatorProblem
 from hdmd.spectral import cluster_table, project_observable, spectral_measure
 
@@ -153,6 +154,19 @@ def test_non_finite_float_exits_2_naming_key_and_line(tmp_path, capsys, key, val
     err = capsys.readouterr().err
     assert "line 3" in err and key in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_validate_rejects_non_finite_float_of_config_built_in_code(key, value):
+    with pytest.raises(ConfigError, match=rf"^config error: {key} must be a finite number, got"):
+        validate(replace(ExperimentConfig(), **{key: value}))
+
+
+def test_every_name_in_all_resolves():
+    namespace = {}
+    exec("from hdmd import *", namespace)  # a stale __all__ entry raises AttributeError here
+    assert set(hdmd.__all__) <= set(namespace)
 
 
 def test_validate_is_idempotent():
@@ -367,7 +381,7 @@ def test_custom_planted_reflection_recovery(tmp_path):
     assert code == 0
 
     recovered = read_complex_csv(out / "koopman_hermitian.csv")
-    centers = gaussian_centers([(-4, 4), (-4, 4)], 4)
+    centers = grid_nodes(gaussian_grid_dictionary([(-4, 4), (-4, 4)], 4, 1.0, 1.0).axis_centers)
     planted = np.zeros((16, 16))
     for j, c in enumerate(centers):
         planted[int(np.argmin(np.sum((centers + c) ** 2, axis=1))), j] = 1.0
@@ -563,7 +577,7 @@ def test_custom_shape_mismatch_exits_2(tmp_path, capsys):
 def complex_swap_pipeline(x, y):
     """The custom pipeline with Psi_X, Psi_Y materialized in complex (the pre-streaming route)."""
     config = default_config()
-    centers = gaussian_centers([(config.dict_box_min, config.dict_box_max)] * 2, config.dict_per_axis)
+    centers = grid_nodes(cli._dictionary(config, 2).axis_centers)
     psi = [np.empty((x.shape[0], centers.shape[0]), dtype=complex) for _ in range(2)]
     for start in range(0, x.shape[0], 4096):
         for out, pts in zip(psi, (x, y)):
@@ -629,7 +643,7 @@ def test_custom_measure_mass_is_norm_of_first_function(tmp_path, rng):
     assert cli.main(["custom", "--config", str(cfg), "--out", str(out),
                      str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]) == 0
     config = default_config()
-    c0 = gaussian_centers([(config.dict_box_min, config.dict_box_max)] * 2, 3)[0]
+    c0 = grid_nodes(cli._dictionary(replace(config, dict_per_axis=3), 2).axis_centers)[0]
     psi0 = config.dict_amplitude * np.exp(-config.dict_width * np.sum((x - c0) ** 2, axis=1))
     summary = json.loads((out / "summary.json").read_text())
     assert summary["total_mass"] == pytest.approx(np.mean(np.abs(psi0) ** 2), rel=1e-10)

@@ -7,16 +7,16 @@ from hdmd.dictionary import (
     FeatureMatrices,
     evaluate_function_samples,
     evaluate_snapshots,
-    gaussian_centers,
     gaussian_grid_dictionary,
 )
+from hdmd.quadrature import grid_nodes
 
 
 def test_gaussian_benchmark_dictionary_size():
     d = gaussian_grid_dictionary([(-4, 4), (-4, 4)], 20, width=3.0, amplitude=1 + 1j)
     assert d.size == 400
     assert d.dimension == 2
-    centers = gaussian_centers([(-4, 4), (-4, 4)], 20)
+    centers = grid_nodes(d.axis_centers)
     assert centers.shape == (400, 2)
     assert centers[0, 0] == -4.0 and centers[-1, 1] == 4.0  # endpoints included
 
@@ -30,7 +30,7 @@ def test_single_gaussian_centered_at_origin():
 def test_gaussian_value_at_own_center():
     amp = 2.0 - 0.5j
     d = gaussian_grid_dictionary([(-4, 4), (-4, 4)], 3, width=3.0, amplitude=amp)
-    centers = gaussian_centers([(-4, 4), (-4, 4)], 3)
+    centers = grid_nodes(d.axis_centers)
     vals = d.amplitude * d.rows(centers)
     for j in range(centers.shape[0]):
         assert vals[j, j] == amp  # every per-axis exponent is exactly zero
@@ -42,7 +42,7 @@ def test_gaussian_bounded_by_amplitude(rng):
     pts = rng.uniform(-5, 5, size=(200, 2))
     vals = d.amplitude * d.rows(pts)
     assert np.all(np.abs(vals) <= abs(amp) + 1e-15)
-    centers = gaussian_centers([(-4, 4), (-4, 4)], 5)
+    centers = grid_nodes(d.axis_centers)
     off_center = np.linalg.norm(pts[:, None, :] - centers[None, :, :], axis=2) > 1e-12
     assert np.all(np.abs(vals[off_center]) < abs(amp))
 
@@ -154,11 +154,11 @@ def test_feature_matrices_keep_real_input_real():
 
 @pytest.mark.parametrize("dim, per_axis", [(1, 7), (2, 5), (3, 3), (2, 1)])
 def test_rows_are_gaussians_at_gaussian_centers(rng, dim, per_axis):
-    """Khatri-Rao rows follow the `gaussian_centers` order (last axis fastest)."""
+    """Khatri-Rao rows follow the `grid_nodes` order of the centers (last axis fastest)."""
     box = [(-2.0, 1.0), (-1.0, 3.0), (0.0, 2.0)][:dim]
     d = gaussian_grid_dictionary(box, per_axis, width=1.3, amplitude=2 - 1j)
     pts = rng.uniform(-3, 3, size=(40, dim))
-    centers = gaussian_centers(box, per_axis)
+    centers = grid_nodes(d.axis_centers)
     expected = np.exp(-1.3 * np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2))
     rows = d.rows(pts)
     assert rows.dtype == np.float64 and d.size == centers.shape[0]

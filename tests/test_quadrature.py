@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hdmd.quadrature import QuadratureRule, monte_carlo, tensor_trapezoid
+from hdmd.quadrature import QuadratureRule, grid_nodes, monte_carlo, tensor_trapezoid
 
 
 def test_trapezoid_1d_endpoints():
@@ -33,6 +33,15 @@ def test_trapezoid_node_ordering_last_axis_fastest():
         [1.0, 0.0], [1.0, 1.0], [1.0, 2.0],
     ]
     assert np.allclose(rule.nodes, expected)
+
+
+def test_grid_nodes_row_major_last_axis_fastest():
+    axes = (np.array([0.0, 1.0]), np.array([10.0, 20.0, 30.0]), np.array([-1.0, -2.0]))
+    nodes = grid_nodes(axes)
+    assert nodes.shape == (12, 3)
+    for flat, (i, j, k) in enumerate(np.ndindex(2, 3, 2)):
+        assert np.array_equal(nodes[flat], [axes[0][i], axes[1][j], axes[2][k]])
+    assert np.array_equal(grid_nodes((axes[1],)), axes[1][:, None])
 
 
 def test_trapezoid_exact_for_multilinear(rng):

@@ -8,9 +8,9 @@ from math import factorial, pi, sqrt
 import numpy as np
 import pytest
 
-from hdmd.dictionary import evaluate_function_samples, gaussian_centers, gaussian_grid_dictionary
+from hdmd.dictionary import evaluate_function_samples, gaussian_grid_dictionary
 from hdmd.dmd import KoopmanMatrix, assemble_gram_pair, eigendecompose, hermitian_dmd
-from hdmd.quadrature import QuadratureRule, tensor_trapezoid
+from hdmd.quadrature import QuadratureRule, grid_nodes, tensor_trapezoid
 from hdmd.schrodinger import (
     ExactEigenpair,
     HarmonicOscillatorProblem,
@@ -109,7 +109,7 @@ def test_snapshots_match_finite_difference_hamiltonian(rng):
     nodes = rng.uniform(-4.5, 4.5, size=(10, 2))
     quad = QuadratureRule(nodes=nodes, weights=np.ones(10))
     fm = generate_snapshots(problem, quad)
-    centers = gaussian_centers(((-4.0, 4.0), (-4.0, 4.0)), 4)
+    centers = grid_nodes(dictionary.axis_centers)
     for j in (0, 7, 15):
         fd = hamiltonian_by_finite_differences(
             lambda p: gaussian(centers[j], dictionary.width, dictionary.amplitude, p), nodes
@@ -528,6 +528,18 @@ def test_spike_weights_custom_observable_matches_projection_parity():
     mu = exact_spike_weights(8, observable=g)
     odd_even_levels = mu.weights[1::2]  # E = 2, 4, ... hold odd/even mixed states
     assert np.all(odd_even_levels <= 1e-10)
+
+
+def test_spike_weights_keep_imaginary_part_of_complex_observable():
+    # |<f, phi>|^2 = <Re f, phi>^2 + <Im f, phi>^2 for real phi
+    def f(pts):
+        return np.exp(1j * pts[:, 0]) * np.exp(-pts[:, 1] ** 2)
+
+    mu = exact_spike_weights(8, observable=f)
+    re = exact_spike_weights(8, observable=lambda pts: f(pts).real)
+    im = exact_spike_weights(8, observable=lambda pts: f(pts).imag)
+    assert im.total_mass > 0.1 * mu.total_mass
+    assert np.max(np.abs(mu.weights - (re.weights + im.weights))) <= 1e-12 * mu.total_mass
 
 
 def test_spike_weights_validation():

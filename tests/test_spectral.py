@@ -92,7 +92,7 @@ def test_project_length_mismatch(rng):
 def test_measure_single_atom_for_eigenvector(rng):
     pair, _, _ = small_system(rng)
     eig = eigendecompose(hermitian_dmd(pair))
-    obs = hdmd.ObservableCoefficients(coeffs=eig.eigenvectors[:, 0], gram=pair)
+    obs = hdmd.ObservableCoefficients(moments=pair.g @ eig.eigenvectors[:, 0], gram=pair)
     mu = spectral_measure(eig, obs)
     j = int(np.argmin(np.abs(mu.locations - eig.eigenvalues[0])))
     assert mu.weights[j] == pytest.approx(1.0, abs=1e-10)
@@ -118,14 +118,15 @@ def test_mass_is_accurate_on_ill_conditioned_gram(rng):
     lam = np.logspace(-20, 0, n)
     g = (q * lam) @ q.T
     pair = GramPair(g=g, a=g, g_eigen_floor=0.0, retained_rank=n, basis=q, basis_eigenvalues=lam)
-    coeffs = pair.solve(rng.normal(size=n))
-    obs = hdmd.ObservableCoefficients(coeffs=coeffs, gram=pair)
+    moments = rng.normal(size=n)
+    obs = hdmd.ObservableCoefficients(moments=moments, gram=pair)
 
     exact = float(sum(
-        Fraction(lam[i]) * sum(Fraction(q[j, i]) * Fraction(coeffs[j]) for j in range(n)) ** 2
+        sum(Fraction(q[j, i]) * Fraction(moments[j]) for j in range(n)) ** 2 / Fraction(lam[i])
         for i in range(n)
-    ))  # c^T (Q diag(lambda) Q^T) c in rational arithmetic
-    assert obs.mass() == pytest.approx(exact, rel=1e-10)
+    ))  # sum_i (q_i^T m)^2 / lambda_i in rational arithmetic
+    assert obs.mass() == pytest.approx(exact, rel=1e-12)
+    coeffs = obs.coeffs
     assert abs(coeffs @ g @ coeffs - exact) > 1e-3 * exact
 
 
@@ -141,7 +142,7 @@ def test_measure_requires_shared_gram(rng):
     pair1, fm, quad = small_system(rng)
     pair2, _, _ = small_system(rng)
     eig = eigendecompose(hermitian_dmd(pair1))
-    obs = hdmd.ObservableCoefficients(coeffs=np.ones(6, dtype=complex), gram=pair2)
+    obs = hdmd.ObservableCoefficients(moments=np.ones(6, dtype=complex), gram=pair2)
     with pytest.raises(ValueError, match="different GramPairs"):
         spectral_measure(eig, obs)
 
@@ -162,8 +163,8 @@ def test_measure_invariant_under_degenerate_remixing(rng):
     eig_a = KoopmanEig(eigenvalues=d, eigenvectors=vecs, gram=pair)
     eig_b = KoopmanEig(eigenvalues=d, eigenvectors=vecs @ rot, gram=pair)
 
-    f = rng.normal(size=6) + 1j * rng.normal(size=6)
-    obs = hdmd.ObservableCoefficients(coeffs=f, gram=pair)
+    m = rng.normal(size=6) + 1j * rng.normal(size=6)
+    obs = hdmd.ObservableCoefficients(moments=m, gram=pair)
     mu_a = spectral_measure(eig_a, obs)
     mu_b = spectral_measure(eig_b, obs)
     assert mu_a.total_mass == pytest.approx(mu_b.total_mass, rel=1e-10)
@@ -178,11 +179,11 @@ def oscillating_observable(points):
 
 @pytest.mark.parametrize("per_axis, rank", [(20, 400), (30, 856)], ids=["full-rank", "truncated"])
 def test_eig_weights_from_moments_match_projected_measure(per_axis, rank):
-    """|v^* m|^2 and sum_i |q_i^* m|^2 / lambda_i against spectral_measure and ObservableCoefficients.mass.
+    """spectral_measure and ObservableCoefficients.mass are |v^* m|^2 and sum_i |q_i^* m|^2 / lambda_i.
 
     Dense oscillator data on a 40^2 trapezoid grid.  With 30^2 bumps G is cut
-    to rank 856 (cond 9e11); there |v^* G G^+ m|^2 sums to the mass only to
-    about 5e-10, while the moment formula keeps Parseval at roundoff.
+    to rank 856 (cond 9e11); there weights taken as |v^* G G^+ m|^2 summed to
+    the mass only to about 5e-10, while the moments keep Parseval at roundoff.
     """
     dictionary = hdmd.gaussian_grid_dictionary(((-4.0, 4.0), (-4.0, 4.0)), per_axis, 3.0, 1 + 1j)
     problem = hdmd.HarmonicOscillatorProblem(dictionary=dictionary)
@@ -196,12 +197,13 @@ def test_eig_weights_from_moments_match_projected_measure(per_axis, rank):
     reference = project_observable(samples, features, quad, pair=pair)
 
     weights = eig.weights(moments)
-    mass = eig.observable_mass(moments)
+    mass = pair.observable_mass(moments)
     assert np.linalg.norm((eig.eigenvectors.conj().T @ moments).imag) > 0.3 * np.sqrt(weights.sum())
-    assert mass == pytest.approx(reference.mass(), rel=1e-12)
+    assert mass == reference.mass()
     assert weights.sum() == pytest.approx(mass, rel=1e-10)
-    gap = np.max(np.abs(weights - spectral_measure(eig, reference).weights)) / weights.max()
-    assert gap <= (1e-12 if rank == pair.size else 1e-8)
+    measure = spectral_measure(eig, reference)
+    assert np.array_equal(measure.weights, weights)
+    assert measure.total_mass == pytest.approx(reference.mass(), rel=1e-12)
 
 
 # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .config import (
     undecodable,
 )
 from .dictionary import Dictionary, evaluate_function_samples, gaussian_grid_dictionary, evaluate_snapshots
-from .dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
+from .dmd import _BLOCK_ROWS, assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from .matio import write_complex_csv, write_csv, write_summary
 from .probes import (
     DiagonalSections,
@@ -179,6 +179,15 @@ def _probe_bytes(n_ref: int) -> int:
     return 8 * (24 * n_ref + 8192)
 
 
+def _custom_bytes(snapshots: int, dim: int, per_axis: int) -> int:
+    """About what `custom` allocates: two min(M, 4096) x N row blocks, per-axis bumps (4 d per_axis
+    words a row), G, A and a product while summing, or after it up to 12 N x N arrays (G, A, Q, both
+    K, eigenvectors, temporaries); 8 (1 + d) words a snapshot (points, CSV text) and 64 KB of lines."""
+    size, rows = per_axis**dim, min(snapshots, _BLOCK_ROWS)
+    summing = rows * (2 * size + 4 * dim * per_axis) + 3 * size**2
+    return 8 * (max(summing, 12 * size**2) + 8 * (1 + dim) * snapshots + 8192)
+
+
 def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = False) -> int:
     """Benchmark pipeline; writes eigenvalues.csv, measure.csv, clustered.csv, summary.json."""
     t0 = time.perf_counter()
@@ -283,9 +292,9 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
         raise ValueError(
             f"snapshot shapes differ: {x_path} is {x_pts.shape}, {y_path} is {y_pts.shape}"
         )
-    dim = x_pts.shape[1]
-    size = config.dict_per_axis**dim
-    _check_fits(8 * size**2 * 8, f"dictionary size N = {size}", "N x N work arrays")
+    count, dim = x_pts.shape
+    needs = f"dictionary size N = {config.dict_per_axis**dim} on {count} snapshots"
+    _check_fits(_custom_bytes(count, dim, config.dict_per_axis), needs, "row blocks and N x N work arrays")
     dictionary = _dictionary(config, dim)
     quad = monte_carlo(x_pts, total_mass=1.0)
     features = evaluate_snapshots(dictionary, x_pts, y_pts, rank_tolerance=config.rank_tolerance)
@@ -301,7 +310,7 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     write_complex_csv(k_herm.k, out_dir / "koopman_hermitian.csv")
     return _report(
         out_dir, t0, config, "custom-snapshots", dictionary, pair, k_herm.hermiticity_residual(), measure,
-        pair.observable_mass(moments), snapshot_count=int(x_pts.shape[0]), snapshot_dimension=dim,
+        pair.observable_mass(moments), snapshot_count=count, snapshot_dimension=dim,
     )
 
 

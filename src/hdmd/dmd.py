@@ -164,6 +164,7 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
         xh = bx.conj().T  # a view for real rows, so bx.T @ bx runs as one symmetric rank-k update
         g += xh @ bx
         a += xh @ by
+        del bx, by, xh  # else this block lives on while the next one is built: two pairs of 4096 x N rows
     pair = GramPair.from_matrices(features.scale * g, features.scale * a, features.rank_tolerance_used)
     if pair.rank_deficient:
         msg = "Gram matrix numerically rank deficient: retained %d of %d directions (floor %.3e)"

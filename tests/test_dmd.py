@@ -1,6 +1,7 @@
 """Tests for Gram assembly, EDMD, Hermitian DMD, Procrustes, and eigensolves."""
 
 import logging
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -217,6 +218,22 @@ def test_assembly_matches_dense_weighted_oracle_across_blocks(rng):
     g = psi_x.conj().T @ np.diag(w) @ psi_x
     assert relative_gap(pair.g, 0.5 * (g + g.conj().T)) <= 1e-13
     assert relative_gap(pair.a, psi_x.conj().T @ np.diag(w) @ psi_y) <= 1e-13
+
+
+def test_streamed_assembly_holds_one_pair_of_row_blocks(rng):
+    m, n = 3 * 4096 + 100, 15**2  # four blocks, the last one partial
+    x = rng.uniform(-4, 4, size=(m, 2))
+    features = evaluate_snapshots(gaussian_grid_dictionary([(-4.0, 4.0)] * 2, 15, 0.5, 1.0), x, x[:, ::-1])
+    quad = monte_carlo(x, total_mass=1.0)
+    tracemalloc.start()
+    try:
+        assemble_gram_pair(features, quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one X and one Y block live at a time (about 15 MB); a block kept while the next
+    # is built adds two more; G, A, their products, copies and eigh stay below 12 N x N
+    assert peak < 8 * (3 * 4096 * n + 12 * n * n)
 
 
 # ------------------------------------------------------------------

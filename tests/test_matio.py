@@ -1,5 +1,7 @@
 """Tests for artifact writing, columnar and complex-matrix CSV serialization and the tests' CSV reader."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from csv_helpers import read_complex_csv
@@ -92,8 +94,20 @@ def test_csv_rejects_non_finite_with_file_and_line(tmp_path, bad):
 def test_write_artifact_replaces_the_file_instead_of_truncating_it(tmp_path):
     # a hard link to the old file keeps the old text only if the writer made a new file
     path, link = tmp_path / "a.csv", tmp_path / "link.csv"
-    write_artifact(path, "a")
+    write_artifact(path, ["a\n", "b\n"])
     link.hardlink_to(path)
-    write_artifact(path, "b")
-    assert path.read_text() == "b"
-    assert link.read_text() == "a"
+    write_artifact(path, (line for line in ["c\n", "d\n"]))
+    assert path.read_text() == "c\nd\n"
+    assert link.read_text() == "a\nb\n"
+
+
+def test_complex_csv_holds_one_row_of_text_at_a_time(rng, tmp_path):
+    m = rng.normal(size=(600, 600))
+    tracemalloc.start()
+    try:
+        write_complex_csv(m, tmp_path / "m.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole text as one string (or a list of its rows) would be more than the file itself
+    assert peak < (tmp_path / "m.csv").stat().st_size / 10

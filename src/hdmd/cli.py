@@ -113,24 +113,24 @@ def _dictionary(config: ExperimentConfig, dimension: int) -> Dictionary:
 
 
 def read_points_csv(path) -> np.ndarray:
-    """Read snapshot coordinates: one header line, then rows of floats."""
+    """Read snapshot coordinates: one header line, then rows of floats; np.loadtxt parses them from the file."""
+    try:
+        with open(path) as f:  # a blank header is not skipped, and loadtxt warns on a file without data lines
+            has_data = f.readline().strip() and any(map(str.strip, f))
+        pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None) if has_data else None
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except ValueError:  # a malformed or undecodable line: the text is read only now, and the parser names it
+        pts = None
+    if pts is not None and pts.size and np.isfinite(pts).all():
+        return pts
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ValueError(undecodable(path, exc)) from None
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ValueError(f"{path}: empty snapshot file")
-    pts = None  # one loadtxt pass reads a well-formed file; the line parser names what it rejects
-    if any(lines[1:]):  # loadtxt only warns on a file without data lines
-        try:
-            pts = np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2, comments=None)
-        except ValueError:
-            pass
-    if pts is not None and pts.size and np.isfinite(pts).all():
-        return pts
     rows = []
     width = None
     for lineno, line in enumerate(lines[1:], start=2):
@@ -180,12 +180,14 @@ def _probe_bytes(n_ref: int) -> int:
 
 
 def _custom_bytes(snapshots: int, dim: int, per_axis: int) -> int:
-    """About what `custom` allocates: two min(M, 4096) x N row blocks, per-axis bumps (4 d per_axis
-    words a row), G, A and a product while summing, or after it up to 12 N x N arrays (G, A, Q, both
-    K, eigenvectors, temporaries); 8 (1 + d) words a snapshot (points, CSV text) and 64 KB of lines."""
-    size, rows = per_axis**dim, min(snapshots, _BLOCK_ROWS)
-    summing = rows * (2 * size + 4 * dim * per_axis) + 3 * size**2
-    return 8 * (max(summing, 12 * size**2) + 8 * (1 + dim) * snapshots + 8192)
+    """About what `custom` allocates: A and a product beside two min(M, 4096) x N row blocks and their
+    per-axis bumps (4 d per_axis words a row) or beside G's midpoint bumps (d (2 per_axis - 1) words a
+    row, and their Khatri-Rao product over all but the last axis); then G's N x N gather and up to 12
+    N x N arrays in all (G, A, Q, both K, eigenvectors, temporaries); 4 (1 + d) words a snapshot (both
+    files' points, the weights and their roots) and 128 KB of reader buffers and CSV lines."""
+    size, rows, mids = per_axis**dim, min(snapshots, _BLOCK_ROWS), 2 * per_axis - 1
+    summing = rows * max(2 * size + 4 * dim * per_axis, dim * mids + mids ** (dim - 1)) + 2 * size**2
+    return 8 * (max(summing, 12 * size**2) + 4 * (1 + dim) * snapshots + 16384)
 
 
 def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = False) -> int:

@@ -10,8 +10,9 @@ both M x N.  The Gaussian grid dictionary is one complex amplitude times
 real tensor-product bumps, so `evaluate_snapshots` never materializes them:
 Gram assembly asks for one block of real rows at a time, each row sqrt(w_m)
 times the Khatri-Rao product of d per-axis factors, and applies |amp|^2 once.
-`Dictionary.axis_bumps` is the one place a bump exp(-a (x_k - c)^2) is
-evaluated, for `custom` and for both routes of `hdmd.schrodinger`.
+G needs no rows (`SnapshotFeatures.gram`: moments of bumps at the centers'
+midpoints).  `Dictionary.axis_bumps` is the one place a bump exp(-a (x_k - c)^2)
+is evaluated, for `custom` and for both routes of `hdmd.schrodinger`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import reduce
 from math import prod
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Relative spectral cutoff applied to the Gram matrix downstream; carried on
 # the features so one pipeline setting reaches every consumer.
@@ -45,8 +47,8 @@ class Dictionary:
 
     def axis_bumps(self, coordinates) -> tuple[np.ndarray, ...]:
         """Per-axis factors exp(-width (x_k - c)^2), (len(x_k), n_k), for one coordinate array per axis."""
-        axes = zip(coordinates, self.axis_centers, strict=True)
-        return tuple(np.exp(-self.width * (x[:, None] - c) ** 2) for x, c in axes)
+        squares = ((x[:, None] - c) ** 2 for x, c in zip(coordinates, self.axis_centers, strict=True))
+        return tuple(np.exp(np.multiply(s, -self.width, out=s), out=s) for s in squares)  # one array per axis
 
     def rows(self, points, row_scale=1.0) -> np.ndarray:
         """Real rows s_m exp(-width |x_m - c_j|^2) at (M, d) points, without the amplitude.
@@ -104,10 +106,16 @@ class FeatureMatrices:
         s = np.reshape(row_scale, (-1, 1))
         return s * self.psi_x[rows], s * self.psi_y[rows]
 
+    def gram(self, weights, block_rows: int) -> np.ndarray:
+        """Psi_X^* W Psi_X summed over blocks of block_rows rows of W^(1/2) Psi_X."""
+        starts = range(0, self.snapshot_count, block_rows)
+        blocks = (np.sqrt(weights[s : s + block_rows, None]) * self.psi_x[s : s + block_rows] for s in starts)
+        return sum(b.conj().T @ b for b in blocks)  # a view for real rows: one symmetric rank-k update each
+
 
 @dataclass(frozen=True)
 class SnapshotFeatures:
-    """Psi_X = amp R_X, Psi_Y = amp R_Y; `block` evaluates the real rows R of a slice of snapshots."""
+    """Psi_X = amp R_X, Psi_Y = amp R_Y; `block` evaluates the real rows R of a slice of snapshots, `gram` none."""
 
     dictionary: Dictionary
     x: np.ndarray
@@ -129,6 +137,31 @@ class SnapshotFeatures:
 
     def block(self, rows: slice, row_scale=1.0) -> tuple[np.ndarray, np.ndarray]:
         return self.dictionary.rows(self.x[rows], row_scale), self.dictionary.rows(self.y[rows], row_scale)
+
+    def gram(self, weights, block_rows: int) -> np.ndarray:
+        """R_X^T W R_X in M (2n - 1)^d products, not M N^2, for centers uniformly spaced on every axis.
+
+        Two bumps on one axis multiply to one at their midpoint mu = (c_i + c_l) / 2, a function of i + l:
+        exp(-a (x - c_i)^2) exp(-a (x - c_l)^2) = exp(-a (c_i - c_l)^2 / 2) exp(-2a (x - mu)^2).  So
+        G[i, l] = prod_k exp(-a (c_{i_k} - c_{l_k})^2 / 2) S[i + l] with the moments of the midpoint bumps
+        S[s] = sum_m w_m prod_k exp(-2a (x_km - mu_{s_k})^2), summed over blocks of block_rows snapshots.
+        """
+        dic, mids = self.dictionary, []
+        sizes = [c.size for c in dic.axis_centers]
+        for k, c in enumerate(dic.axis_centers):
+            if np.abs(c - np.linspace(c[0], c[-1], c.size)).max() > 1e-12 * np.abs(c).max():
+                raise ValueError(f"axis {k}: dictionary centers are not uniformly spaced; the Gram needs them to be")
+            mids.append(0.5 * (c[np.arange(2 * c.size - 1) // 2] + c[np.arange(1, 2 * c.size) // 2]))
+        halves, table = Dictionary(tuple(mids), 2 * dic.width, 1.0), 0.0
+        for s in range(0, self.snapshot_count, block_rows):
+            *lead, last = halves.axis_bumps(self.x[s : s + block_rows].T)
+            table = table + rowwise_kron((weights[s : s + block_rows, None], *lead)).T @ last
+            del lead, last  # else this block's bumps live on while the next ones are evaluated
+        g = sliding_window_view(np.reshape(table, [2 * n - 1 for n in sizes]), sizes).copy()  # the one gather
+        decays = Dictionary(dic.axis_centers, dic.width / 2, 1.0).axis_bumps(dic.axis_centers)
+        for k, decay in enumerate(decays):  # in place, and the same products for G[i, l] and G[l, i]
+            g *= decay.reshape([n if j % dic.dimension == k else 1 for j, n in enumerate(sizes * 2)])
+        return g.reshape(dic.size, dic.size)
 
 
 def gaussian_grid_dictionary(centers_box, per_axis: int, width: float, amplitude: complex) -> Dictionary:

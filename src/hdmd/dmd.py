@@ -24,11 +24,12 @@ compresses (A + A^*)/2 onto the retained subspace as well, which is what
 keeps G K = K^* G true at roundoff level; at full rank this reduces to the
 plain formula above.
 
-Assembly sums over snapshots in fixed 4096-row blocks in the rows' dtype, so
-the real rows of `hdmd custom` (evaluated a block at a time, never as an
-M x N matrix) give real G and A.  G and A from any other source (the
-separable factors in `hdmd.schrodinger`) enter through `GramPair.from_matrices`,
-the one place where the cutoff is applied.
+Assembly sums A over snapshots in fixed 4096-row blocks in the rows' dtype,
+so the real rows of `hdmd custom` (never an M x N matrix) give a real A.
+Each feature type supplies its own G (`hdmd custom`'s in closed form, with
+no N x N product per block).  G and A from any other source (the separable
+factors in `hdmd.schrodinger`) enter through `GramPair.from_matrices`, the
+one place where the cutoff is applied.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ class KoopmanEig:
 def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: QuadratureRule) -> GramPair:
     """Form G = Psi_X^* W Psi_X and A = Psi_X^* W Psi_Y as weighted snapshot sums.
 
-    The weights are positive, so blocks arrive as rows of W^(1/2) Psi; they are
-    summed in features.dtype and scaled once by features.scale.
+    The weights are positive, so blocks arrive as rows of W^(1/2) Psi; A is
+    summed over them in features.dtype, G comes from features.gram, and both
+    are scaled once by features.scale.
     The cutoff is features.rank_tolerance_used; see `GramPair.from_matrices`.
     Effective rank deficiency is reported as a warning, not a failure.
     """
@@ -156,15 +158,13 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
             f"feature rows ({features.snapshot_count}) != quadrature nodes ({quad.size})"
         )
     root_w, n = np.sqrt(quad.weights), features.dictionary_size
-    g = np.zeros((n, n), dtype=features.dtype)
-    a = np.zeros_like(g)
+    a = np.zeros((n, n), dtype=features.dtype)
     for start in range(0, quad.size, _BLOCK_ROWS):
         sl = slice(start, start + _BLOCK_ROWS)
         bx, by = features.block(sl, root_w[sl])  # rows of W^(1/2) Psi_X, W^(1/2) Psi_Y
-        xh = bx.conj().T  # a view for real rows, so bx.T @ bx runs as one symmetric rank-k update
-        g += xh @ bx
-        a += xh @ by
-        del bx, by, xh  # else this block lives on while the next one is built: two pairs of 4096 x N rows
+        a += bx.conj().T @ by
+        del bx, by  # else this block lives on while the next one is built: two pairs of 4096 x N rows
+    g = features.gram(quad.weights, _BLOCK_ROWS)  # after the loop, so G is not live beside the blocks
     pair = GramPair.from_matrices(features.scale * g, features.scale * a, features.rank_tolerance_used)
     if pair.rank_deficient:
         msg = "Gram matrix numerically rank deficient: retained %d of %d directions (floor %.3e)"

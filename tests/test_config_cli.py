@@ -792,7 +792,7 @@ def test_schrodinger_size_estimate_covers_what_it_allocates(tmp_path, grid, per_
 
 @pytest.mark.parametrize("snapshots, dim, per_axis", [(20000, 2, 20), (100000, 1, 20)], ids=["2d-400", "1d-20"])
 def test_custom_size_estimate_covers_what_it_allocates(tmp_path, snapshots, dim, per_axis):
-    # the row blocks set the peak at N = 400, reading the snapshot CSVs at N = 20
+    # the row blocks set the peak at N = 400, the snapshots' points and weights at N = 20
     x = np.random.default_rng(11).uniform(-5.0, 5.0, size=(snapshots, dim))
     write_points(tmp_path / "x.csv", x)
     write_points(tmp_path / "y.csv", 0.9 * x[:, ::-1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdmd.dictionary import (
+    Dictionary,
     FeatureMatrices,
     evaluate_function_samples,
     evaluate_snapshots,
@@ -163,3 +164,31 @@ def test_rows_are_gaussians_at_gaussian_centers(rng, dim, per_axis):
     rows = d.rows(pts)
     assert rows.dtype == np.float64 and d.size == centers.shape[0]
     assert np.allclose(rows, expected, rtol=1e-13, atol=0)  # |exponent| * eps, up to ~70 here
+
+
+@pytest.mark.parametrize("per_axis", [1, 2, 7])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gram_from_midpoint_identity_matches_weighted_rows(rng, dim, per_axis):
+    """G from the (2n - 1)^d midpoint moments equals R^T diag(w) R, exactly symmetric, over a partial block."""
+    m = 4096 + 905
+    box = [(-2.0, 1.0), (-1.0, 3.0), (0.0, 2.0)][:dim]
+    d = gaussian_grid_dictionary(box, per_axis, width=0.8, amplitude=0.3 - 2.1j)
+    x = rng.uniform(-3, 3, size=(m, dim))
+    w = rng.uniform(0.05, 5.0, size=m) / m
+    g = evaluate_snapshots(d, x, np.cos(x)).gram(w, 4096)
+    rows = d.rows(x)
+    want = rows.T @ (w[:, None] * rows)
+    assert g.dtype == np.float64 and g.shape == (d.size, d.size)
+    assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(g, g.T)
+
+
+def test_gram_refuses_centers_that_are_not_uniformly_spaced(rng):
+    uniform = np.linspace(-1.0, 1.0, 5)
+    d = Dictionary((uniform, np.array([-1.0, -0.5, 0.1, 0.5, 1.0])), width=1.0, amplitude=1.0)
+    x = rng.uniform(-1, 1, size=(10, 2))
+    with pytest.raises(ValueError, match="axis 1: dictionary centers are not uniformly spaced"):
+        evaluate_snapshots(d, x, x).gram(np.ones(10), 4096)
+    shifted = Dictionary((uniform, uniform + 1e-3 * (uniform == 0)), width=1.0, amplitude=1.0)
+    with pytest.raises(ValueError, match="axis 1"):
+        evaluate_snapshots(shifted, x, x).gram(np.ones(10), 4096)

@@ -201,6 +201,19 @@ def test_real_rows_assemble_bitwise_symmetric_gram(rng, monkeypatch):
         assert np.array_equal(g, g.T)
 
 
+def test_midpoint_gram_agrees_with_direct_sum_on_the_same_rows(rng, monkeypatch):
+    m = 4096 + 1234
+    x = rng.uniform(-3, 3, size=(m, 2))
+    quad = QuadratureRule(nodes=x, weights=rng.uniform(0.05, 5.0, size=m) / m)
+    dictionary = gaussian_grid_dictionary([(-2.0, 2.0), (-1.5, 2.5)], 7, 1.0, 0.3 - 2.1j)
+    streamed = evaluate_snapshots(dictionary, x, np.cos(x))
+    dense = FeatureMatrices(*streamed.block(slice(None)))  # the same real rows, G summed directly
+    g, a = gram_pair_before_cutoff(monkeypatch, streamed, quad)
+    g_dense, a_dense = (streamed.scale * mat for mat in gram_pair_before_cutoff(monkeypatch, dense, quad))
+    assert np.abs(g - g_dense).max() <= 1e-13 * np.abs(g_dense).max()
+    assert np.abs(a - a_dense).max() <= 1e-13 * np.abs(a_dense).max()
+
+
 def test_assembly_matches_dense_weighted_oracle_across_blocks(rng):
     m = 2 * 4096 + 1234
     w = rng.uniform(0.05, 5.0, size=m) / m  # non-uniform positive weights
@@ -231,8 +244,9 @@ def test_streamed_assembly_holds_one_pair_of_row_blocks(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one X and one Y block live at a time (about 15 MB); a block kept while the next
-    # is built adds two more; G, A, their products, copies and eigh stay below 12 N x N
+    # one X and one Y block live beside A at a time (about 15 MB); a block kept while the
+    # next is built adds two more; G's midpoint bumps come after the blocks and are smaller;
+    # A, its product, G's gather, copies and eigh stay below 12 N x N
     assert peak < 8 * (3 * 4096 * n + 12 * n * n)
 
 

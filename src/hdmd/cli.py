@@ -39,9 +39,9 @@ from .config import (
     load_config,
     undecodable,
 )
-from .dictionary import Dictionary, evaluate_function_samples, gaussian_grid_dictionary, evaluate_snapshots
+from .dictionary import Dictionary, gaussian_grid_dictionary, evaluate_snapshots
 from .dmd import _BLOCK_ROWS, assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
-from .matio import write_complex_csv, write_csv, write_summary
+from .matio import float_text, write_complex_csv, write_csv, write_summary
 from .probes import (
     DiagonalSections,
     FreeJacobiSections,
@@ -52,7 +52,7 @@ from .probes import (
 from .quadrature import monte_carlo
 from .schrodinger import (
     HarmonicOscillatorProblem,
-    reference_observable,
+    reference_factor,
     separable_snapshots,
 )
 from .spectral import AtomicMeasure, cluster_table
@@ -83,10 +83,11 @@ def _report(
     pairs them with `exact`, if given, while both last.  summary.json is
     written before the gate, so a failed run still reports its residual.
     """
-    columns = [measure.locations] if exact is None else [measure.locations, exact]
+    computed = float_text(measure.locations)  # both files' first float column
+    columns = [computed] if exact is None else [computed, exact]
     header = ",".join(["index", "computed", "exact"][: len(columns) + 1])
-    write_csv(out_dir / "eigenvalues.csv", header, np.arange(measure.locations.size), *columns)
-    write_csv(out_dir / "measure.csv", "lambda,weight", measure.locations, measure.weights)
+    write_csv(out_dir / "eigenvalues.csv", header, np.arange(computed.size), *columns)
+    write_csv(out_dir / "measure.csv", "lambda,weight", computed, measure.weights)
     summary = write_summary(
         out_dir / "summary.json", experiment, config, t0,
         dictionary_size=dictionary.size,
@@ -164,11 +165,11 @@ def _check_fits(estimate: int, what: str, arrays: str) -> None:
 
 
 def _kronecker_bytes(grid, per_axis: int) -> int:
-    """About what `schrodinger` allocates: M_k x n_k factors and n_k x n_k matrices
-    per axis, O(N) spectra, weights and CSV lines, O(M) grid nodes and samples."""
-    size, snapshots = per_axis ** len(grid), prod(grid)
-    words = 8 * per_axis * sum(grid) + 40 * per_axis**2 * len(grid) + 32 * size
-    return 8 * (words + (2 * len(grid) + 8) * snapshots)
+    """About what `schrodinger` allocates: M_k x n_k factors and their temporaries and n_k x n_k
+    matrices per axis, O(N) spectra and weights, and 64 KB of CSV lines and summary text; nothing
+    grows with the grid size M = prod(grid), since the observable's moments come from per-axis factors."""
+    words = 8 * per_axis * sum(grid) + 40 * per_axis**2 * len(grid) + 32 * per_axis ** len(grid)
+    return 8 * (words + 8192)
 
 
 def _probe_bytes(n_ref: int) -> int:
@@ -196,13 +197,13 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     grid = (FULL_GRID_POINTS, FULL_GRID_POINTS) if full_grid else config.grid
     grid_text = " x ".join(map(str, grid))
     needs = f"dictionary size N = {config.dict_per_axis**2} on the {grid_text} grid"
-    _check_fits(_kronecker_bytes(grid, config.dict_per_axis), needs, "per-axis factors, spectra and grid samples")
+    _check_fits(_kronecker_bytes(grid, config.dict_per_axis), needs, "per-axis factors and spectra")
     dictionary = _dictionary(config, 2)
     snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), grid)
     logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), dictionary.size)
 
     eig = snapshots.kronecker_eig(config.rank_tolerance)
-    moments = snapshots.moments(evaluate_function_samples(snapshots.nodes, reference_observable))
+    moments = snapshots.moments([reference_factor(x) for x in snapshots.axes])
     measure = AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(moments))
 
     # the distinct exact energies; exact_spectrum lists energy E with multiplicity E

@@ -33,6 +33,12 @@ def _cells(column):
     return map(str, values.tolist())
 
 
+def float_text(column) -> np.ndarray:
+    """`write_csv`'s cells of a float column as an array of str, which `write_csv` writes as they
+    are: a column that several CSVs share is formatted once."""
+    return np.fromiter(_cells(np.asarray(column, dtype=float)), dtype=object)
+
+
 def write_csv(path, header: str, *columns) -> None:
     """Write the columns side by side under `header`; the shortest column ends the table.
 

@@ -16,11 +16,13 @@ numerical differentiation enters the data: the only approximation left in
 the pipeline is quadrature plus the dictionary itself.
 
 Bumps, multiplier and the trapezoid rule all separate over axes, so
-`separable_snapshots` keeps 1-D factors, contracts Psi_X^* W f axis by axis
-and solves the Hermitian DMD one axis at a time (`KroneckerEig`); no N x N
-matrix is formed.  The dense `generate_snapshots` (`Dictionary.rows` times
-the row-wise Kronecker sum of the per-axis multipliers) stays as the
-general route and the oracle.
+`separable_snapshots` keeps 1-D factors and solves the Hermitian DMD one
+axis at a time (`KroneckerEig`); no N x N matrix is formed.  The reference
+observable is a product of one factor per axis too, so its moments
+Psi_X^* W f are a Kronecker product of per-axis moments, and no array of
+the grid's size M is formed either.  The dense `generate_snapshots`
+(`Dictionary.rows` times the row-wise Kronecker sum of the per-axis
+multipliers) stays as the general route and the oracle.
 
 Exact eigenpairs are phi_{m,n}(x, y) = H_m(x) H_n(y) exp(-(x^2+y^2)/2) with
 energies E = m + n + 1, using physicists' Hermite polynomials H_m.  The
@@ -208,7 +210,8 @@ class SeparableSnapshots:
     Axis k has nodes x, weights w, bumps E = exp(-a (x - c)^2) and multiplier
     terms h.  With G1 = E^T W E and H1 = E^T W (E o h) per axis,
     G = |amp|^2 (x)_k G1_k and A = |amp|^2 sum_k (G1 (x) .. H1_k .. (x) G1),
-    both real; Psi_X^* W f = conj(amp) vec(E_1^T W_1 F W_2 E_2).
+    both real; for a product observable f = prod_k f_k(x_k),
+    Psi_X^* W f = conj(amp) (x)_k E_k^T W_k f_k.
     """
 
     amplitude: complex
@@ -216,11 +219,6 @@ class SeparableSnapshots:
     weights: tuple[np.ndarray, ...]
     bumps: tuple[np.ndarray, ...]
     multipliers: tuple[np.ndarray, ...]
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """Grid nodes (M, d), row-major with the last axis fastest, like the centers."""
-        return grid_nodes(self.axes)
 
     def kronecker_eig(self, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> KroneckerEig:
         """G1, H1 of each axis through `GramPair.from_matrices` and `hermitian_dmd`."""
@@ -242,11 +240,14 @@ class SeparableSnapshots:
             )
         return eig
 
-    def moments(self, samples) -> np.ndarray:
-        """Psi_X^* W f for samples of f at `nodes`, contracted axis by axis."""
-        t = np.asarray(samples).reshape([x.shape[0] for x in self.axes])
-        t = _along_axes(t, [(w[:, None] * e).T for e, w in zip(self.bumps, self.weights)])
-        return np.conj(self.amplitude) * t.ravel()
+    def moments(self, factors) -> np.ndarray:
+        """Psi_X^* W f for the product observable f = prod_k f_k(x_k), given f_k sampled at axes[k].
+
+        Each axis contributes E_k^T W_k f_k of length n_k; their outer product,
+        row-major like the centers, times conj(amp) is the moment vector.
+        """
+        axis_moments = [(w[:, None] * e).T @ f for e, w, f in zip(self.bumps, self.weights, factors, strict=True)]
+        return np.conj(self.amplitude) * reduce(np.multiply.outer, axis_moments).ravel()
 
 
 def separable_snapshots(problem: HarmonicOscillatorProblem, points_per_axis) -> SeparableSnapshots:
@@ -302,13 +303,18 @@ def exact_spectrum(max_energy: int) -> list[ExactEigenpair]:
     return [ExactEigenpair(m=m, n=e - 1 - m) for e in range(1, max_energy + 1) for m in range(e)]
 
 
-def reference_observable(points) -> np.ndarray:
-    """f(x, y) = sin(pi x / 5) sin(pi y / 5), odd in both coordinates.
+def reference_factor(x) -> np.ndarray:
+    """sin(pi x / 5), the reference observable's factor on each axis."""
+    return np.sin(pi * np.asarray(x, dtype=float) / 5.0)
 
-    Its squared L2 norm over (-5, 5)^2 is 25 (5 per axis).
+
+def reference_observable(points) -> np.ndarray:
+    """f(x, y) = sin(pi x / 5) sin(pi y / 5), the product of `reference_factor` over the axes.
+
+    Odd in both coordinates; its squared L2 norm over (-5, 5)^2 is 25 (5 per axis).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.sin(pi * pts[:, 0] / 5.0) * np.sin(pi * pts[:, 1] / 5.0)
+    return reduce(np.multiply, map(reference_factor, pts.T))
 
 
 def exact_spike_weights(

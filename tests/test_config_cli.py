@@ -778,6 +778,19 @@ def test_schrodinger_forms_no_n_by_n_array(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "body, flags, bound", [("", ["--full-grid"], 720e3), ("grid = 1200 1200\n", [], 2e6)], ids=["full-grid", "1200sq"]
+)
+def test_schrodinger_forms_nothing_of_grid_size(tmp_path, body, flags, bound):
+    # the observable's moments come from per-axis factors: at 300^2 the peak stays below one float64
+    # vector of M = 90,000 (720 KB), and at 1200^2 (M = 1,440,000) below 2 MB
+    argv = ["schrodinger", "--config", str(write_config(tmp_path, body)), *flags, "--out"]
+    assert cli.main(argv + [str(tmp_path / "warm")]) == 0
+    code, peak = traced_peak(argv + [str(tmp_path / "out")])
+    assert code == 0
+    assert peak < bound
+
+
+@pytest.mark.parametrize(
     "grid, per_axis", [((60, 60), 40), ((40, 40), 200), ((600, 500), 10)], ids=["60sq-40", "40sq-200", "600x500-10"]
 )
 def test_schrodinger_size_estimate_covers_what_it_allocates(tmp_path, grid, per_axis):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from csv_helpers import read_complex_csv
 
-from hdmd.matio import write_artifact, write_complex_csv, write_csv
+from hdmd.matio import float_text, write_artifact, write_complex_csv, write_csv
 
 
 def random_complex(rng, shape):
@@ -45,8 +45,11 @@ def test_csv_text_matches_per_entry_formatting(rng, tmp_path):
         (([1.0, 2.0], [1.25, np.nan], [0.5, 0.0], [2, 0]), ["1.0,1.25,0.5,2", "2.0,,0.0,0"]),
         # eigenvalues.csv: the shortest column ends the table
         ((np.arange(3), [0.5, 1.5], [1.0, 2.0, 2.0, 3.0]), ["0,0.5,1.0", "1,1.5,2.0"]),
+        # a float column formatted once for two CSVs is written as the floats themselves would be
+        ((float_text([0.1, np.nan, 1e-320]), [1 / 3, 0.0, 2.5e300]),
+         ["0.1,0.3333333333333333", ",0.0", "1e-320,2.5e+300"]),
     ],
-    ids=["floats", "int-str-float", "empty-cluster", "shortest-column"],
+    ids=["floats", "int-str-float", "empty-cluster", "shortest-column", "float-text"],
 )
 def test_write_csv_layout(tmp_path, columns, body):
     write_csv(tmp_path / "t.csv", "h", *columns)

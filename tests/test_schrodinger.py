@@ -19,6 +19,7 @@ from hdmd.schrodinger import (
     exact_spectrum,
     exact_spike_weights,
     generate_snapshots,
+    reference_factor,
     reference_observable,
     separable_snapshots,
 )
@@ -140,7 +141,7 @@ def test_dense_psi_x_is_amplitude_times_dictionary_rows(grid, dictionary):
 def test_separable_bumps_are_the_dictionary_rows_factors(grid, dictionary):
     snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), grid)
     # on a tensor grid, the Khatri-Rao product of the rows' factors is the Kronecker product of the axes'
-    assert np.array_equal(np.kron(*snapshots.bumps), dictionary.rows(snapshots.nodes))
+    assert np.array_equal(np.kron(*snapshots.bumps), dictionary.rows(grid_nodes(snapshots.axes)))
 
 
 # ------------------------------------------------------------------
@@ -150,6 +151,19 @@ def test_separable_bumps_are_the_dictionary_rows_factors(grid, dictionary):
 
 def nonseparable_observable(pts):
     return np.cos(pts[:, 0] * pts[:, 1]) + 1j * pts[:, 0] * np.exp(-0.1 * pts[:, 1] ** 2)
+
+
+def product_factors(x, y):
+    """Per-axis factors of a complex product observable with a different factor on each axis.
+
+    Neither is odd, so a bump centred at 0 (the per_axis = 1 case) has a nonzero moment.
+    """
+    return [np.cos(x), (1 - 0.5j) * (1 + y) * np.exp(-0.1 * y**2)]
+
+
+def dense_moments(features, quad, samples):
+    """Psi_X^* W f from the materialized features and samples at the rule's nodes."""
+    return features.psi_x.conj().T @ (quad.weights * samples)
 
 
 def relative_error(x, y):
@@ -189,13 +203,12 @@ def test_separable_matches_dense(grid, dictionary):
     scale = abs(dictionary.amplitude) ** 2
     g = scale * kron_all(g1)
     a = scale * (np.kron(h1[0], g1[1]) + np.kron(g1[0], h1[1]))
-    samples = evaluate_function_samples(quad.nodes, nonseparable_observable)
+    samples = reduce(np.multiply, product_factors(*quad.nodes.T))
 
-    assert np.array_equal(snapshots.nodes, quad.nodes)
     assert relative_error(g, dense.g) <= 1e-13
     assert relative_error(a, dense.a) <= 1e-13
-    moments = features.psi_x.conj().T @ (quad.weights * samples)
-    assert relative_error(snapshots.moments(samples), moments) <= 1e-13
+    moments = dense_moments(features, quad, samples)
+    assert relative_error(snapshots.moments(product_factors(*snapshots.axes)), moments) <= 1e-13
 
 
 # ------------------------------------------------------------------
@@ -223,7 +236,7 @@ def test_kronecker_eig_matches_dense(grid, dictionary):
 
     snapshots = separable_snapshots(problem, grid)
     eig = snapshots.kronecker_eig()
-    moments = snapshots.moments(samples)
+    moments = dense_moments(features, quad, samples)
     measure = AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(moments))
     mass = eig.observable_mass(moments)
 
@@ -258,9 +271,10 @@ def test_kronecker_weights_keep_imaginary_part_of_complex_observable():
     problem = HarmonicOscillatorProblem(dictionary=dictionary)
     snapshots = separable_snapshots(problem, (50, 50))
     eig = snapshots.kronecker_eig()
-    samples = evaluate_function_samples(snapshots.nodes, nonseparable_observable)
+    quad = tensor_trapezoid(problem.domain, (50, 50))
+    samples = evaluate_function_samples(quad.nodes, nonseparable_observable)
     assert np.linalg.norm(samples.imag) > 0.5 * np.linalg.norm(samples.real)
-    moments = snapshots.moments(samples)
+    moments = dense_moments(generate_snapshots(problem, quad), quad, samples)
     weights = eig.weights(moments)
 
     g1, _ = axis_matrices(snapshots)
@@ -479,6 +493,13 @@ def test_eigenfunctions_orthonormal_under_quadrature():
 
 def test_observable_peak_value():
     assert reference_observable(np.array([[2.5, 2.5]]))[0] == pytest.approx(1.0)
+
+
+def test_observable_is_the_product_of_its_axis_factors():
+    # the CLI takes the moments from the factors, the spike oracle samples the observable
+    x, y = np.linspace(-5.0, 5.0, 31), np.linspace(-5.0, 5.0, 17)
+    product = np.multiply.outer(reference_factor(x), reference_factor(y)).ravel()
+    assert np.array_equal(reference_observable(grid_nodes((x, y))), product)
 
 
 def test_observable_vanishes_on_axes(rng):

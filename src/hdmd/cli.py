@@ -204,7 +204,7 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
 
     eig = snapshots.kronecker_eig(config.rank_tolerance)
     moments = snapshots.moments([reference_factor(x) for x in snapshots.axes])
-    measure = AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(moments))
+    measure = AtomicMeasure(eig.eigenvalues, eig.weights(moments))
 
     # the distinct exact energies; exact_spectrum lists energy E with multiplicity E
     references = [float(e) for e in range(1, config.energy_cutoff + 1)]
@@ -306,7 +306,7 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     k_herm = hermitian_dmd(pair)
     eig = eigendecompose(k_herm)
     moments = pair.g[:, 0]  # the observable is psi_0, so Psi_X^* W psi_0 = G e_0 exactly
-    measure = AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(moments))
+    measure = AtomicMeasure(eig.eigenvalues, eig.weights(moments))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_complex_csv(k_edmd.k, out_dir / "koopman_edmd.csv")

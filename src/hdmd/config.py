@@ -19,6 +19,8 @@ from dataclasses import dataclass, fields, replace
 from math import isfinite
 from pathlib import Path
 
+from .dictionary import DEFAULT_RANK_TOLERANCE
+
 SCHEMA_VERSION = 1
 
 
@@ -39,7 +41,7 @@ class ExperimentConfig:
     dict_width: float = 3.0
     dict_amplitude_re: float = 1.0
     dict_amplitude_im: float = 1.0
-    rank_tolerance: float = 1e-12
+    rank_tolerance: float = DEFAULT_RANK_TOLERANCE
     cluster_radius: float = 0.4
     energy_cutoff: int = 12
     output_dir: str = "hdmd-out"

@@ -61,13 +61,16 @@ class GramPair:
     g: np.ndarray
     a: np.ndarray
     g_eigen_floor: float
-    retained_rank: int
     basis: np.ndarray
     basis_eigenvalues: np.ndarray
 
     @property
     def size(self) -> int:
         return self.g.shape[0]
+
+    @property
+    def retained_rank(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def rank_deficient(self) -> bool:
@@ -77,11 +80,6 @@ class GramPair:
     def condition_number(self) -> float:
         """Largest over smallest retained eigenvalue of G."""
         return float(self.basis_eigenvalues[-1] / self.basis_eigenvalues[0])
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """G^+ rhs with the spectral-cutoff pseudoinverse (vector or matrix rhs)."""
-        q, lam = self.basis, self.basis_eigenvalues
-        return q @ ((q.conj().T @ rhs) / lam.reshape((-1,) + (1,) * (np.ndim(rhs) - 1)))
 
     def observable_mass(self, moments) -> float:
         """g_c^* G g_c = sum_i |q_i^* m|^2 / lambda_i for g_c = G^+ m, over the retained eigenpairs (Q, Lambda).
@@ -105,12 +103,11 @@ class GramPair:
         eigvals, eigvecs = np.linalg.eigh(g)
         floor = float(rank_tolerance) * max(eigvals[-1], 0.0)
         keep = eigvals > floor
-        rank = int(np.count_nonzero(keep))
-        if rank == 0:
+        if not np.any(keep):
             raise ValueError("Gram matrix has no eigenvalue above the truncation floor")
         for arr in (g, a):
             arr.setflags(write=False)
-        return cls(g, a, float(floor), rank, basis=eigvecs[:, keep], basis_eigenvalues=eigvals[keep])
+        return cls(g, a, float(floor), basis=eigvecs[:, keep], basis_eigenvalues=eigvals[keep])
 
 
 @dataclass(frozen=True)
@@ -173,8 +170,9 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
 
 
 def edmd(pair: GramPair) -> KoopmanMatrix:
-    """Unconstrained least-squares operator K = G^+ A (spectral-cutoff pseudoinverse)."""
-    return KoopmanMatrix(k=pair.solve(pair.a), source=pair)
+    """Unconstrained least-squares operator K = G^+ A = Q Lambda^{-1} Q^* A (spectral-cutoff pseudoinverse)."""
+    q, lam = pair.basis, pair.basis_eigenvalues
+    return KoopmanMatrix(k=q @ ((q.conj().T @ pair.a) / lam[:, None]), source=pair)
 
 
 def hermitian_dmd(pair: GramPair) -> KoopmanMatrix:

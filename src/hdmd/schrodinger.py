@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .dictionary import DEFAULT_RANK_TOLERANCE, Dictionary, FeatureMatrices, gaussian_grid_dictionary, rowwise_kron
-from .dmd import GramPair, KoopmanEig, KoopmanMatrix, eigendecompose, hermitian_dmd
+from .dmd import _BLOCK_ROWS, GramPair, KoopmanEig, KoopmanMatrix, eigendecompose, hermitian_dmd
 from .quadrature import QuadratureRule, grid_nodes, trapezoid_axes
 from .spectral import AtomicMeasure
 
@@ -95,8 +95,8 @@ def generate_snapshots(
     dictionary = problem.dictionary
     psi_x = np.empty((nodes.shape[0], dictionary.size), dtype=complex)
     psi_y = np.empty_like(psi_x)
-    for start in range(0, nodes.shape[0], 4096):
-        sl = slice(start, start + 4096)
+    for start in range(0, nodes.shape[0], _BLOCK_ROWS):
+        sl = slice(start, start + _BLOCK_ROWS)
         axes = zip(nodes[sl].T, dictionary.axis_centers, strict=True)
         terms = [_axis_multiplier(dictionary.width, x[:, None] - c, x[:, None]) for x, c in axes]
         psi_x[sl] = dictionary.amplitude * dictionary.rows(nodes[sl])
@@ -350,4 +350,4 @@ def exact_spike_weights(
 
     energies = np.arange(1, max_energy + 1, dtype=float)
     weights = [sum(abs(inner[m, e - 1 - m]) ** 2 for m in range(e)) for e in range(1, max_energy + 1)]
-    return AtomicMeasure.from_atoms(energies, weights)
+    return AtomicMeasure(energies, weights)

@@ -18,13 +18,13 @@ back onto G^+ m, which loses accuracy along tiny retained eigenvalues of G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .dictionary import FeatureMatrices
-from .dmd import GramPair, KoopmanEig, assemble_gram_pair
+from .dmd import GramPair, KoopmanEig
 from .quadrature import QuadratureRule
 
 
@@ -35,11 +35,6 @@ class ObservableCoefficients:
     moments: np.ndarray
     gram: GramPair
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        """Least-squares expansion coefficients g_c = G^+ m in the dictionary."""
-        return self.gram.solve(self.moments)
-
     def mass(self) -> float:
         """g_c^* G g_c, the squared G-norm of the projected observable (`GramPair.observable_mass`)."""
         return self.gram.observable_mass(self.moments)
@@ -47,11 +42,11 @@ class ObservableCoefficients:
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite sum of point masses c_j * delta_{lambda_j}, locations ascending."""
+    """Finite sum of point masses c_j * delta_{lambda_j}, locations ascending; total_mass is sum_j c_j."""
 
     locations: np.ndarray
     weights: np.ndarray
-    total_mass: float
+    total_mass: float = field(init=False)
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=float).ravel()
@@ -62,43 +57,30 @@ class AtomicMeasure:
             raise ValueError("atom weights must be nonnegative")
         if np.any(np.diff(loc) < 0):
             raise ValueError("atom locations must be sorted ascending")
-        recomputed = float(np.sum(wts))
-        if abs(recomputed - self.total_mass) > 1e-12 * max(1.0, abs(recomputed)):
-            raise ValueError(
-                f"total_mass {self.total_mass} inconsistent with sum of weights {recomputed}"
-            )
         loc.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "weights", wts)
-
-    @classmethod
-    def from_atoms(cls, locations, weights) -> "AtomicMeasure":
-        loc = np.asarray(locations, dtype=float).ravel()
-        wts = np.asarray(weights, dtype=float).ravel()
-        order = np.argsort(loc, kind="stable")
-        return cls(locations=loc[order], weights=wts[order], total_mass=float(np.sum(wts)))
+        object.__setattr__(self, "total_mass", float(np.sum(wts)))
 
 
 def project_observable(
     samples,
     features: FeatureMatrices,
     quad: QuadratureRule,
-    pair: Optional[GramPair] = None,
+    pair: GramPair,
 ) -> ObservableCoefficients:
     """Weighted least-squares fit of sampled observable values to the dictionary.
 
-    Passing an existing GramPair (assembled from the same features and rule)
-    avoids re-assembly and guarantees the same truncation policy.
+    `pair` is the GramPair assembled from the same features and rule, so the
+    expansion uses the operators' truncation.
     """
     vals = np.asarray(samples, dtype=complex).ravel()
     if vals.shape[0] != features.snapshot_count:
         raise ValueError(
             f"sample count {vals.shape[0]} != snapshot count {features.snapshot_count}"
         )
-    if pair is None:
-        pair = assemble_gram_pair(features, quad)
-    elif pair.size != features.dictionary_size:
+    if pair.size != features.dictionary_size:
         raise ValueError("GramPair size does not match the feature matrices")
     return ObservableCoefficients(moments=features.psi_x.conj().T @ (quad.weights * vals), gram=pair)
 
@@ -107,7 +89,7 @@ def spectral_measure(eig: KoopmanEig, obs: ObservableCoefficients) -> AtomicMeas
     """Atoms (lambda_j, |v_j^* m|^2) of the observable's spectral measure, from its moments m."""
     if eig.gram is not obs.gram:
         raise ValueError("eigenpairs and observable coefficients use different GramPairs")
-    return AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(obs.moments))
+    return AtomicMeasure(eig.eigenvalues, eig.weights(obs.moments))
 
 
 def _validate_references(reference_locations, radius: float) -> np.ndarray:
@@ -135,15 +117,17 @@ def cluster_table(
     """Per-reference summary rows (reference, location, weight, atom_count).
 
     The cluster of a reference E collects atoms with |lambda - E| <= radius;
-    its location is their weight-averaged mean (the plain mean if every
-    weight is zero) and its weight the plain sum.  Empty clusters give
-    (E, nan, 0.0, 0).  Also returns the boolean mask of atoms matched by any
-    reference.  Requires distinct references and radius below half the
-    minimum reference gap, so clusters cannot overlap.
+    its location is their weight-averaged mean and its weight the plain sum.
+    A cluster weighing at most eps * total_mass (eps the float64 epsilon)
+    holds only roundoff, so its location is the plain mean of its atoms.
+    Empty clusters give (E, nan, 0.0, 0).  Also returns the boolean mask of
+    atoms matched by any reference.  Requires distinct references and radius
+    below half the minimum reference gap, so clusters cannot overlap.
     """
     refs = _validate_references(reference_locations, radius)
     locs, wts = measure.locations, measure.weights
     matched = np.zeros(locs.shape[0], dtype=bool)
+    light = np.finfo(float).eps * measure.total_mass
     rows = []
     for ref in refs:
         mask = np.abs(locs - ref) <= radius
@@ -153,7 +137,7 @@ def cluster_table(
             continue
         matched |= mask
         cw = float(np.sum(wts[mask]))
-        if cw > 0:
+        if cw > light:
             loc = float(np.dot(wts[mask], locs[mask]) / cw)
         else:
             loc = float(np.mean(locs[mask]))

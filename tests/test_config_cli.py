@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from csv_helpers import read_complex_csv
 
-import hdmd
 import hdmd.cli as cli
 from hdmd.config import ConfigError, ExperimentConfig, default_config, load_config, validate
 from hdmd.dictionary import FeatureMatrices, gaussian_grid_dictionary
@@ -161,12 +160,6 @@ def test_non_finite_float_exits_2_naming_key_and_line(tmp_path, capsys, key, val
 def test_validate_rejects_non_finite_float_of_config_built_in_code(key, value):
     with pytest.raises(ConfigError, match=rf"^config error: {key} must be a finite number, got"):
         validate(replace(ExperimentConfig(), **{key: value}))
-
-
-def test_every_name_in_all_resolves():
-    namespace = {}
-    exec("from hdmd import *", namespace)  # a stale __all__ entry raises AttributeError here
-    assert set(hdmd.__all__) <= set(namespace)
 
 
 def test_validate_is_idempotent():

@@ -237,7 +237,7 @@ def test_kronecker_eig_matches_dense(grid, dictionary):
     snapshots = separable_snapshots(problem, grid)
     eig = snapshots.kronecker_eig()
     moments = dense_moments(features, quad, samples)
-    measure = AtomicMeasure.from_atoms(eig.eigenvalues, eig.weights(moments))
+    measure = AtomicMeasure(eig.eigenvalues, eig.weights(moments))
     mass = eig.observable_mass(moments)
 
     assert eig.retained_rank == np.prod(eig.axis_retained_ranks) == eig.eigenvalues.size

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import hdmd
+from hdmd.dictionary import gaussian_grid_dictionary
 from hdmd.dmd import GramPair, KoopmanEig, assemble_gram_pair, eigendecompose, hermitian_dmd
 from hdmd.matio import write_csv
 from hdmd.spectral import (
     AtomicMeasure,
+    ObservableCoefficients,
     cluster_table,
     project_observable,
     spectral_measure,
@@ -32,6 +34,12 @@ def small_system(rng, m=30, n=6):
     return pair, fm, quad
 
 
+def expansion(obs):
+    """Least-squares coefficients g_c = G^+ m = Q Lambda^{-1} Q^* m over the retained eigenpairs of G."""
+    q, lam = obs.gram.basis, obs.gram.basis_eigenvalues
+    return q @ ((q.conj().T @ obs.moments) / lam)
+
+
 # ------------------------------------------------------------------
 # project_observable
 # ------------------------------------------------------------------
@@ -43,22 +51,13 @@ def test_project_recovers_in_span_observable(rng):
     obs = project_observable(samples, fm, quad, pair=pair)
     expected = np.zeros(5, dtype=complex)
     expected[0] = 1.0
-    assert np.linalg.norm(obs.coeffs - expected) <= 1e-10
+    assert np.linalg.norm(expansion(obs) - expected) <= 1e-10
 
 
 def test_project_zero_samples(rng):
     pair, fm, quad = random_instance(rng, m=20, n=4)
     obs = project_observable(np.zeros(20), fm, quad, pair=pair)
-    assert np.array_equal(obs.coeffs, np.zeros(4, dtype=complex))
-
-
-def test_project_without_pair_assembles_one(rng):
-    _, fm, quad = random_instance(rng, m=20, n=4)
-    obs = project_observable(fm.psi_x[:, 1], fm, quad)
-    assert obs.gram.size == 4
-    expected = np.zeros(4, dtype=complex)
-    expected[1] = 1.0
-    assert np.linalg.norm(obs.coeffs - expected) <= 1e-10
+    assert np.array_equal(expansion(obs), np.zeros(4, dtype=complex))
 
 
 def test_project_benchmark_mass_grows_toward_norm():
@@ -67,7 +66,7 @@ def test_project_benchmark_mass_grows_toward_norm():
     quad = hdmd.tensor_trapezoid([(-5, 5), (-5, 5)], [50, 50])
     samples = hdmd.evaluate_function_samples(quad.nodes, hdmd.reference_observable)
     for per_axis in (6, 10, 14):
-        dictionary = hdmd.gaussian_grid_dictionary([(-4, 4), (-4, 4)], per_axis, 3.0, 1 + 1j)
+        dictionary = gaussian_grid_dictionary([(-4, 4), (-4, 4)], per_axis, 3.0, 1 + 1j)
         problem = hdmd.HarmonicOscillatorProblem(dictionary=dictionary)
         features = hdmd.generate_snapshots(problem, quad)
         pair = assemble_gram_pair(features, quad)
@@ -92,7 +91,7 @@ def test_project_length_mismatch(rng):
 def test_measure_single_atom_for_eigenvector(rng):
     pair, _, _ = small_system(rng)
     eig = eigendecompose(hermitian_dmd(pair))
-    obs = hdmd.ObservableCoefficients(moments=pair.g @ eig.eigenvectors[:, 0], gram=pair)
+    obs = ObservableCoefficients(moments=pair.g @ eig.eigenvectors[:, 0], gram=pair)
     mu = spectral_measure(eig, obs)
     j = int(np.argmin(np.abs(mu.locations - eig.eigenvalues[0])))
     assert mu.weights[j] == pytest.approx(1.0, abs=1e-10)
@@ -117,16 +116,16 @@ def test_mass_is_accurate_on_ill_conditioned_gram(rng):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     lam = np.logspace(-20, 0, n)
     g = (q * lam) @ q.T
-    pair = GramPair(g=g, a=g, g_eigen_floor=0.0, retained_rank=n, basis=q, basis_eigenvalues=lam)
+    pair = GramPair(g=g, a=g, g_eigen_floor=0.0, basis=q, basis_eigenvalues=lam)
     moments = rng.normal(size=n)
-    obs = hdmd.ObservableCoefficients(moments=moments, gram=pair)
+    obs = ObservableCoefficients(moments=moments, gram=pair)
 
     exact = float(sum(
         sum(Fraction(q[j, i]) * Fraction(moments[j]) for j in range(n)) ** 2 / Fraction(lam[i])
         for i in range(n)
     ))  # sum_i (q_i^T m)^2 / lambda_i in rational arithmetic
     assert obs.mass() == pytest.approx(exact, rel=1e-12)
-    coeffs = obs.coeffs
+    coeffs = expansion(obs)
     assert abs(coeffs @ g @ coeffs - exact) > 1e-3 * exact
 
 
@@ -142,7 +141,7 @@ def test_measure_requires_shared_gram(rng):
     pair1, fm, quad = small_system(rng)
     pair2, _, _ = small_system(rng)
     eig = eigendecompose(hermitian_dmd(pair1))
-    obs = hdmd.ObservableCoefficients(moments=np.ones(6, dtype=complex), gram=pair2)
+    obs = ObservableCoefficients(moments=np.ones(6, dtype=complex), gram=pair2)
     with pytest.raises(ValueError, match="different GramPairs"):
         spectral_measure(eig, obs)
 
@@ -164,7 +163,7 @@ def test_measure_invariant_under_degenerate_remixing(rng):
     eig_b = KoopmanEig(eigenvalues=d, eigenvectors=vecs @ rot, gram=pair)
 
     m = rng.normal(size=6) + 1j * rng.normal(size=6)
-    obs = hdmd.ObservableCoefficients(moments=m, gram=pair)
+    obs = ObservableCoefficients(moments=m, gram=pair)
     mu_a = spectral_measure(eig_a, obs)
     mu_b = spectral_measure(eig_b, obs)
     assert mu_a.total_mass == pytest.approx(mu_b.total_mass, rel=1e-10)
@@ -185,7 +184,7 @@ def test_eig_weights_from_moments_match_projected_measure(per_axis, rank):
     to rank 856 (cond 9e11); there weights taken as |v^* G G^+ m|^2 summed to
     the mass only to about 5e-10, while the moments keep Parseval at roundoff.
     """
-    dictionary = hdmd.gaussian_grid_dictionary(((-4.0, 4.0), (-4.0, 4.0)), per_axis, 3.0, 1 + 1j)
+    dictionary = gaussian_grid_dictionary(((-4.0, 4.0), (-4.0, 4.0)), per_axis, 3.0, 1 + 1j)
     problem = hdmd.HarmonicOscillatorProblem(dictionary=dictionary)
     quad = hdmd.tensor_trapezoid(problem.domain, (40, 40))
     features = hdmd.generate_snapshots(problem, quad)
@@ -212,7 +211,7 @@ def test_eig_weights_from_moments_match_projected_measure(per_axis, rank):
 
 
 def test_cluster_symmetric_pair():
-    mu = AtomicMeasure.from_atoms([2.99, 3.01], [1.0, 1.0])
+    mu = AtomicMeasure([2.99, 3.01], [1.0, 1.0])
     rows, matched = cluster_table(mu, [3.0], radius=0.1)
     [(_, loc, weight, count)] = rows
     assert count == 2
@@ -222,7 +221,7 @@ def test_cluster_symmetric_pair():
 
 
 def test_cluster_leaves_unmatched_atoms_alone():
-    mu = AtomicMeasure.from_atoms([1.0, 7.0], [0.3, 0.7])
+    mu = AtomicMeasure([1.0, 7.0], [0.3, 0.7])
     rows, matched = cluster_table(mu, [4.0], radius=0.5)
     assert rows[0][2:] == (0.0, 0)
     assert not np.any(matched)
@@ -231,7 +230,7 @@ def test_cluster_leaves_unmatched_atoms_alone():
 def test_cluster_preserves_total_mass(rng):
     locs = np.sort(rng.uniform(0, 10, size=40))
     wts = rng.uniform(0, 1, size=40)
-    mu = AtomicMeasure.from_atoms(locs, wts)
+    mu = AtomicMeasure(locs, wts)
     rows, matched = cluster_table(mu, [2.0, 5.0, 8.0], radius=1.0)
     clustered = sum(weight for _, _, weight, _ in rows)
     assert clustered + np.sum(mu.weights[~matched]) == pytest.approx(mu.total_mass, rel=1e-12)
@@ -239,14 +238,23 @@ def test_cluster_preserves_total_mass(rng):
 
 def test_cluster_weighted_vs_plain_mean():
     # the location is the weighted mean 2.9, not the plain mean 3.0; all-zero weights fall back to the plain mean
-    weighted, _ = cluster_table(AtomicMeasure.from_atoms([2.8, 3.2], [3.0, 1.0]), [3.0], radius=0.4)
-    plain, _ = cluster_table(AtomicMeasure.from_atoms([2.8, 3.1], [0.0, 0.0]), [3.0], radius=0.4)
+    weighted, _ = cluster_table(AtomicMeasure([2.8, 3.2], [3.0, 1.0]), [3.0], radius=0.4)
+    plain, _ = cluster_table(AtomicMeasure([2.8, 3.1], [0.0, 0.0]), [3.0], radius=0.4)
     assert weighted[0][1] == pytest.approx(2.9, rel=1e-12)
     assert plain[0][1] == pytest.approx(2.95, rel=1e-12)
 
 
+def test_cluster_location_ignores_roundoff_weights():
+    # a cluster weighing at most eps * total_mass holds roundoff, not mass: its location is the plain mean
+    mu = AtomicMeasure([1.0, 2.8, 3.1], [1.0, 3e-30, 1e-30])
+    rows, _ = cluster_table(mu, [1.0, 3.0], radius=0.4)
+    assert rows[0][1] == 1.0
+    assert rows[1][1] == pytest.approx(2.95, rel=1e-12)
+    assert rows[1][2] == pytest.approx(4e-30, rel=1e-12)
+
+
 def test_cluster_radius_gap_validation():
-    mu = AtomicMeasure.from_atoms([1.0], [1.0])
+    mu = AtomicMeasure([1.0], [1.0])
     with pytest.raises(ValueError, match="half the minimum reference gap"):
         cluster_table(mu, [1.0, 2.0], radius=0.5)
     with pytest.raises(ValueError, match="distinct"):
@@ -261,7 +269,7 @@ def test_cluster_table_imports_nothing_at_first_call():
     code = (
         "import sys, hdmd.spectral as s\n"
         "before = set(sys.modules)\n"
-        "s.cluster_table(s.AtomicMeasure.from_atoms([1.0, 2.1], [1.0, 1.0]), [1.0, 2.0], 0.4)\n"
+        "s.cluster_table(s.AtomicMeasure([1.0, 2.1], [1.0, 1.0]), [1.0, 2.0], 0.4)\n"
         "print(sorted(set(sys.modules) - before))\n"
     )
     src = os.path.dirname(os.path.dirname(hdmd.__file__))
@@ -272,7 +280,7 @@ def test_cluster_table_imports_nothing_at_first_call():
 
 
 def test_cluster_table_reports_empty_clusters():
-    mu = AtomicMeasure.from_atoms([1.0, 5.02], [0.5, 0.5])
+    mu = AtomicMeasure([1.0, 5.02], [0.5, 0.5])
     rows, matched = cluster_table(mu, [3.0, 5.0], radius=0.4)
     assert rows[0][3] == 0 and np.isnan(rows[0][1]) and rows[0][2] == 0.0
     assert rows[1][3] == 1 and rows[1][1] == pytest.approx(5.02)
@@ -286,17 +294,22 @@ def test_cluster_table_reports_empty_clusters():
 
 def test_measure_validation():
     with pytest.raises(ValueError, match="nonnegative"):
-        AtomicMeasure(locations=np.array([1.0]), weights=np.array([-0.5]), total_mass=-0.5)
+        AtomicMeasure(locations=np.array([1.0]), weights=np.array([-0.5]))
     with pytest.raises(ValueError, match="sorted"):
-        AtomicMeasure(locations=np.array([2.0, 1.0]), weights=np.array([1.0, 1.0]), total_mass=2.0)
-    with pytest.raises(ValueError, match="total_mass"):
-        AtomicMeasure(locations=np.array([1.0]), weights=np.array([1.0]), total_mass=2.0)
+        AtomicMeasure(locations=np.array([2.0, 1.0]), weights=np.array([1.0, 1.0]))
+
+
+def test_measure_total_mass_is_the_sum_of_weights(rng):
+    loc, w = np.sort(rng.uniform(0, 10, size=25)), rng.uniform(0, 1, size=25)
+    assert AtomicMeasure(loc, w).total_mass == float(np.sum(w))
+    with pytest.raises(TypeError):
+        AtomicMeasure(loc, w, total_mass=float(np.sum(w)))
 
 
 def test_measure_serialization(tmp_path):
-    mu = AtomicMeasure.from_atoms([3.0, 1.0], [0.25, 0.5])
+    mu = AtomicMeasure([1.0, 3.0], [0.5, 0.25])
     csv_path = tmp_path / "measure.csv"
     write_csv(csv_path, "lambda,weight", mu.locations, mu.weights)  # as the CLI writes measure.csv
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "lambda,weight"
-    assert lines[1] == "1.0,0.5"  # sorted ascending
+    assert lines[1:] == ["1.0,0.5", "3.0,0.25"]

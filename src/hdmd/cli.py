@@ -164,12 +164,12 @@ def _check_fits(estimate: int, what: str, arrays: str) -> None:
         )
 
 
-def _kronecker_bytes(grid, per_axis: int) -> int:
+def _kronecker_bytes(grid, per_axis: int, references: int) -> int:
     """About what `schrodinger` allocates: M_k x n_k factors and their temporaries and n_k x n_k
-    matrices per axis, O(N) spectra and weights, and 64 KB of CSV lines and summary text; nothing
-    grows with the grid size M = prod(grid), since the observable's moments come from per-axis factors."""
+    matrices per axis, O(N) spectra and weights, 48 words per reference energy (its cluster row and
+    CSV text, about 370 bytes traced) and 64 KB of other text; nothing grows with M = prod(grid)."""
     words = 8 * per_axis * sum(grid) + 40 * per_axis**2 * len(grid) + 32 * per_axis ** len(grid)
-    return 8 * (words + 8192)
+    return 8 * (words + 48 * references + 8192)
 
 
 def _probe_bytes(n_ref: int) -> int:
@@ -196,8 +196,9 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     t0 = time.perf_counter()
     grid = (FULL_GRID_POINTS, FULL_GRID_POINTS) if full_grid else config.grid
     grid_text = " x ".join(map(str, grid))
-    needs = f"dictionary size N = {config.dict_per_axis**2} on the {grid_text} grid"
-    _check_fits(_kronecker_bytes(grid, config.dict_per_axis), needs, "per-axis factors and spectra")
+    per_axis, cutoff = config.dict_per_axis, config.energy_cutoff
+    needs = f"dictionary size N = {per_axis**2} on the {grid_text} grid with energy_cutoff = {cutoff}"
+    _check_fits(_kronecker_bytes(grid, per_axis, cutoff), needs, "per-axis factors, spectra and cluster rows")
     dictionary = _dictionary(config, 2)
     snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), grid)
     logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), dictionary.size)
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
         if args.command == "probes":
             return run_probes(config, out_dir)
         return run_custom(config, args.x_csv, args.y_csv, out_dir)
-    except (np.linalg.LinAlgError, MemoryError) as exc:  # LinAlgError is a ValueError
+    except (np.linalg.LinAlgError, MemoryError, ArithmeticError) as exc:  # LinAlgError is a ValueError
         print(f"hdmd: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError) as exc:

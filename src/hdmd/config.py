@@ -91,6 +91,8 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         fail("dict_per_axis", f"must be >= 1, got {c.dict_per_axis}")
     if not c.dict_width > 0:
         fail("dict_width", f"must be positive, got {c.dict_width}")
+    if c.dict_amplitude == 0:
+        fail("dict_amplitude_re", "and dict_amplitude_im are both 0: every dictionary function would vanish")
     if c.rank_tolerance < 0:
         fail("rank_tolerance", f"must be nonnegative, got {c.rank_tolerance}")
     if not c.cluster_radius > 0:

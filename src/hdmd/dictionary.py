@@ -173,6 +173,8 @@ def gaussian_grid_dictionary(centers_box, per_axis: int, width: float, amplitude
     """
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
+    if amplitude == 0:
+        raise ValueError(f"amplitude must be nonzero, got {amplitude}")
     if per_axis < 1:
         raise ValueError(f"per_axis must be >= 1, got {per_axis}")
     axes = []

@@ -18,11 +18,11 @@ the pipeline is quadrature plus the dictionary itself.
 Bumps, multiplier and the trapezoid rule all separate over axes, so
 `separable_snapshots` keeps 1-D factors and solves the Hermitian DMD one
 axis at a time (`KroneckerEig`); no N x N matrix is formed.  The reference
-observable is a product of one factor per axis too, so its moments
-Psi_X^* W f are a Kronecker product of per-axis moments, and no array of
-the grid's size M is formed either.  The dense `generate_snapshots`
-(`Dictionary.rows` times the row-wise Kronecker sum of the per-axis
-multipliers) stays as the general route and the oracle.
+observable is a product of one factor per axis too, so its spectral measure
+is the convolution of the per-axis ones: atoms at sums of eigenvalues with
+products of weights, and no array of the grid's size M.  Other observables
+take the dense `generate_snapshots` (`Dictionary.rows` times the row-wise
+Kronecker sum of the per-axis multipliers), the general route and oracle.
 
 Exact eigenpairs are phi_{m,n}(x, y) = H_m(x) H_n(y) exp(-(x^2+y^2)/2) with
 energies E = m + n + 1, using physicists' Hermite polynomials H_m.  The
@@ -104,13 +104,6 @@ def generate_snapshots(
     return FeatureMatrices(psi_x=psi_x, psi_y=psi_y, rank_tolerance_used=rank_tolerance)
 
 
-def _along_axes(t: np.ndarray, mats) -> np.ndarray:
-    """Apply mats[k] to axis k of tensor t: out[.., i, ..] = sum_j mats[k][i, j] t[.., j, ..]."""
-    for k, m in enumerate(mats):
-        t = np.moveaxis(np.tensordot(m, t, axes=([1], [k])), 0, k)
-    return t
-
-
 def _kron_sum_norm(terms) -> float:
     """||sum_t (x)_k terms[t][k]||_F from per-axis inner products, using
     <(x)_k X_k, (x)_k Y_k>_F = prod_k <X_k, Y_k>_F; no Kronecker product is formed."""
@@ -132,7 +125,8 @@ class KroneckerEig:
     v = (x)_k u_k / |amp|: the eigenpairs of K = K_x (x) Pi_y + Pi_x (x) K_y
     (Pi_k projects onto axis k's retained directions), which is G^+ B for
     G^+ = (x)_k G1_k^+ / s.  `eigenvalues` ascend (a stable sort of the
-    row-major sums); `order` holds the flat index of each.
+    row-major sums); `order` holds the flat index of each.  A product
+    observable's weights and mass are products of each axis's 1-D ones.
     """
 
     scale: float
@@ -159,27 +153,20 @@ class KroneckerEig:
         """Largest over smallest retained eigenvalue of G, the product of the axes'."""
         return prod(e.gram.condition_number for e in self.axes)
 
-    def _tensor(self, moments) -> np.ndarray:
-        return np.asarray(moments).reshape([e.gram.size for e in self.axes])
+    def weights(self, axis_moments) -> np.ndarray:
+        """Weights, in eigenvalue order, of the product observable with per-axis moments m_k.
 
-    def weights(self, moments) -> np.ndarray:
-        """Weights |v^* m|^2, in eigenvalue order, of the observable with moments m = Psi_X^* W f.
-
-        As in `KoopmanEig.weights`, v^* m = v^* G g_c for g_c = G^+ m; here v^* m =
-        ((x)_k u_k)^* m / |amp|, and complex moments keep their imaginary part.
+        The full moments are m = conj(amp) (x)_k m_k and v = (x)_k u_k / |amp|, so
+        |v^* m|^2 = prod_k |u_k^* m_k|^2: the outer product of each axis's
+        `KoopmanEig.weights`, raveled row-major like the eigenvalue sums.
         """
-        t = _along_axes(self._tensor(moments), [e.eigenvectors.conj().T for e in self.axes])
-        return np.abs(t.ravel()[self.order]) ** 2 / self.scale
+        per_axis = [e.weights(m) for e, m in zip(self.axes, axis_moments, strict=True)]
+        return reduce(np.multiply.outer, per_axis).ravel()[self.order]
 
-    def observable_mass(self, moments) -> float:
-        """g_c^* G g_c = ||(x)_k Lambda_k^{-1/2} Q_k^* m||^2 / s for g_c = G^+ m.
-
-        Uses each axis's retained Gram eigenpairs (Q_k, Lambda_k), not the DMD
-        eigenvectors, so the weights' sum is checked against it (Parseval).
-        Applying G to G^+ m instead would lose accuracy along tiny retained g.
-        """
-        whiten = [(e.gram.basis / np.sqrt(e.gram.basis_eigenvalues)).conj().T for e in self.axes]
-        return float(np.sum(np.abs(_along_axes(self._tensor(moments), whiten)) ** 2)) / self.scale
+    def observable_mass(self, axis_moments) -> float:
+        """g_c^* G g_c for g_c = G^+ m: with G^+ = (x)_k G1_k^+ / s, the product of each
+        axis's `GramPair.observable_mass`, so the weights' sum is checked against it (Parseval)."""
+        return prod(e.gram.observable_mass(m) for e, m in zip(self.axes, axis_moments, strict=True))
 
     def hermiticity_residual(self) -> float:
         """||G K - K^* G||_F / max(1, ||G K||_F) for the Kronecker-sum K, from 1-D factors.
@@ -211,7 +198,7 @@ class SeparableSnapshots:
     terms h.  With G1 = E^T W E and H1 = E^T W (E o h) per axis,
     G = |amp|^2 (x)_k G1_k and A = |amp|^2 sum_k (G1 (x) .. H1_k .. (x) G1),
     both real; for a product observable f = prod_k f_k(x_k),
-    Psi_X^* W f = conj(amp) (x)_k E_k^T W_k f_k.
+    Psi_X^* W f = conj(amp) (x)_k m_k with per-axis moments m_k = E_k^T W_k f_k.
     """
 
     amplitude: complex
@@ -240,14 +227,10 @@ class SeparableSnapshots:
             )
         return eig
 
-    def moments(self, factors) -> np.ndarray:
-        """Psi_X^* W f for the product observable f = prod_k f_k(x_k), given f_k sampled at axes[k].
-
-        Each axis contributes E_k^T W_k f_k of length n_k; their outer product,
-        row-major like the centers, times conj(amp) is the moment vector.
-        """
-        axis_moments = [(w[:, None] * e).T @ f for e, w, f in zip(self.bumps, self.weights, factors, strict=True)]
-        return np.conj(self.amplitude) * reduce(np.multiply.outer, axis_moments).ravel()
+    def moments(self, factors) -> tuple[np.ndarray, ...]:
+        """Per-axis moments m_k = E_k^T W_k f_k of the product observable f = prod_k f_k(x_k),
+        given f_k sampled at axes[k]; `KroneckerEig` takes them as they are (the amplitude cancels)."""
+        return tuple((w[:, None] * e).T @ f for e, w, f in zip(self.bumps, self.weights, factors, strict=True))
 
 
 def separable_snapshots(problem: HarmonicOscillatorProblem, points_per_axis) -> SeparableSnapshots:

@@ -222,6 +222,27 @@ def test_schrodinger_deterministic_output(small_run, tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["schrodinger", "custom"])
+def test_zero_dictionary_amplitude_exits_2_naming_key(tmp_path, capsys, command):
+    # every dictionary function would vanish: G = 0, and the mass would divide by |amp|^2 = 0
+    cfg = write_config(tmp_path, "grid = 20 20\ndict_amplitude_re = 0\ndict_amplitude_im = 0\n")
+    write_points(tmp_path / "x.csv", symmetric_grid_points())
+    snapshots = [str(tmp_path / "x.csv")] * 2 if command == "custom" else []
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *snapshots]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dict_amplitude_re" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_schrodinger_arithmetic_overflow_exits_1_with_one_line(tmp_path, capsys):
+    # width^2 in the Hamiltonian multiplier overflows a Python float
+    cfg = write_config(tmp_path, "grid = 20 20\ndict_width = 1e300\n")
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("hdmd: numerical failure: OverflowError")
+
+
 def test_schrodinger_invalid_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("schema = 1\ndict_width = -3\n")
@@ -542,7 +563,13 @@ def test_custom_reports_gram_spectrum(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "error", [np.linalg.LinAlgError("Eigenvalues did not converge"), MemoryError()]
+    "error",
+    [
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+        MemoryError(),
+        OverflowError("Numerical result out of range"),
+        ZeroDivisionError("float division by zero"),
+    ],
 )
 def test_numerical_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):
@@ -734,6 +761,20 @@ def test_schrodinger_refuses_dictionary_beyond_physical_memory(tmp_path, capsys,
     assert "N = 1000000000000 on the 75 x 75 grid" in err and "physical memory" in err
 
 
+def test_schrodinger_refuses_energy_cutoff_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the size guard must refuse before the factors are built")
+
+    monkeypatch.setattr(cli, "separable_snapshots", unreachable)
+    # each reference energy becomes a cluster row and a CSV line: at 10^12 they would take hundreds of TB
+    cfg = write_config(tmp_path, "energy_cutoff = 1000000000000\n")
+    out = tmp_path / "o"
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "energy_cutoff = 1000000000000 needs about" in err and "physical memory" in err
+    assert not out.exists()
+
+
 def test_probes_refuse_reference_beyond_physical_memory(tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the size guard must refuse before the reference is built")
@@ -784,16 +825,18 @@ def test_schrodinger_forms_nothing_of_grid_size(tmp_path, body, flags, bound):
 
 
 @pytest.mark.parametrize(
-    "grid, per_axis", [((60, 60), 40), ((40, 40), 200), ((600, 500), 10)], ids=["60sq-40", "40sq-200", "600x500-10"]
+    "grid, per_axis, cutoff",
+    [((60, 60), 40, 12), ((40, 40), 200, 12), ((600, 500), 10, 12), ((75, 75), 20, 100_000)],
+    ids=["60sq-40", "40sq-200", "600x500-10", "cutoff-1e5"],
 )
-def test_schrodinger_size_estimate_covers_what_it_allocates(tmp_path, grid, per_axis):
+def test_schrodinger_size_estimate_covers_what_it_allocates(tmp_path, grid, per_axis, cutoff):
     # the guard's estimate bounds the traced peak from above without overstating it tenfold
-    cfg = write_config(tmp_path, f"grid = {grid[0]} {grid[1]}\ndict_per_axis = {per_axis}\n")
+    cfg = write_config(tmp_path, f"grid = {grid[0]} {grid[1]}\ndict_per_axis = {per_axis}\nenergy_cutoff = {cutoff}\n")
     argv = ["schrodinger", "--config", str(cfg), "--out"]
     assert cli.main(argv + [str(tmp_path / "warm")]) == 0
     code, peak = traced_peak(argv + [str(tmp_path / "out")])
     assert code == 0
-    assert peak <= cli._kronecker_bytes(grid, per_axis) <= 10 * peak
+    assert peak <= cli._kronecker_bytes(grid, per_axis, cutoff) <= 10 * peak
 
 
 @pytest.mark.parametrize("snapshots, dim, per_axis", [(20000, 2, 20), (100000, 1, 20)], ids=["2d-400", "1d-20"])

@@ -55,6 +55,11 @@ def test_gaussian_rejects_bad_width():
         gaussian_grid_dictionary([(-1, 1)], 0, width=1.0, amplitude=1.0)
 
 
+def test_gaussian_rejects_zero_amplitude():
+    with pytest.raises(ValueError, match="amplitude must be nonzero"):
+        gaussian_grid_dictionary([(-1, 1)], 2, width=1.0, amplitude=0j)
+
+
 def test_identity_map_gives_equal_matrices(rng):
     d = gaussian_grid_dictionary([(-2, 2), (-2, 2)], 4, width=1.0, amplitude=1 + 1j)
     nodes = rng.uniform(-3, 3, size=(50, 2))

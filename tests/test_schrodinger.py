@@ -8,7 +8,7 @@ from math import factorial, pi, sqrt
 import numpy as np
 import pytest
 
-from hdmd.dictionary import evaluate_function_samples, gaussian_grid_dictionary
+from hdmd.dictionary import gaussian_grid_dictionary
 from hdmd.dmd import KoopmanMatrix, assemble_gram_pair, eigendecompose, hermitian_dmd
 from hdmd.quadrature import QuadratureRule, grid_nodes, tensor_trapezoid
 from hdmd.schrodinger import (
@@ -149,21 +149,29 @@ def test_separable_bumps_are_the_dictionary_rows_factors(grid, dictionary):
 # ------------------------------------------------------------------
 
 
-def nonseparable_observable(pts):
-    return np.cos(pts[:, 0] * pts[:, 1]) + 1j * pts[:, 0] * np.exp(-0.1 * pts[:, 1] ** 2)
-
-
 def product_factors(x, y):
     """Per-axis factors of a complex product observable with a different factor on each axis.
 
-    Neither is odd, so a bump centred at 0 (the per_axis = 1 case) has a nonzero moment.
+    e^{ix}'s real and imaginary parts are not proportional, so a weight that dropped the
+    imaginary part would be off.  Neither factor is odd, so a bump centred at 0 (the
+    per_axis = 1 case) has a nonzero moment.
     """
-    return [np.cos(x), (1 - 0.5j) * (1 + y) * np.exp(-0.1 * y**2)]
+    return [np.exp(1j * x), (1 - 0.5j) * (1 + y) * np.exp(-0.1 * y**2)]
+
+
+def product_samples(quad):
+    """The product observable sampled at the rule's (M, 2) nodes, for the dense route."""
+    return reduce(np.multiply, product_factors(*quad.nodes.T))
 
 
 def dense_moments(features, quad, samples):
     """Psi_X^* W f from the materialized features and samples at the rule's nodes."""
     return features.psi_x.conj().T @ (quad.weights * samples)
+
+
+def full_moments(snapshots, axis_moments):
+    """conj(amp) (x)_k m_k, the moment vector Psi_X^* W f the per-axis moments stand for."""
+    return np.conj(snapshots.amplitude) * kron_all(axis_moments)
 
 
 def relative_error(x, y):
@@ -192,23 +200,31 @@ def kron_all(mats):
     return reduce(np.kron, mats)
 
 
-@pytest.mark.parametrize("grid, dictionary", SEPARABLE_CASES, ids=SEPARABLE_IDS)
-def test_separable_matches_dense(grid, dictionary):
+@pytest.fixture(scope="module", params=SEPARABLE_CASES, ids=SEPARABLE_IDS)
+def dense_case(request):
+    """(problem, grid, quad, features, pair) of the dense route for one case, built once for
+    every test that compares with it; the features and GramPair are frozen, so sharing is safe."""
+    grid, dictionary = request.param
     problem = HarmonicOscillatorProblem(dictionary=dictionary)
     quad = tensor_trapezoid(problem.domain, grid)
     features = generate_snapshots(problem, quad)
-    dense = assemble_gram_pair(features, quad)
+    return problem, grid, quad, features, assemble_gram_pair(features, quad)
+
+
+def test_separable_matches_dense(dense_case):
+    problem, grid, quad, features, dense = dense_case
     snapshots = separable_snapshots(problem, grid)
     g1, h1 = axis_matrices(snapshots)
-    scale = abs(dictionary.amplitude) ** 2
+    scale = abs(problem.dictionary.amplitude) ** 2
     g = scale * kron_all(g1)
     a = scale * (np.kron(h1[0], g1[1]) + np.kron(g1[0], h1[1]))
-    samples = reduce(np.multiply, product_factors(*quad.nodes.T))
 
     assert relative_error(g, dense.g) <= 1e-13
     assert relative_error(a, dense.a) <= 1e-13
-    moments = dense_moments(features, quad, samples)
-    assert relative_error(snapshots.moments(product_factors(*snapshots.axes)), moments) <= 1e-13
+    moments = dense_moments(features, quad, product_samples(quad))
+    axis_moments = snapshots.moments(product_factors(*snapshots.axes))
+    assert [m.shape for m in axis_moments] == [(c.size,) for c in problem.dictionary.axis_centers]
+    assert relative_error(full_moments(snapshots, axis_moments), moments) <= 1e-13
 
 
 # ------------------------------------------------------------------
@@ -216,8 +232,7 @@ def test_separable_matches_dense(grid, dictionary):
 # ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("grid, dictionary", SEPARABLE_CASES, ids=SEPARABLE_IDS)
-def test_kronecker_eig_matches_dense(grid, dictionary):
+def test_kronecker_eig_matches_dense(dense_case):
     """Eigenvalues, heavy cluster sums and observable mass agree with the dense pipeline.
 
     At full rank both routes solve the same pencil.  In the rank-deficient
@@ -225,20 +240,16 @@ def test_kronecker_eig_matches_dense(grid, dictionary):
     contains the 2-D floor's staircase (1046), so by min-max each Ritz value
     can only fall and the projected mass can only grow; both stay close.
     """
-    problem = HarmonicOscillatorProblem(dictionary=dictionary)
-    quad = tensor_trapezoid(problem.domain, grid)
-    features = generate_snapshots(problem, quad)
-    pair = assemble_gram_pair(features, quad)
+    problem, grid, quad, features, pair = dense_case
     dense_eig = eigendecompose(hermitian_dmd(pair))
-    samples = evaluate_function_samples(quad.nodes, nonseparable_observable)
-    observable = project_observable(samples, features, quad, pair=pair)
+    observable = project_observable(product_samples(quad), features, quad, pair=pair)
     dense_measure = spectral_measure(dense_eig, observable)
 
     snapshots = separable_snapshots(problem, grid)
     eig = snapshots.kronecker_eig()
-    moments = dense_moments(features, quad, samples)
-    measure = AtomicMeasure(eig.eigenvalues, eig.weights(moments))
-    mass = eig.observable_mass(moments)
+    axis_moments = snapshots.moments(product_factors(*snapshots.axes))
+    measure = AtomicMeasure(eig.eigenvalues, eig.weights(axis_moments))
+    mass = eig.observable_mass(axis_moments)
 
     assert eig.retained_rank == np.prod(eig.axis_retained_ranks) == eig.eigenvalues.size
     assert np.all(np.diff(eig.eigenvalues) >= 0)
@@ -258,7 +269,7 @@ def test_kronecker_eig_matches_dense(grid, dictionary):
         for weight, dense_weight in heavy:
             assert weight == pytest.approx(dense_weight, rel=1e-6)
     else:
-        assert eig.retained_rank == pair.retained_rank == dictionary.size
+        assert eig.retained_rank == pair.retained_rank == problem.dictionary.size
         assert np.max(np.abs(gaps)) <= 1e-11
         assert mass == pytest.approx(observable.mass(), rel=1e-13)
         for weight, dense_weight in heavy:
@@ -271,11 +282,11 @@ def test_kronecker_weights_keep_imaginary_part_of_complex_observable():
     problem = HarmonicOscillatorProblem(dictionary=dictionary)
     snapshots = separable_snapshots(problem, (50, 50))
     eig = snapshots.kronecker_eig()
-    quad = tensor_trapezoid(problem.domain, (50, 50))
-    samples = evaluate_function_samples(quad.nodes, nonseparable_observable)
-    assert np.linalg.norm(samples.imag) > 0.5 * np.linalg.norm(samples.real)
-    moments = dense_moments(generate_snapshots(problem, quad), quad, samples)
-    weights = eig.weights(moments)
+    factors = product_factors(*snapshots.axes)
+    assert np.linalg.norm(factors[0].imag) > 0.5 * np.linalg.norm(factors[0].real)
+    axis_moments = snapshots.moments(factors)
+    moments = full_moments(snapshots, axis_moments)
+    weights = eig.weights(axis_moments)
 
     g1, _ = axis_matrices(snapshots)
     g = abs(dictionary.amplitude) ** 2 * kron_all(g1)
@@ -286,7 +297,7 @@ def test_kronecker_weights_keep_imaginary_part_of_complex_observable():
     assert np.linalg.norm(projections.imag) > 0.3 * np.linalg.norm(projections)
     expected = np.abs(projections) ** 2
     assert np.max(np.abs(weights - expected)) <= 1e-12 * weights.sum()
-    assert np.real(np.vdot(coeffs, g @ coeffs)) == pytest.approx(eig.observable_mass(moments), rel=1e-12)
+    assert np.real(np.vdot(coeffs, g @ coeffs)) == pytest.approx(eig.observable_mass(axis_moments), rel=1e-12)
 
 
 @pytest.mark.parametrize("grid, dictionary", SEPARABLE_CASES, ids=SEPARABLE_IDS)

@@ -32,15 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    default_config,
-    load_config,
-    undecodable,
-)
+from .config import ConfigError, ExperimentConfig, default_config, load_config, undecodable
 from .dictionary import Dictionary, gaussian_grid_dictionary, evaluate_snapshots
-from .dmd import _BLOCK_ROWS, assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
+from .dmd import assemble_gram_pair, block_rows, edmd, eigendecompose, hermitian_dmd
 from .matio import float_text, write_complex_csv, write_csv, write_summary
 from .probes import (
     DiagonalSections,
@@ -181,12 +175,13 @@ def _probe_bytes(n_ref: int) -> int:
 
 
 def _custom_bytes(snapshots: int, dim: int, per_axis: int) -> int:
-    """About what `custom` allocates: A and a product beside two min(M, 4096) x N row blocks and their
-    per-axis bumps (4 d per_axis words a row) or beside G's midpoint bumps (d (2 per_axis - 1) words a
-    row, and their Khatri-Rao product over all but the last axis); then G's N x N gather and up to 12
-    N x N arrays in all (G, A, Q, both K, eigenvectors, temporaries); 4 (1 + d) words a snapshot (both
-    files' points, the weights and their roots) and 128 KB of reader buffers and CSV lines."""
-    size, rows, mids = per_axis**dim, min(snapshots, _BLOCK_ROWS), 2 * per_axis - 1
+    """About what `custom` allocates: A and a product beside two min(M, block_rows(N)) x N row blocks (at most
+    max(2 MiB, N x N) each) and their per-axis bumps (4 d per_axis words a row) or beside G's midpoint bumps
+    (d (2 per_axis - 1) words a row, and their Khatri-Rao product over all but the last axis); then G's gather
+    and up to 12 N x N arrays in all (G, A, Q, one K, Q^* B Q, eigenvectors, temporaries); 4 (1 + d) words a
+    snapshot (both files' points, the weights and their roots) and 128 KB of reader buffers and CSV lines."""
+    size, mids = per_axis**dim, 2 * per_axis - 1
+    rows = min(snapshots, block_rows(size))
     summing = rows * max(2 * size + 4 * dim * per_axis, dim * mids + mids ** (dim - 1)) + 2 * size**2
     return 8 * (max(summing, 12 * size**2) + 4 * (1 + dim) * snapshots + 16384)
 
@@ -303,17 +298,17 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     quad = monte_carlo(x_pts, total_mass=1.0)
     features = evaluate_snapshots(dictionary, x_pts, y_pts, rank_tolerance=config.rank_tolerance)
     pair = assemble_gram_pair(features, quad)
-    k_edmd = edmd(pair)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # each K is written as soon as it exists, so K_edmd is gone before the Hermitian solve
+    write_complex_csv(edmd(pair).k, out_dir / "koopman_edmd.csv")
     k_herm = hermitian_dmd(pair)
+    residual = k_herm.hermiticity_residual()
+    write_complex_csv(k_herm.k, out_dir / "koopman_hermitian.csv")
     eig = eigendecompose(k_herm)
     moments = pair.g[:, 0]  # the observable is psi_0, so Psi_X^* W psi_0 = G e_0 exactly
     measure = AtomicMeasure(eig.eigenvalues, eig.weights(moments))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_complex_csv(k_edmd.k, out_dir / "koopman_edmd.csv")
-    write_complex_csv(k_herm.k, out_dir / "koopman_hermitian.csv")
     return _report(
-        out_dir, t0, config, "custom-snapshots", dictionary, pair, k_herm.hermiticity_residual(), measure,
+        out_dir, t0, config, "custom-snapshots", dictionary, pair, residual, measure,
         pair.observable_mass(moments), snapshot_count=count, snapshot_dimension=dim,
     )
 

@@ -87,6 +87,8 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         fail("grid", f"needs at least 2 points per axis, got {c.grid}")
     if not c.dict_box_max > c.dict_box_min:
         fail("dict_box_max", f"must exceed dict_box_min, got [{c.dict_box_min}, {c.dict_box_max}]")
+    if not isfinite(c.dict_box_max - c.dict_box_min):
+        fail("dict_box_max", f"- dict_box_min overflows a float, got [{c.dict_box_min}, {c.dict_box_max}]")
     if c.dict_per_axis < 1:
         fail("dict_per_axis", f"must be >= 1, got {c.dict_per_axis}")
     if not c.dict_width > 0:
@@ -95,6 +97,8 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         fail("dict_amplitude_re", "and dict_amplitude_im are both 0: every dictionary function would vanish")
     if c.rank_tolerance < 0:
         fail("rank_tolerance", f"must be nonnegative, got {c.rank_tolerance}")
+    if c.rank_tolerance >= 1:
+        fail("rank_tolerance", f"must be below 1, got {c.rank_tolerance}: the cutoff would drop every direction of G")
     if not c.cluster_radius > 0:
         fail("cluster_radius", f"must be positive, got {c.cluster_radius}")
     if c.cluster_radius >= 0.5:

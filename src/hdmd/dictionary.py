@@ -18,7 +18,6 @@ is evaluated, for `custom` and for both routes of `hdmd.schrodinger`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import prod
 
 import numpy as np
@@ -50,20 +49,25 @@ class Dictionary:
         squares = ((x[:, None] - c) ** 2 for x, c in zip(coordinates, self.axis_centers, strict=True))
         return tuple(np.exp(np.multiply(s, -self.width, out=s), out=s) for s in squares)  # one array per axis
 
-    def rows(self, points, row_scale=1.0) -> np.ndarray:
-        """Real rows s_m exp(-width |x_m - c_j|^2) at (M, d) points, without the amplitude.
+    def rows(self, points, row_scale=1.0, out=None) -> np.ndarray:
+        """Real rows s_m exp(-width |x_m - c_j|^2) at (M, d) points, without the amplitude, into out if given.
 
         Each row is the row-wise Kronecker (Khatri-Rao) product of the per-axis
         bumps: d * per_axis exponentials per point; the scalar or (M,)
         row_scale s enters with the first axis's factor.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return rowwise_kron((np.reshape(row_scale, (-1, 1)),) + self.axis_bumps(pts.T))
+        return rowwise_kron((np.reshape(row_scale, (-1, 1)),) + self.axis_bumps(pts.T), out=out)
 
 
-def rowwise_kron(factors, combine=np.multiply) -> np.ndarray:
-    """Row-wise Kronecker product (Khatri-Rao; sum with combine=np.add) of (M, n_k) factors, last fastest."""
-    return reduce(lambda p, e: combine(p[:, :, None], e[:, None, :]).reshape(len(e), -1), factors)
+def rowwise_kron(factors, combine=np.multiply, out=None) -> np.ndarray:
+    """Row-wise Kronecker product (Khatri-Rao; sum with combine=np.add) of (M, n_k) factors, last fastest;
+    the last combination is written into out, a C-contiguous (M, prod n_k) array, if one is given."""
+    p, *rest = factors
+    for i, e in enumerate(rest, 1):
+        into = None if out is None or i < len(rest) else out.reshape(len(e), p.shape[1], e.shape[1])
+        p = combine(p[:, :, None], e[:, None, :], out=into).reshape(len(e), -1)
+    return p
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,9 @@ class FeatureMatrices:
 
     scale = 1.0  # the rows are Psi itself
 
-    def block(self, rows: slice, row_scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+    def block(self, rows: slice, row_scale=1.0, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
         s = np.reshape(row_scale, (-1, 1))
-        return s * self.psi_x[rows], s * self.psi_y[rows]
+        return np.multiply(s, self.psi_x[rows], out=out[0]), np.multiply(s, self.psi_y[rows], out=out[1])
 
     def gram(self, weights, block_rows: int) -> np.ndarray:
         """Psi_X^* W Psi_X summed over blocks of block_rows rows of W^(1/2) Psi_X."""
@@ -135,8 +139,8 @@ class SnapshotFeatures:
     def scale(self) -> float:
         return abs(self.dictionary.amplitude) ** 2
 
-    def block(self, rows: slice, row_scale=1.0) -> tuple[np.ndarray, np.ndarray]:
-        return self.dictionary.rows(self.x[rows], row_scale), self.dictionary.rows(self.y[rows], row_scale)
+    def block(self, rows: slice, row_scale=1.0, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(self.dictionary.rows(p[rows], row_scale, o) for p, o in zip((self.x, self.y), out))
 
     def gram(self, weights, block_rows: int) -> np.ndarray:
         """R_X^T W R_X in M (2n - 1)^d products, not M N^2, for centers uniformly spaced on every axis.

@@ -24,8 +24,8 @@ compresses (A + A^*)/2 onto the retained subspace as well, which is what
 keeps G K = K^* G true at roundoff level; at full rank this reduces to the
 plain formula above.
 
-Assembly sums A over snapshots in fixed 4096-row blocks in the rows' dtype,
-so the real rows of `hdmd custom` (never an M x N matrix) give a real A.
+Assembly sums A over snapshots in blocks of `block_rows(N)` rows in the rows'
+dtype, so the real rows of `hdmd custom` (never an M x N matrix) give a real A.
 Each feature type supplies its own G (`hdmd custom`'s in closed form, with
 no N x N product per block).  G and A from any other source (the separable
 factors in `hdmd.schrodinger`) enter through `GramPair.from_matrices`, the
@@ -45,7 +45,14 @@ from .quadrature import QuadratureRule
 
 logger = logging.getLogger("hdmd")
 
-_BLOCK_ROWS = 4096
+_BLOCK_WORDS = 2**18  # 2 MiB of float64
+
+
+def block_rows(n: int) -> int:
+    """Snapshot rows per block for a dictionary of size n: at most max(2 MiB, one n x n matrix) of float64
+    a block, and never fewer than n rows, so each block's n x n product-and-add stays small beside its GEMM.
+    It depends on n alone, so for a given dictionary it fixes the summation order of G and A, and their bits."""
+    return max(n, _BLOCK_WORDS // n)
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,7 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
 
     The weights are positive, so blocks arrive as rows of W^(1/2) Psi; A is
     summed over them in features.dtype, G comes from features.gram, and both
-    are scaled once by features.scale.
+    are scaled once, in place, by features.scale.
     The cutoff is features.rank_tolerance_used; see `GramPair.from_matrices`.
     Effective rank deficiency is reported as a warning, not a failure.
     """
@@ -155,14 +162,18 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
             f"feature rows ({features.snapshot_count}) != quadrature nodes ({quad.size})"
         )
     root_w, n = np.sqrt(quad.weights), features.dictionary_size
+    rows = block_rows(n)
     a = np.zeros((n, n), dtype=features.dtype)
-    for start in range(0, quad.size, _BLOCK_ROWS):
-        sl = slice(start, start + _BLOCK_ROWS)
-        bx, by = features.block(sl, root_w[sl])  # rows of W^(1/2) Psi_X, W^(1/2) Psi_Y
+    buffers = np.empty((2, min(rows, quad.size), n), features.dtype)  # reused: fresh blocks fault in pages again
+    for start in range(0, quad.size, rows):
+        sl = slice(start, start + rows)
+        bx, by = features.block(sl, root_w[sl], buffers[:, : root_w[sl].size])  # W^(1/2) Psi_X, W^(1/2) Psi_Y
         a += bx.conj().T @ by
-        del bx, by  # else this block lives on while the next one is built: two pairs of 4096 x N rows
-    g = features.gram(quad.weights, _BLOCK_ROWS)  # after the loop, so G is not live beside the blocks
-    pair = GramPair.from_matrices(features.scale * g, features.scale * a, features.rank_tolerance_used)
+    del buffers, bx, by
+    g = features.gram(quad.weights, rows)  # after the loop, so G is not live beside the blocks
+    g *= features.scale  # in place: scaled copies would be two more N x N arrays, live during eigh(G)
+    a *= features.scale
+    pair = GramPair.from_matrices(g, a, features.rank_tolerance_used)
     if pair.rank_deficient:
         msg = "Gram matrix numerically rank deficient: retained %d of %d directions (floor %.3e)"
         logger.warning(msg, pair.retained_rank, n, pair.g_eigen_floor)

@@ -25,7 +25,7 @@ def write_artifact(path, chunks) -> None:
         f.writelines(chunks)
 
 
-# iterators, not lists: lists of every cell raised the peak RSS of `custom` on 20,000 snapshots 96.6 -> 100.4 MB
+# an iterator, not a list: the cells of a column are not held beside the rows' text
 def _cells(column):
     values = np.asarray(column)
     if values.dtype.kind == "f":

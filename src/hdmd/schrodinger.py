@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .dictionary import DEFAULT_RANK_TOLERANCE, Dictionary, FeatureMatrices, gaussian_grid_dictionary, rowwise_kron
-from .dmd import _BLOCK_ROWS, GramPair, KoopmanEig, KoopmanMatrix, eigendecompose, hermitian_dmd
+from .dmd import GramPair, KoopmanEig, KoopmanMatrix, block_rows, eigendecompose, hermitian_dmd
 from .quadrature import QuadratureRule, grid_nodes, trapezoid_axes
 from .spectral import AtomicMeasure
 
@@ -95,8 +95,9 @@ def generate_snapshots(
     dictionary = problem.dictionary
     psi_x = np.empty((nodes.shape[0], dictionary.size), dtype=complex)
     psi_y = np.empty_like(psi_x)
-    for start in range(0, nodes.shape[0], _BLOCK_ROWS):
-        sl = slice(start, start + _BLOCK_ROWS)
+    rows = block_rows(dictionary.size)
+    for start in range(0, nodes.shape[0], rows):
+        sl = slice(start, start + rows)
         axes = zip(nodes[sl].T, dictionary.axis_centers, strict=True)
         terms = [_axis_multiplier(dictionary.width, x[:, None] - c, x[:, None]) for x, c in axes]
         psi_x[sl] = dictionary.amplitude * dictionary.rows(nodes[sl])

@@ -11,6 +11,7 @@ from hdmd.dictionary import FeatureMatrices, evaluate_snapshots, gaussian_grid_d
 from hdmd.dmd import (
     GramPair,
     assemble_gram_pair,
+    block_rows,
     edmd,
     eigendecompose,
     hermitian_dmd,
@@ -145,7 +146,7 @@ def relative_gap(got, want):
     "dim, per_axis, amp, m",
     [
         (1, 9, 1 + 1j, 500),
-        (2, 6, 0.3 - 2.1j, 4097),  # one row past the 4096-row block
+        (2, 6, 0.3 - 2.1j, 7282),  # one row past the first block: block_rows(36) = 7281
         (3, 4, 0.3 - 2.1j, 1500),
         (2, 1, 0.3 - 2.1j, 64),
     ],
@@ -188,23 +189,25 @@ def gram_pair_before_cutoff(monkeypatch, features, quad):
 
 
 def test_real_rows_assemble_bitwise_symmetric_gram(rng, monkeypatch):
-    m = 2 * 4096 + 809  # three blocks, the last one partial
-    x = rng.uniform(-3, 3, size=(m, 2))
-    quad = QuadratureRule(nodes=x, weights=rng.uniform(0.1, 3.0, size=m))
     dictionary = gaussian_grid_dictionary([(-2.0, 2.0), (-1.5, 2.5)], 7, 1.0, 0.3 - 2.1j)
-    streamed = evaluate_snapshots(dictionary, x, np.cos(x))
-    dense = FeatureMatrices(psi_x=rng.normal(size=(m, 9)), psi_y=rng.normal(size=(m, 9)))
-    for features in (streamed, dense):
+    for n in (dictionary.size, 9):  # streamed rows, then dense ones
+        m = 2 * block_rows(n) + 809  # three blocks, the last one partial
+        x = rng.uniform(-3, 3, size=(m, 2))
+        quad = QuadratureRule(nodes=x, weights=rng.uniform(0.1, 3.0, size=m))
+        if n == dictionary.size:
+            features = evaluate_snapshots(dictionary, x, np.cos(x))
+        else:
+            features = FeatureMatrices(psi_x=rng.normal(size=(m, n)), psi_y=rng.normal(size=(m, n)))
         g, a = gram_pair_before_cutoff(monkeypatch, features, quad)
         assert g.dtype == a.dtype == np.float64
         assert np.array_equal(g, g.T)
 
 
 def test_midpoint_gram_agrees_with_direct_sum_on_the_same_rows(rng, monkeypatch):
-    m = 4096 + 1234
+    dictionary = gaussian_grid_dictionary([(-2.0, 2.0), (-1.5, 2.5)], 7, 1.0, 0.3 - 2.1j)
+    m = block_rows(dictionary.size) + 1234  # two blocks, the last one partial
     x = rng.uniform(-3, 3, size=(m, 2))
     quad = QuadratureRule(nodes=x, weights=rng.uniform(0.05, 5.0, size=m) / m)
-    dictionary = gaussian_grid_dictionary([(-2.0, 2.0), (-1.5, 2.5)], 7, 1.0, 0.3 - 2.1j)
     streamed = evaluate_snapshots(dictionary, x, np.cos(x))
     dense = FeatureMatrices(*streamed.block(slice(None)))  # the same real rows, G summed directly
     g, a = gram_pair_before_cutoff(monkeypatch, streamed, quad)
@@ -214,7 +217,7 @@ def test_midpoint_gram_agrees_with_direct_sum_on_the_same_rows(rng, monkeypatch)
 
 
 def test_assembly_matches_dense_weighted_oracle_across_blocks(rng):
-    m = 2 * 4096 + 1234
+    m = 2 * block_rows(6**2) + 1234  # three blocks, the last one partial
     w = rng.uniform(0.05, 5.0, size=m) / m  # non-uniform positive weights
     box = [(-2.0, 2.0), (-1.5, 2.5)]
     x = rng.uniform(-3, 3, size=(m, 2))
@@ -224,16 +227,24 @@ def test_assembly_matches_dense_weighted_oracle_across_blocks(rng):
     assert relative_gap(pair.g, oracle.g) <= 1e-13
     assert relative_gap(pair.a, oracle.a) <= 1e-13
 
+    m = 2 * block_rows(8) + 1234  # dense complex rows: three blocks of their own size
+    w = rng.uniform(0.05, 5.0, size=m) / m
     psi_x = rng.normal(size=(m, 8)) + 1j * rng.normal(size=(m, 8))
     psi_y = rng.normal(size=(m, 8)) + 1j * rng.normal(size=(m, 8))
-    pair = assemble_gram_pair(FeatureMatrices(psi_x=psi_x, psi_y=psi_y), QuadratureRule(nodes=x, weights=w))
-    g = psi_x.conj().T @ np.diag(w) @ psi_x
+    pair = assemble_gram_pair(FeatureMatrices(psi_x=psi_x, psi_y=psi_y), QuadratureRule(np.zeros((m, 1)), w))
+    g = psi_x.conj().T @ (w[:, None] * psi_x)
     assert relative_gap(pair.g, 0.5 * (g + g.conj().T)) <= 1e-13
-    assert relative_gap(pair.a, psi_x.conj().T @ np.diag(w) @ psi_y) <= 1e-13
+    assert relative_gap(pair.a, psi_x.conj().T @ (w[:, None] * psi_y)) <= 1e-13
+
+
+def test_block_rows_hold_at_most_two_mib_or_one_n_by_n_matrix():
+    assert [block_rows(n) for n in (1, 20, 225, 400, 512, 1600)] == [2**18, 13107, 1165, 655, 512, 1600]
 
 
 def test_streamed_assembly_holds_one_pair_of_row_blocks(rng):
-    m, n = 3 * 4096 + 100, 15**2  # four blocks, the last one partial
+    n = 15**2
+    rows = max(n, 2**18 // n)  # 1165 rows: at most max(2 MiB, N x N) of float64 a block
+    m = 10 * rows + 100  # eleven blocks, the last one partial
     x = rng.uniform(-4, 4, size=(m, 2))
     features = evaluate_snapshots(gaussian_grid_dictionary([(-4.0, 4.0)] * 2, 15, 0.5, 1.0), x, x[:, ::-1])
     quad = monte_carlo(x, total_mass=1.0)
@@ -243,10 +254,11 @@ def test_streamed_assembly_holds_one_pair_of_row_blocks(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one X and one Y block live beside A at a time (about 15 MB); a block kept while the
+    # one X and one Y block live beside A at a time (about 4.2 MB); a block kept while the
     # next is built adds two more; G's midpoint bumps come after the blocks and are smaller;
-    # A, its product, G's gather, copies and eigh stay below 12 N x N
-    assert peak < 8 * (3 * 4096 * n + 12 * n * n)
+    # A, its product, G's gather, copies and eigh stay below 12 N x N.  A pair of
+    # 4096-row blocks alone (14.7 MB) is above the bound (11.1 MB)
+    assert peak < 8 * (3 * rows * n + 12 * n * n)
 
 
 # ------------------------------------------------------------------

@@ -14,9 +14,9 @@ comes from the ``HDMD_LOG`` environment variable (debug/info/warning).
 Bad input exits 2 and a numerical failure exits 1, each with one line on
 stderr.
 
-All CSV artifacts are deterministic for a fixed config and input: plot
-data is CSV only, floats are written in shortest round-trip form, and
-runtime appears only in summary.json.
+All artifacts are deterministic for a fixed config and input: plot data is
+CSV only, with floats in shortest round-trip form, custom's Hermitian K is
+koopman_hermitian.npy (bitwise), and runtime appears only in summary.json.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from math import isfinite, isqrt, prod
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, default_config, load_config, undecodable
 from .dictionary import Dictionary, gaussian_grid_dictionary, evaluate_snapshots
 from .dmd import assemble_gram_pair, block_rows, edmd, eigendecompose, hermitian_dmd
-from .matio import float_text, write_complex_csv, write_csv, write_summary
+from .matio import float_text, write_artifact, write_complex_csv, write_csv, write_summary
 from .probes import (
     DiagonalSections,
     FreeJacobiSections,
@@ -282,7 +283,7 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
 
     The spectral measure is taken with respect to the first dictionary
     function.  Artifacts: eigenvalues.csv, measure.csv, koopman_edmd.csv,
-    koopman_hermitian.csv, summary.json.
+    koopman_hermitian.npy (float64, `np.load`), summary.json.
     """
     t0 = time.perf_counter()
     x_pts = read_points_csv(x_path)
@@ -303,7 +304,8 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     write_complex_csv(edmd(pair).k, out_dir / "koopman_edmd.csv")
     k_herm = hermitian_dmd(pair)
     residual = k_herm.hermiticity_residual()
-    write_complex_csv(k_herm.k, out_dir / "koopman_hermitian.csv")
+    write_artifact(out_dir / "koopman_hermitian.npy", k_herm.k)
+    k_herm = replace(k_herm, k=None)  # eigendecompose reads only Q^* B Q and the pair: K is released first
     eig = eigendecompose(k_herm)
     moments = pair.g[:, 0]  # the observable is psi_0, so Psi_X^* W psi_0 = G e_0 exactly
     measure = AtomicMeasure(eig.eigenvalues, eig.weights(moments))

@@ -105,7 +105,8 @@ class GramPair:
         retained eigenspace is cached for every downstream solve.  Rank
         deficiency is left to the caller to report (see `rank_deficient`).
         """
-        g = 0.5 * (g + g.conj().T)
+        g = g + g.conj().T  # one N x N temporary, halved in place: the caller's g stays as it is
+        g *= 0.5
         a = np.asarray(a).view()  # freezing a view leaves the caller's a writeable
         eigvals, eigvecs = np.linalg.eigh(g)
         floor = float(rank_tolerance) * max(eigvals[-1], 0.0)
@@ -251,14 +252,19 @@ def eigendecompose(k: KoopmanMatrix) -> KoopmanEig:
         raise ValueError("eigendecompose requires a Hermitian DMD operator (from hermitian_dmd), not EDMD")
     pair = k.source
     rootlam = np.sqrt(pair.basis_eigenvalues)
-    b_w = k.compressed_b / rootlam[:, None] / rootlam[None, :]
-    theta, u = np.linalg.eigh(0.5 * (b_w + b_w.conj().T))
-    vectors = pair.basis @ (u / rootlam[:, None])
+    b_w = k.compressed_b / rootlam[:, None]
+    b_w /= rootlam  # in place here and below, with the bits of the out-of-place forms: no copy lives beside it
+    b_w += b_w.conj().T
+    b_w *= 0.5
+    theta, u = np.linalg.eigh(b_w)
+    u /= rootlam[:, None]
+    vectors = pair.basis @ u
+    del b_w, u  # before the phase's temporaries: |vectors| and argmax's transposed copy of it
 
     # phase convention: largest-modulus entry real positive
     idx = np.argmax(np.abs(vectors), axis=0)
     lead = vectors[idx, np.arange(vectors.shape[1])]
     phase = np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0)
-    vectors = vectors / phase[None, :]
+    vectors /= phase
 
     return KoopmanEig(eigenvalues=theta, eigenvectors=vectors, gram=pair)

@@ -1,8 +1,8 @@
-"""The text format of every artifact: columnar CSVs, complex-matrix CSVs and summary.json.
+"""The on-disk format of every artifact: columnar CSVs, the K matrices and summary.json.
 
 Each CSV is one header row, then one row per line.  Floats are written with
-``repr``, so values round-trip bitwise through the text format.  A complex
-matrix's header is ``c0_re,c0_im,c1_re,c1_im,...``, one row per matrix row.
+``repr``, so values round-trip bitwise through the text.  K_edmd's CSV keeps a complex
+matrix's header ``c0_re,c0_im,c1_re,...`` and has ``0.0`` in every imaginary cell; K_herm is ``.npy``.
 """
 
 from __future__ import annotations
@@ -16,13 +16,17 @@ from pathlib import Path
 import numpy as np
 
 
-def write_artifact(path, chunks) -> None:
-    """Write an iterable of strings to path as a new file: truncating a just-written
-    file instead makes ext4 flush its data first, about 60 ms per CSV of a reused --out."""
+def write_artifact(path, content) -> None:
+    """Write an ndarray (as .npy) or an iterable of strings to path as a new file: truncating a
+    just-written file instead makes ext4 flush its data first, about 60 ms per CSV of a reused --out."""
     path = Path(path)
     path.unlink(missing_ok=True)
-    with path.open("w") as f:
-        f.writelines(chunks)
+    if isinstance(content, np.ndarray):
+        with path.open("wb") as f:
+            np.save(f, content, allow_pickle=False)  # bitwise, and no text to format
+    else:
+        with path.open("w") as f:
+            f.writelines(content)
 
 
 # an iterator, not a list: the cells of a column are not held beside the rows' text
@@ -50,13 +54,10 @@ def write_csv(path, header: str, *columns) -> None:
 
 
 def write_complex_csv(matrix: np.ndarray, path) -> None:
-    m = np.atleast_2d(np.asarray(matrix))
+    m = np.atleast_2d(np.asarray(matrix)).astype(float, casting="safe", copy=False)  # a complex matrix raises
     header = ",".join(f"c{j}_re,c{j}_im" for j in range(m.shape[1]))
     # row by row, so only one row's text is held; as columns zipped, a warm custom call costs about 9% more
-    if m.dtype.kind in "biuf" and m.size:  # every imaginary cell is 0.0: format only the real ones
-        lines = (",0.0,".join(map(repr, row.tolist())) + ",0.0\n" for row in m.astype(float, copy=False))
-    else:  # a C-contiguous complex row viewed as floats is its re, im pairs
-        lines = (",".join(map(repr, row.view(float).tolist())) + "\n" for row in np.ascontiguousarray(m, complex))
+    lines = (",0.0,".join(map(repr, row.tolist())) + ",0.0\n" for row in m)  # only the real cells are formatted
     write_artifact(path, chain([header + "\n"], lines))
 
 

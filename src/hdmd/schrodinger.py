@@ -251,18 +251,13 @@ def separable_snapshots(problem: HarmonicOscillatorProblem, points_per_axis) -> 
 def _normalized_hermite_table(m_max: int, x: np.ndarray) -> np.ndarray:
     """Rows m = 0..m_max of hhat_m(x) = H_m(x) e^{-x^2/2} / sqrt(2^m m! sqrt(pi))."""
     table = np.empty((m_max + 1, x.shape[0]))
-    h_prev = np.ones_like(x)
-    table[0] = h_prev
+    table[0] = 1.0
     if m_max >= 1:
-        h = 2 * x
-        table[1] = h
-        for k in range(1, m_max):
-            h, h_prev = 2 * x * h - 2 * k * h_prev, h
-            table[k + 1] = h
-    envelope = np.exp(-0.5 * x**2)
-    for m in range(m_max + 1):
-        table[m] = table[m] * envelope / sqrt(2.0**m * factorial(m) * sqrt(pi))
-    return table
+        table[1] = 2 * x
+    for k in range(1, m_max):  # H_{k+1} = 2 x H_k - 2 k H_{k-1}
+        table[k + 1] = 2 * x * table[k] - 2 * k * table[k - 1]
+    norms = np.array([sqrt(2.0**m * factorial(m) * sqrt(pi)) for m in range(m_max + 1)])
+    return table * np.exp(-0.5 * x**2) / norms[:, None]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""CSV reader for the complex-matrix artifacts that `hdmd.matio.write_complex_csv` writes."""
+"""CSV reader for the re/im-pair matrix CSV that `hdmd.matio.write_complex_csv` writes (`custom`'s koopman_edmd.csv);
+koopman_hermitian.npy is read with `np.load`."""
 
 from math import isfinite
 from pathlib import Path

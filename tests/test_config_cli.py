@@ -15,7 +15,7 @@ from csv_helpers import read_complex_csv
 
 import hdmd.cli as cli
 from hdmd.config import ConfigError, ExperimentConfig, default_config, load_config, validate
-from hdmd.dictionary import FeatureMatrices, gaussian_grid_dictionary
+from hdmd.dictionary import FeatureMatrices, evaluate_snapshots, gaussian_grid_dictionary
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from hdmd.quadrature import grid_nodes, monte_carlo
 from hdmd.schrodinger import HarmonicOscillatorProblem
@@ -422,7 +422,7 @@ def test_custom_planted_reflection_recovery(tmp_path):
     ])
     assert code == 0
 
-    recovered = read_complex_csv(out / "koopman_hermitian.csv")
+    recovered = np.load(out / "koopman_hermitian.npy")
     centers = grid_nodes(gaussian_grid_dictionary([(-4, 4), (-4, 4)], 4, 1.0, 1.0).axis_centers)
     planted = np.zeros((16, 16))
     for j, c in enumerate(centers):
@@ -613,6 +613,24 @@ def test_numerical_failure_exits_1_with_one_line(tmp_path, capsys, monkeypatch, 
     assert err.count("\n") == 1 and type(error).__name__ in err
 
 
+def test_custom_hermitian_npy_is_the_in_process_matrix_bitwise(tmp_path, rng):
+    x = rng.uniform(-4, 4, size=(500, 2))
+    y = 0.8 * x + 0.3 * np.sin(x[:, ::-1])
+    write_points(tmp_path / "x.csv", x)
+    write_points(tmp_path / "y.csv", y)
+    cfg = write_config(tmp_path, "dict_per_axis = 5\nrank_tolerance = 1e-9\n")
+    out = tmp_path / "out"
+    assert cli.main(["custom", "--config", str(cfg), "--out", str(out),
+                     str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]) == 0
+    config = load_config(cfg)
+    x_pts, y_pts = cli.read_points_csv(tmp_path / "x.csv"), cli.read_points_csv(tmp_path / "y.csv")
+    features = evaluate_snapshots(cli._dictionary(config, 2), x_pts, y_pts, rank_tolerance=config.rank_tolerance)
+    k = hermitian_dmd(assemble_gram_pair(features, monte_carlo(x_pts, total_mass=1.0))).k
+    written = np.load(out / "koopman_hermitian.npy")
+    assert written.dtype == k.dtype == np.float64 and written.shape == k.shape == (25, 25)
+    assert written.tobytes() == k.tobytes()
+
+
 def test_custom_shape_mismatch_exits_2(tmp_path, capsys):
     write_points(tmp_path / "x.csv", np.zeros((3, 2)))
     write_points(tmp_path / "y.csv", np.zeros((4, 2)))
@@ -654,17 +672,17 @@ def test_custom_streamed_swap_matches_complex_pipeline_without_mxn_arrays(tmp_pa
     code, peak = traced_peak(argv + [str(tmp_path / "out")])
     assert code == 0
     # one complex 20,000 x 400 matrix alone is 128 MB, a pair of 655-row real blocks 4.2 MB (of
-    # 4096-row ones 26 MB); the peak, about 13.7 MB, is eigendecompose's temporaries beside G, A, Q and K
-    assert peak < 16e6
+    # 4096-row ones 26 MB); the peak, about 9.9 MB, is eigendecompose's temporaries beside G, A and Q
+    assert peak < 11e6
     assert cli.main(argv + [str(tmp_path / "again")]) == 0
-    for name in ("eigenvalues.csv", "measure.csv", "koopman_edmd.csv", "koopman_hermitian.csv"):
+    for name in ("eigenvalues.csv", "measure.csv", "koopman_edmd.csv", "koopman_hermitian.npy"):
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
     out = tmp_path / "out"
     k_edmd, k_herm, eigenvalues, measure = complex_swap_pipeline(x, y)
     streamed_edmd = read_complex_csv(out / "koopman_edmd.csv")
-    streamed_herm = read_complex_csv(out / "koopman_hermitian.csv")
-    assert np.all(streamed_edmd.imag == 0) and np.all(streamed_herm.imag == 0)
+    streamed_herm = np.load(out / "koopman_hermitian.npy")
+    assert np.all(streamed_edmd.imag == 0) and streamed_herm.dtype == np.float64
     assert np.max(np.abs(streamed_edmd - k_edmd)) <= 1e-9
     assert np.max(np.abs(streamed_herm - k_herm)) <= 1e-9
     streamed_eigs = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1)[:, 1]

@@ -1,4 +1,4 @@
-"""Tests for artifact writing, columnar and complex-matrix CSV serialization and the tests' CSV reader."""
+"""Tests for artifact writing (columnar CSVs, a real matrix's re/im-pair CSV, .npy arrays) and the tests' CSV reader."""
 
 import tracemalloc
 
@@ -9,29 +9,32 @@ from csv_helpers import read_complex_csv
 from hdmd.matio import float_text, write_artifact, write_complex_csv, write_csv
 
 
-def random_complex(rng, shape):
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
 @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (5, 7)])
 def test_csv_round_trip_bitwise(rng, shape, tmp_path):
-    m = random_complex(rng, shape)
+    m = rng.normal(size=shape) * np.logspace(-300, 300, shape[1])
     path = tmp_path / "m.csv"
     write_complex_csv(m, path)
-    assert np.array_equal(read_complex_csv(path), m)
+    recovered = read_complex_csv(path)
+    assert np.array_equal(recovered.real, m) and not np.any(recovered.imag)
 
 
 def test_csv_text_matches_per_entry_formatting(rng, tmp_path):
-    """The vectorized writer emits the same bytes as formatting each entry with repr."""
-    m = random_complex(rng, (4, 5)) * np.logspace(-300, 300, 5)
-    m[0, :4] = [-0.0, np.inf, complex(0.0, np.nan), 1e-320j]
+    """The writer emits the bytes of formatting each real entry with repr, and 0.0 for its imaginary part."""
+    m = rng.normal(size=(4, 5)) * np.logspace(-300, 300, 5)
+    m[0, :4] = [-0.0, np.inf, np.nan, 1e-320]
     lines = [",".join(f"c{j}_re,c{j}_im" for j in range(5))]
-    lines += [",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) for row in m]
+    lines += [",".join(f"{float(v)!r},0.0" for v in row) for row in m]
     write_complex_csv(m, tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_text() == "\n".join(lines) + "\n"
-    write_complex_csv(m.real, tmp_path / "real.csv")
-    write_complex_csv(m.real.astype(complex), tmp_path / "cast.csv")
-    assert (tmp_path / "real.csv").read_bytes() == (tmp_path / "cast.csv").read_bytes()
+    write_complex_csv(np.arange(6).reshape(2, 3), tmp_path / "int.csv")  # an int matrix is written as floats
+    write_complex_csv(np.arange(6.0).reshape(2, 3), tmp_path / "float.csv")
+    assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
+
+def test_csv_refuses_a_complex_matrix(tmp_path):
+    with pytest.raises(TypeError, match="complex"):
+        write_complex_csv(np.ones((2, 2), dtype=complex), tmp_path / "m.csv")
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -63,7 +66,7 @@ def test_write_csv_floats_round_trip_bitwise(rng, tmp_path):
 
 
 def test_csv_header_names_columns(tmp_path):
-    write_complex_csv(np.zeros((1, 2), dtype=complex), tmp_path / "m.csv")
+    write_complex_csv(np.zeros((1, 2)), tmp_path / "m.csv")
     header = (tmp_path / "m.csv").read_text().splitlines()[0]
     assert header == "c0_re,c0_im,c1_re,c1_im"
 
@@ -102,6 +105,19 @@ def test_write_artifact_replaces_the_file_instead_of_truncating_it(tmp_path):
     write_artifact(path, (line for line in ["c\n", "d\n"]))
     assert path.read_text() == "c\nd\n"
     assert link.read_text() == "a\nb\n"
+
+
+def test_write_artifact_replaces_an_array_file_instead_of_truncating_it(rng, tmp_path):
+    # as for text: the old .npy survives under a hard link only if the writer made a new file
+    path, link = tmp_path / "k.npy", tmp_path / "link.npy"
+    old, new = rng.normal(size=(3, 3)), rng.normal(size=(5, 7)) * np.logspace(-300, 300, 7)
+    new[0, :4] = [-0.0, np.inf, np.nan, 1e-320]
+    write_artifact(path, old)
+    link.hardlink_to(path)
+    write_artifact(path, new)
+    loaded = np.load(path)  # bitwise, with its dtype and shape
+    assert loaded.dtype == np.float64 and loaded.shape == (5, 7) and loaded.tobytes() == new.tobytes()
+    assert np.load(link).tobytes() == old.tobytes()
 
 
 def test_complex_csv_holds_one_row_of_text_at_a_time(rng, tmp_path):

@@ -301,7 +301,7 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
     pair = assemble_gram_pair(features, quad)
     out_dir.mkdir(parents=True, exist_ok=True)
     # each K is written as soon as it exists, so K_edmd is gone before the Hermitian solve
-    write_complex_csv(edmd(pair).k, out_dir / "koopman_edmd.csv")
+    write_complex_csv(edmd(pair), out_dir / "koopman_edmd.csv")
     k_herm = hermitian_dmd(pair)
     residual = k_herm.hermiticity_residual()
     write_artifact(out_dir / "koopman_hermitian.npy", k_herm.k)

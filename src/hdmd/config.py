@@ -16,8 +16,9 @@ offending field.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from math import isfinite
+from math import hypot, isfinite
 from pathlib import Path
+from sys import float_info
 
 from .dictionary import DEFAULT_RANK_TOLERANCE
 
@@ -93,8 +94,8 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         fail("dict_per_axis", f"must be >= 1, got {c.dict_per_axis}")
     if not c.dict_width > 0:
         fail("dict_width", f"must be positive, got {c.dict_width}")
-    if c.dict_amplitude == 0:
-        fail("dict_amplitude_re", "and dict_amplitude_im are both 0: every dictionary function would vanish")
+    if not float_info.min <= (r := hypot(c.dict_amplitude_re, c.dict_amplitude_im)) * r <= float_info.max:
+        fail("dict_amplitude_re", f"and dict_amplitude_im give |amp|^2 = {r * r:.3g}, not a finite normal float")
     if c.rank_tolerance < 0:
         fail("rank_tolerance", f"must be nonnegative, got {c.rank_tolerance}")
     if c.rank_tolerance >= 1:

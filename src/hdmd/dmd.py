@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -120,16 +119,16 @@ class GramPair:
 
 @dataclass(frozen=True)
 class KoopmanMatrix:
-    """Operator matrix K; Hermitian DMD also keeps Q^* B Q for `eigendecompose` (EDMD: None)."""
+    """Hermitian DMD operator K with Q^* B Q, which `eigendecompose` diagonalizes."""
 
     k: np.ndarray
     source: GramPair
-    compressed_b: Optional[np.ndarray] = None
+    compressed_b: np.ndarray
 
     def hermiticity_residual(self) -> float:
-        """||G K - K^* G||_F / max(1, ||G K||_F)."""
+        """||G K - K^* G||_F / ||G K||_F (0 when G K = 0): relative, so the dictionary amplitude cancels."""
         gk = self.source.g @ self.k
-        return float(np.linalg.norm(gk - gk.conj().T) / max(1.0, np.linalg.norm(gk)))
+        return float(np.linalg.norm(gk - gk.conj().T) / norm) if (norm := np.linalg.norm(gk)) else 0.0
 
 
 @dataclass(frozen=True)
@@ -181,10 +180,10 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
     return pair
 
 
-def edmd(pair: GramPair) -> KoopmanMatrix:
+def edmd(pair: GramPair) -> np.ndarray:
     """Unconstrained least-squares operator K = G^+ A = Q Lambda^{-1} Q^* A (spectral-cutoff pseudoinverse)."""
     q, lam = pair.basis, pair.basis_eigenvalues
-    return KoopmanMatrix(k=q @ ((q.conj().T @ pair.a) / lam[:, None]), source=pair)
+    return q @ ((q.conj().T @ pair.a) / lam[:, None])
 
 
 def hermitian_dmd(pair: GramPair) -> KoopmanMatrix:
@@ -245,11 +244,8 @@ def eigendecompose(k: KoopmanMatrix) -> KoopmanEig:
     B = (A+A^*)/2, the Hermitian whitened matrix
     Lambda^{-1/2} Q^* B Q Lambda^{-1/2} is diagonalized and eigenvectors are
     mapped back through Q Lambda^{-1/2}, which makes them G-orthonormal by
-    construction.  Eigenvalues are real ascending; each eigenvector's phase
-    is fixed so its largest-modulus entry is real positive.
+    construction.  Eigenvalues are real ascending.
     """
-    if k.compressed_b is None:
-        raise ValueError("eigendecompose requires a Hermitian DMD operator (from hermitian_dmd), not EDMD")
     pair = k.source
     rootlam = np.sqrt(pair.basis_eigenvalues)
     b_w = k.compressed_b / rootlam[:, None]
@@ -258,13 +254,4 @@ def eigendecompose(k: KoopmanMatrix) -> KoopmanEig:
     b_w *= 0.5
     theta, u = np.linalg.eigh(b_w)
     u /= rootlam[:, None]
-    vectors = pair.basis @ u
-    del b_w, u  # before the phase's temporaries: |vectors| and argmax's transposed copy of it
-
-    # phase convention: largest-modulus entry real positive
-    idx = np.argmax(np.abs(vectors), axis=0)
-    lead = vectors[idx, np.arange(vectors.shape[1])]
-    phase = np.where(np.abs(lead) > 0, lead / np.abs(lead), 1.0)
-    vectors /= phase
-
-    return KoopmanEig(eigenvalues=theta, eigenvectors=vectors, gram=pair)
+    return KoopmanEig(eigenvalues=theta, eigenvectors=pair.basis @ u, gram=pair)

@@ -170,9 +170,9 @@ class KroneckerEig:
         return prod(e.gram.observable_mass(m) for e, m in zip(self.axes, axis_moments, strict=True))
 
     def hermiticity_residual(self) -> float:
-        """||G K - K^* G||_F / max(1, ||G K||_F) for the Kronecker-sum K, from 1-D factors.
+        """||G K - K^* G||_F / ||G K||_F (0 when G K = 0) for the Kronecker-sum K, from 1-D factors.
 
-        G K = s sum_k (x)_l T_kl with T_kk = G1_k K_k and T_kl = G1_l Pi_l.
+        G K = s sum_k (x)_l T_kl with T_kk = G1_k K_k and T_kl = G1_l Pi_l; s cancels.
         With T = S + D split into Hermitian and anti-Hermitian parts,
         (x)_l T_l - (x)_l T_l^* = 2 sum over odd-sized sets J of axes of
         (x)_l (D_l if l in J else S_l), so the difference is summed from
@@ -188,7 +188,7 @@ class KroneckerEig:
             for flips in product((0, 1), repeat=len(parts)):
                 if sum(flips) % 2:
                     diff.append([part[f] for part, f in zip(parts, flips)])
-        return 2 * self.scale * _kron_sum_norm(diff) / max(1.0, self.scale * _kron_sum_norm(gk))
+        return 2 * _kron_sum_norm(diff) / norm if (norm := _kron_sum_norm(gk)) else 0.0
 
 
 @dataclass(frozen=True)

@@ -222,10 +222,12 @@ def test_schrodinger_deterministic_output(small_run, tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("amplitude", ["0", "1e-200", "1e200"])
 @pytest.mark.parametrize("command", ["schrodinger", "custom"])
-def test_zero_dictionary_amplitude_exits_2_naming_key(tmp_path, capsys, command):
-    # every dictionary function would vanish: G = 0, and the mass would divide by |amp|^2 = 0
-    cfg = write_config(tmp_path, "grid = 20 20\ndict_amplitude_re = 0\ndict_amplitude_im = 0\n")
+def test_amplitude_whose_square_is_not_a_normal_float_exits_2_naming_key(tmp_path, capsys, command, amplitude):
+    # |amp|^2 is 0 or underflows to 0 (G = 0, and the mass would divide by it) or overflows to inf,
+    # and the check itself must not raise
+    cfg = write_config(tmp_path, f"grid = 20 20\ndict_amplitude_re = {amplitude}\ndict_amplitude_im = 0\n")
     write_points(tmp_path / "x.csv", symmetric_grid_points())
     snapshots = [str(tmp_path / "x.csv")] * 2 if command == "custom" else []
     out = tmp_path / "o"
@@ -654,7 +656,7 @@ def complex_swap_pipeline(x, y):
     pair = assemble_gram_pair(features, quad)
     eig = eigendecompose(hermitian_dmd(pair))
     measure = spectral_measure(eig, project_observable(psi[0][:, 0], features, quad, pair=pair))
-    return edmd(pair).k, hermitian_dmd(pair).k, eig.eigenvalues, measure
+    return edmd(pair), hermitian_dmd(pair).k, eig.eigenvalues, measure
 
 
 def cluster_masses(locations, weights):
@@ -740,6 +742,32 @@ def test_custom_gate_names_condition_rank_and_tolerance(tmp_path, caplog):
     assert cli.main(["custom", "--config", str(cfg), "--out", str(tmp_path / "cut"), *inputs]) == 0
     cut = json.loads((tmp_path / "cut" / "summary.json").read_text())
     assert cut["retained_rank"] < 400 and cut["hermiticity_residual"] <= 1e-8
+
+
+def test_custom_gate_verdict_does_not_depend_on_the_dictionary_amplitude(tmp_path):
+    # K, its eigenpairs and cond(G) = 1.1e11 do not move with the amplitude, though ||G K|| scales with |amp|^2
+    x = np.random.default_rng(0).uniform(-5.0, 5.0, size=(200, 2))
+    write_points(tmp_path / "x.csv", x)
+    write_points(tmp_path / "y.csv", x[:, ::-1])
+    residuals = []
+    for re, im in [(1.0, 1.0), (1e-3, 0.0)]:
+        cfg = write_config(tmp_path, f"dict_amplitude_re = {re}\ndict_amplitude_im = {im}\n")
+        out = tmp_path / f"out-{re}"
+        assert cli.main(["custom", "--config", str(cfg), "--out", str(out),
+                         str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]) == 1
+        residuals.append(json.loads((out / "summary.json").read_text())["hermiticity_residual"])
+    assert min(residuals) > 1e-8 and max(residuals) < 10 * min(residuals)
+
+
+def test_custom_zero_operator_passes_the_gate_with_residual_zero(tmp_path):
+    # every output lies far outside the dictionary's support, so A = 0, K = 0 and G K = 0
+    x = np.random.default_rng(1).uniform(-5.0, 5.0, size=(300, 2))
+    write_points(tmp_path / "x.csv", x)
+    write_points(tmp_path / "y.csv", x + 100.0)
+    out = tmp_path / "out"
+    assert cli.main(["custom", "--out", str(out), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]) == 0
+    assert not np.any(np.load(out / "koopman_hermitian.npy"))
+    assert json.loads((out / "summary.json").read_text())["hermiticity_residual"] == 0.0
 
 
 def test_schrodinger_and_custom_report_alike(tmp_path, caplog, monkeypatch):

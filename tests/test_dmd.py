@@ -2,6 +2,7 @@
 
 import logging
 import tracemalloc
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -18,6 +19,7 @@ from hdmd.dmd import (
     symmetric_procrustes,
 )
 from hdmd.quadrature import QuadratureRule, grid_nodes, monte_carlo, tensor_trapezoid
+from hdmd.spectral import AtomicMeasure
 
 
 def make_pair(psi_x, psi_y, weights=None, tol=1e-12):
@@ -110,7 +112,7 @@ def test_from_matrices_accepts_real_gram_and_edmd_matches_pinv(rng):
     pair = GramPair.from_matrices(g, a, 1e-12)
     assert pair.g.dtype == np.float64 and pair.retained_rank == 5
     assert pair.condition_number == pytest.approx(np.linalg.cond(g), rel=1e-10)
-    assert np.linalg.norm(edmd(pair).k - np.linalg.pinv(g) @ a) <= 1e-10
+    assert np.linalg.norm(edmd(pair) - np.linalg.pinv(g) @ a) <= 1e-10
 
 
 def test_from_matrices_leaves_caller_a_writeable(rng):
@@ -270,9 +272,7 @@ def test_edmd_identity_gram_returns_a(rng):
     q, _ = np.linalg.qr(rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4)))
     target = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     pair, _, _ = make_pair(q, q @ target)
-    k = edmd(pair)
-    assert k.compressed_b is None
-    assert np.allclose(k.k, target, atol=1e-12)
+    assert np.allclose(edmd(pair), target, atol=1e-12)
 
 
 def test_edmd_diagonal_solve():
@@ -281,7 +281,7 @@ def test_edmd_diagonal_solve():
     psi_y = np.array([[2.0 / np.sqrt(2.0), 0.0], [0.0, 3.0]], dtype=complex)
     pair, _, _ = make_pair(psi_x, psi_y)
     assert np.allclose(pair.g, np.diag([2.0, 1.0]), atol=1e-14)
-    assert np.allclose(edmd(pair).k, np.diag([1.0, 3.0]), atol=1e-12)
+    assert np.allclose(edmd(pair), np.diag([1.0, 3.0]), atol=1e-12)
 
 
 def test_edmd_matches_dense_pseudoinverse_oracle(rng):
@@ -290,7 +290,7 @@ def test_edmd_matches_dense_pseudoinverse_oracle(rng):
         g_dense = fm.psi_x.conj().T @ (quad.weights[:, None] * fm.psi_x)
         a_dense = fm.psi_x.conj().T @ (quad.weights[:, None] * fm.psi_y)
         oracle = np.linalg.pinv(0.5 * (g_dense + g_dense.conj().T)) @ a_dense
-        assert np.linalg.norm(edmd(pair).k - oracle) <= 1e-10
+        assert np.linalg.norm(edmd(pair) - oracle) <= 1e-10
 
 
 # ------------------------------------------------------------------
@@ -372,7 +372,7 @@ def test_edmd_and_hermitian_agree_for_g_symmetric_a(rng):
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = 0.5 * (h + h.conj().T)
     pair, _, _ = make_pair(q, q @ h)
-    assert np.linalg.norm(edmd(pair).k - hermitian_dmd(pair).k) <= 1e-8
+    assert np.linalg.norm(edmd(pair) - hermitian_dmd(pair).k) <= 1e-8
 
 
 # ------------------------------------------------------------------
@@ -468,15 +468,6 @@ def test_eigendecompose_orthonormality_and_order(rng):
     assert np.max(np.abs(vgv - np.eye(vgv.shape[0]))) <= 1e-8
 
 
-def test_eigendecompose_phase_convention(rng):
-    pair, _, _ = random_instance(rng, m=30, n=5)
-    eig = eigendecompose(hermitian_dmd(pair))
-    for v in eig.eigenvectors.T:
-        lead = v[np.argmax(np.abs(v))]
-        assert abs(lead.imag) <= 1e-12 * abs(lead)
-        assert lead.real > 0
-
-
 def test_eigendecompose_rank_deficient_orthonormal_on_retained(rng):
     base = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
     psi_x = np.column_stack([base, base[:, :2]])  # rank 4 of 6
@@ -488,7 +479,29 @@ def test_eigendecompose_rank_deficient_orthonormal_on_retained(rng):
     assert np.max(np.abs(vgv - np.eye(vgv.shape[0]))) <= 1e-8
 
 
-def test_eigendecompose_requires_hermitian_kind(rng):
-    pair, _, _ = random_instance(rng)
-    with pytest.raises(ValueError, match="Hermitian DMD"):
-        eigendecompose(edmd(pair))
+def test_weights_and_mass_do_not_depend_on_eigenvector_phases(rng):
+    # each weight is |v_j^* m|^2, so eigendecompose can leave every eigenvector's phase as eigh gives it
+    pair, fm, quad = random_instance(rng, m=30, n=6)
+    eig = eigendecompose(hermitian_dmd(pair))
+    moments = fm.psi_x.conj().T @ (quad.weights * fm.psi_y[:, 0])
+    phases = np.exp(2j * pi * rng.uniform(size=eig.eigenvalues.size))
+    base = eig.weights(moments)
+    turned = replace(eig, eigenvectors=eig.eigenvectors * phases).weights(moments)
+    assert np.allclose(turned, base, rtol=1e-13, atol=0)
+    mass = AtomicMeasure(eig.eigenvalues, turned).total_mass
+    assert mass == pytest.approx(AtomicMeasure(eig.eigenvalues, base).total_mass, rel=1e-13)
+
+
+def test_real_snapshot_weights_keep_their_bits_under_eigenvector_sign_flips(rng):
+    # custom's rows are real, so its eigenvectors are real and a phase could only flip a sign
+    dictionary = gaussian_grid_dictionary(((-2.0, 2.0),) * 2, 4, 1.0, 1 + 1j)
+    x = rng.uniform(-2.0, 2.0, size=(200, 2))
+    features = evaluate_snapshots(dictionary, x, x[:, ::-1], rank_tolerance=1e-12)
+    pair = assemble_gram_pair(features, monte_carlo(x, total_mass=1.0))
+    eig = eigendecompose(hermitian_dmd(pair))
+    assert eig.eigenvectors.dtype == np.float64
+    signs = np.where(rng.uniform(size=eig.eigenvalues.size) < 0.5, -1.0, 1.0)
+    assert np.any(signs < 0)
+    moments = pair.g[:, 0]
+    flipped = replace(eig, eigenvectors=eig.eigenvectors * signs).weights(moments)
+    assert np.array_equal(flipped, eig.weights(moments))

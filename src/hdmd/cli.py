@@ -71,13 +71,16 @@ def _report(
     out_dir: Path, t0: float, config: ExperimentConfig, experiment: str, dictionary: Dictionary,
     spectrum, residual: float, measure: AtomicMeasure, observable_mass: float, exact=None, **route_keys,
 ) -> int:
-    """Write eigenvalues.csv, measure.csv and summary.json, then apply the Hermiticity gate.
+    """Warn of a truncated Gram spectrum, write eigenvalues.csv, measure.csv, summary.json, apply the Hermiticity gate.
 
     `spectrum` is the retained Gram spectrum (a GramPair or a KroneckerEig)
     and the measure's atoms are the computed eigenvalues; eigenvalues.csv
     pairs them with `exact`, if given, while both last.  summary.json is
     written before the gate, so a failed run still reports its residual.
     """
+    if spectrum.retained_rank < dictionary.size:
+        logger.warning("Gram matrix numerically rank deficient: retained %d of %d directions (floor %.3e)",
+                       spectrum.retained_rank, dictionary.size, spectrum.g_eigen_floor)
     computed = float_text(measure.locations)  # both files' first float column
     columns = [computed] if exact is None else [computed, exact]
     header = ",".join(["index", "computed", "exact"][: len(columns) + 1])

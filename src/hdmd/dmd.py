@@ -34,15 +34,12 @@ one place where the cutoff is applied.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dictionary import FeatureMatrices, SnapshotFeatures
 from .quadrature import QuadratureRule
-
-logger = logging.getLogger("hdmd")
 
 _BLOCK_WORDS = 2**18  # 2 MiB of float64
 
@@ -104,6 +101,9 @@ class GramPair:
         retained eigenspace is cached for every downstream solve.  Rank
         deficiency is left to the caller to report (see `rank_deficient`).
         """
+        if not np.any(g):  # before eigh, which would take as long as for any other G
+            raise ValueError("Gram matrix is zero: no dictionary function is nonzero at any snapshot; "
+                             "check dict_width, dict_box_min and dict_box_max against the snapshots")
         g = g + g.conj().T  # one N x N temporary, halved in place: the caller's g stays as it is
         g *= 0.5
         a = np.asarray(a).view()  # freezing a view leaves the caller's a writeable
@@ -128,7 +128,9 @@ class KoopmanMatrix:
     def hermiticity_residual(self) -> float:
         """||G K - K^* G||_F / ||G K||_F (0 when G K = 0): relative, so the dictionary amplitude cancels."""
         gk = self.source.g @ self.k
-        return float(np.linalg.norm(gk - gk.conj().T) / norm) if (norm := np.linalg.norm(gk)) else 0.0
+        rows = max(1, _BLOCK_WORDS // len(gk))  # the difference by row panels: no second N x N array beside G K
+        diff = [np.linalg.norm(gk[s : s + rows] - gk[:, s : s + rows].conj().T) for s in range(0, len(gk), rows)]
+        return float(np.linalg.norm(diff) / norm) if (norm := np.linalg.norm(gk)) else 0.0
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,6 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
     summed over them in features.dtype, G comes from features.gram, and both
     are scaled once, in place, by features.scale.
     The cutoff is features.rank_tolerance_used; see `GramPair.from_matrices`.
-    Effective rank deficiency is reported as a warning, not a failure.
     """
     if features.snapshot_count != quad.size:
         raise ValueError(
@@ -173,11 +174,7 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
     g = features.gram(quad.weights, rows)  # after the loop, so G is not live beside the blocks
     g *= features.scale  # in place: scaled copies would be two more N x N arrays, live during eigh(G)
     a *= features.scale
-    pair = GramPair.from_matrices(g, a, features.rank_tolerance_used)
-    if pair.rank_deficient:
-        msg = "Gram matrix numerically rank deficient: retained %d of %d directions (floor %.3e)"
-        logger.warning(msg, pair.retained_rank, n, pair.g_eigen_floor)
-    return pair
+    return GramPair.from_matrices(g, a, features.rank_tolerance_used)
 
 
 def edmd(pair: GramPair) -> np.ndarray:

@@ -38,7 +38,6 @@ convention; see README for notes on alternatives.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -51,8 +50,6 @@ from .dictionary import DEFAULT_RANK_TOLERANCE, Dictionary, FeatureMatrices, gau
 from .dmd import GramPair, KoopmanEig, KoopmanMatrix, block_rows, eigendecompose, hermitian_dmd
 from .quadrature import QuadratureRule, grid_nodes, trapezoid_axes
 from .spectral import AtomicMeasure
-
-logger = logging.getLogger("hdmd")
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,8 @@ class SeparableSnapshots:
     multipliers: tuple[np.ndarray, ...]
 
     def kronecker_eig(self, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> KroneckerEig:
-        """G1, H1 of each axis through `GramPair.from_matrices` and `hermitian_dmd`."""
+        """G1, H1 of each axis through `GramPair.from_matrices` and `hermitian_dmd`; rank
+        deficiency is left to the caller to report (see `retained_rank`, `axis_retained_ranks`)."""
         operators = []
         for e, w, h in zip(self.bumps, self.weights, self.multipliers):
             ew = w[:, None] * e
@@ -218,15 +216,7 @@ class SeparableSnapshots:
         axes = tuple(eigendecompose(op) for op in operators)
         sums = reduce(np.add.outer, [e.eigenvalues for e in axes]).ravel()
         order = np.argsort(sums, kind="stable")
-        eig = KroneckerEig(abs(self.amplitude) ** 2, tuple(operators), axes, sums[order], order)
-        sizes = [op.source.size for op in operators]
-        if eig.retained_rank < prod(sizes):
-            per_axis = ", ".join(f"{r} of {n}" for r, n in zip(eig.axis_retained_ranks, sizes))
-            logger.warning(
-                "Gram matrix numerically rank deficient: retained %d of %d directions (per axis %s)",
-                eig.retained_rank, prod(sizes), per_axis,
-            )
-        return eig
+        return KroneckerEig(abs(self.amplitude) ** 2, tuple(operators), axes, sums[order], order)
 
     def moments(self, factors) -> tuple[np.ndarray, ...]:
         """Per-axis moments m_k = E_k^T W_k f_k of the product observable f = prod_k f_k(x_k),

@@ -11,14 +11,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from csv_helpers import read_complex_csv
 
 import hdmd.cli as cli
 from hdmd.config import ConfigError, ExperimentConfig, default_config, load_config, validate
 from hdmd.dictionary import FeatureMatrices, evaluate_snapshots, gaussian_grid_dictionary
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from hdmd.quadrature import grid_nodes, monte_carlo
-from hdmd.schrodinger import HarmonicOscillatorProblem
+from hdmd.schrodinger import HarmonicOscillatorProblem, separable_snapshots
 from hdmd.spectral import cluster_table, project_observable, spectral_measure
 
 
@@ -431,8 +430,9 @@ def test_custom_planted_reflection_recovery(tmp_path):
         planted[int(np.argmin(np.sum((centers + c) ** 2, axis=1))), j] = 1.0
     assert np.max(np.abs(recovered - planted)) <= 1e-8
 
-    edmd_matrix = read_complex_csv(out / "koopman_edmd.csv")
-    assert np.max(np.abs(edmd_matrix - planted)) <= 1e-8
+    edmd_columns = cli.read_points_csv(out / "koopman_edmd.csv")  # re/im pairs
+    assert not np.any(edmd_columns[:, 1::2])
+    assert np.max(np.abs(edmd_columns[:, 0::2] - planted)) <= 1e-8
 
 
 def test_custom_identity_data_single_eigenvalue_one(tmp_path, rng):
@@ -682,9 +682,10 @@ def test_custom_streamed_swap_matches_complex_pipeline_without_mxn_arrays(tmp_pa
 
     out = tmp_path / "out"
     k_edmd, k_herm, eigenvalues, measure = complex_swap_pipeline(x, y)
-    streamed_edmd = read_complex_csv(out / "koopman_edmd.csv")
+    edmd_columns = cli.read_points_csv(out / "koopman_edmd.csv")  # re/im pairs
+    streamed_edmd = edmd_columns[:, 0::2]
     streamed_herm = np.load(out / "koopman_hermitian.npy")
-    assert np.all(streamed_edmd.imag == 0) and streamed_herm.dtype == np.float64
+    assert not np.any(edmd_columns[:, 1::2]) and streamed_herm.dtype == np.float64
     assert np.max(np.abs(streamed_edmd - k_edmd)) <= 1e-9
     assert np.max(np.abs(streamed_herm - k_herm)) <= 1e-9
     streamed_eigs = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1)[:, 1]
@@ -794,6 +795,67 @@ def test_schrodinger_and_custom_report_alike(tmp_path, caplog, monkeypatch):
     assert common[0] == common[1]
     assert {"retained_rank", "g_eigen_floor", "gram_condition_number", "hermiticity_residual",
             "total_mass", "observable_mass", "runtime_seconds"} <= common[0]
+
+
+def test_rank_deficiency_is_warned_once_by_the_cli_and_never_by_the_library(tmp_path, caplog):
+    """A truncated Gram spectrum gives one WARNING naming the retained count, the total and the floor."""
+    two = np.array([[0.5, -1.0], [2.0, 1.5]])  # 2 snapshots for 400 dictionary functions
+    for name, pts in (("two", two), ("full", swap_points(half=1000))):
+        write_points(tmp_path / f"{name}_x.csv", pts)
+        write_points(tmp_path / f"{name}_y.csv", pts[:, ::-1])
+    wide = write_config(tmp_path, "grid = 60 60\ndict_per_axis = 40\n", name="wide.cfg")  # oscillator_wide's run
+    runs = {  # argv, number of warnings
+        "wide": (["schrodinger", "--config", str(wide)], 1),
+        "two": (["custom", str(tmp_path / "two_x.csv"), str(tmp_path / "two_y.csv")], 1),
+        "default": (["schrodinger"], 0),
+        "full": (["custom", str(tmp_path / "full_x.csv"), str(tmp_path / "full_y.csv")], 0),
+    }
+    summaries = {}
+    for name, (argv, count) in runs.items():
+        caplog.clear()
+        assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+        summary = summaries[name] = json.loads((tmp_path / name / "summary.json").read_text())
+        message = (f"Gram matrix numerically rank deficient: retained {summary['retained_rank']} of "
+                   f"{summary['dictionary_size']} directions (floor {summary['g_eigen_floor']:.3e})")
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [message] * count, name
+    assert (summaries["wide"]["retained_rank"], summaries["wide"]["axis_retained_ranks"]) == (1296, [36, 36])
+    assert (summaries["two"]["retained_rank"], summaries["full"]["retained_rank"]) == (2, 400)
+
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hdmd"):
+        config = load_config(wide)
+        dictionary = cli._dictionary(config, 2)
+        eig = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), config.grid).kronecker_eig()
+        features = evaluate_snapshots(dictionary, two, two[:, ::-1], config.rank_tolerance)
+        pair = assemble_gram_pair(features, monte_carlo(two, total_mass=1.0))
+    assert eig.retained_rank == 1296 and pair.rank_deficient
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("command", ["schrodinger", "custom"])
+def test_zero_gram_exits_2_naming_dictionary_keys_without_eigh(tmp_path, capsys, monkeypatch, command):
+    # every bump underflows at every snapshot: bumps too narrow to reach a grid node (schrodinger),
+    # or snapshots in [20, 30]^2, far from every center in [-4, 4]^2 (custom)
+    zero_eighs = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        zero_eighs.append(not np.any(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    pts = np.random.default_rng(5).uniform(20.0, 30.0, size=(2000, 2))
+    write_points(tmp_path / "x.csv", pts)
+    write_points(tmp_path / "y.csv", pts[:, ::-1])
+    cfg = write_config(tmp_path, "grid = 20 20\n" + ("dict_width = 1e9\n" if command == "schrodinger" else ""))
+    snapshots = [str(tmp_path / "x.csv"), str(tmp_path / "y.csv")] if command == "custom" else []
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *snapshots]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hdmd: Gram matrix is zero: no dictionary function is nonzero at any snapshot")
+    assert err.count("\n") == 1 and all(key in err for key in ("dict_width", "dict_box_min", "dict_box_max"))
+    assert not any(zero_eighs)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, level", [("basic_format", logging.WARNING), ("root", logging.WARNING),

@@ -1,6 +1,5 @@
 """Tests for Gram assembly, EDMD, Hermitian DMD, Procrustes, and eigensolves."""
 
-import logging
 import tracemalloc
 from dataclasses import replace
 from math import pi
@@ -93,16 +92,6 @@ def test_assemble_rejects_row_mismatch(rng):
     quad = monte_carlo(np.zeros((5, 1)), total_mass=1.0)
     with pytest.raises(ValueError, match="quadrature nodes"):
         assemble_gram_pair(fm, quad)
-
-
-def test_assemble_warns_on_rank_deficiency(rng, caplog):
-    base = rng.normal(size=(20, 3)) + 1j * rng.normal(size=(20, 3))
-    psi = np.column_stack([base, base[:, 0]])  # exactly dependent column
-    with caplog.at_level(logging.WARNING, logger="hdmd"):
-        pair, _, _ = make_pair(psi, psi)
-    assert pair.rank_deficient
-    assert pair.retained_rank == 3
-    assert any("rank deficient" in r.message for r in caplog.records)
 
 
 def test_from_matrices_accepts_real_gram_and_edmd_matches_pinv(rng):

@@ -1,6 +1,5 @@
 """Tests for the harmonic-oscillator benchmark and its closed-form oracles."""
 
-import logging
 from dataclasses import replace
 from functools import reduce
 from math import factorial, pi, sqrt
@@ -347,22 +346,6 @@ def test_kronecker_hermiticity_residual_matches_dense_formula(dimension, rng):
     expected = dense_hermiticity_residual(broken)
     assert expected > 1e-5
     assert broken.hermiticity_residual() == pytest.approx(expected, rel=1e-10)
-
-
-def test_kronecker_eig_warns_once_with_axis_and_product_ranks(caplog):
-    dictionary = gaussians(per_axis=40)  # the oscillator_wide dictionary
-    snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), (60, 60))
-    with caplog.at_level(logging.WARNING, logger="hdmd"):
-        eig = snapshots.kronecker_eig()
-    assert eig.axis_retained_ranks == (36, 36)
-    assert [r.getMessage() for r in caplog.records] == [
-        "Gram matrix numerically rank deficient: retained 1296 of 1600 directions "
-        "(per axis 36 of 40, 36 of 40)"
-    ]
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="hdmd"):
-        separable_snapshots(HarmonicOscillatorProblem(), (30, 30)).kronecker_eig()
-    assert not caplog.records  # the default 20 x 20 dictionary keeps full rank
 
 
 # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for artifact writing (columnar CSVs, a real matrix's re/im-pair CSV, .npy arrays)."""
+"""Tests for artifact writing (columnar CSVs, a real matrix's re/im-pair CSV, .npy arrays) and the refusal of a damaged matrix CSV."""
 
 import tracemalloc
 
@@ -69,6 +69,31 @@ def test_csv_header_names_columns(tmp_path):
     write_complex_csv(np.zeros((1, 2)), tmp_path / "m.csv")
     header = (tmp_path / "m.csv").read_text().splitlines()[0]
     assert header == "c0_re,c0_im,c1_re,c1_im"
+
+
+# a damaged koopman_edmd.csv, as the tests read it with read_points_csv: refused, naming the file and line
+def test_csv_rejects_ragged_rows(tmp_path):
+    write_complex_csv(np.eye(2), tmp_path / "bad.csv")
+    with open(tmp_path / "bad.csv", "a") as f:
+        f.write("1.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 4: expected 4 columns, got 1"):
+        read_points_csv(tmp_path / "bad.csv")
+
+
+def test_csv_rejects_empty(tmp_path):
+    (tmp_path / "bad.csv").write_text("")
+    with pytest.raises(ValueError, match=r"bad\.csv: empty"):
+        read_points_csv(tmp_path / "bad.csv")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_with_file_and_line(tmp_path, bad):
+    write_complex_csv(np.eye(2), tmp_path / "bad.csv")
+    lines = (tmp_path / "bad.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + f",{bad}"
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: line 3: non-finite"):
+        read_points_csv(tmp_path / "bad.csv")
 
 
 def test_write_artifact_replaces_the_file_instead_of_truncating_it(tmp_path):

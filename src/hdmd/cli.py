@@ -152,12 +152,21 @@ def read_points_csv(path) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _short(x: int, unit: int = 1) -> str:
+    """x / unit below 10^15, in full for unit 1 and to one place otherwise, else as 1.23e+130 through a Decimal,
+    which takes any int, where float division overflows past 1.8e308 and str() refuses ints past 4300 digits."""
+    if x < 10**15 * unit:
+        return str(x) if unit == 1 else f"{x / unit:.1f}"
+    from decimal import Decimal  # here, not at the top: importing it would cost every run about 2 ms
+    return f"{Decimal(x) / unit:.3g}"
+
+
 def _check_fits(estimate: int, what: str, arrays: str) -> None:
     """Refuse a run whose estimated work arrays exceed physical memory; runs before any exists."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if estimate > physical:
         raise ValueError(
-            f"{what} needs about {estimate / 2**30:.1f} GiB of {arrays}, "
+            f"{what} needs about {_short(estimate, 2**30)} GiB of {arrays}, "
             f"more than the {physical / 2**30:.1f} GiB of physical memory"
         )
 
@@ -170,23 +179,25 @@ def _kronecker_bytes(grid, per_axis: int, references: int) -> int:
     return 8 * (words + 48 * references + 8192)
 
 
-def _probe_bytes(n_ref: int) -> int:
+def _probe_bytes(n_ref: int, moment_rows: int) -> int:
     """About what `probes` allocates, O(n_ref): a traced peak of about 15 words per
     n_ref, set by the free-Jacobi resolvent's complex DST-I buffers (the weak probe's
     spectrum, test-function values and temporaries reach about 10); 24 words per
-    n_ref and 64 KB for the CSV and summary text cover that."""
-    return 8 * (24 * n_ref + 8192)
+    n_ref and 64 KB for the CSV and summary text cover that.  Each row of a moment
+    probe (one per k and size, floors included) traces about 40 words more: its
+    tuple, gap, key, CSV line and summary text; 56 words cover that."""
+    return 8 * (24 * n_ref + 56 * moment_rows + 8192)
 
 
 def _custom_bytes(snapshots: int, dim: int, per_axis: int) -> int:
-    """About what `custom` allocates: A and a product beside two min(M, block_rows(N)) x N row blocks (at most
-    max(2 MiB, N x N) each) and their per-axis bumps (4 d per_axis words a row) or beside G's midpoint bumps
-    (d (2 per_axis - 1) words a row, and their Khatri-Rao product over all but the last axis); then G's gather
-    and up to 12 N x N arrays in all (G, A, Q, one K, Q^* B Q, eigenvectors, temporaries); 4 (1 + d) words a
-    snapshot (both files' points, the weights and their roots) and 128 KB of reader buffers and CSV lines."""
+    """About what `custom` allocates: G's midpoint bumps (d (2 per_axis - 1) words a row, and their Khatri-Rao
+    product over all but the last axis), then G, A and a product beside two min(M, block_rows(N)) x N row blocks
+    (at most max(2 MiB, N x N) each) and their per-axis bumps (4 d per_axis words a row); then up to 12 N x N
+    arrays in all (G, A, Q, one K, Q^* B Q, eigenvectors, temporaries); 4 (1 + d) words a snapshot (both files'
+    points, the weights and their roots) and 128 KB of reader buffers and CSV lines."""
     size, mids = per_axis**dim, 2 * per_axis - 1
     rows = min(snapshots, block_rows(size))
-    summing = rows * max(2 * size + 4 * dim * per_axis, dim * mids + mids ** (dim - 1)) + 2 * size**2
+    summing = rows * max(2 * size + 4 * dim * per_axis, dim * mids + mids ** (dim - 1)) + 3 * size**2
     return 8 * (max(summing, 12 * size**2) + 4 * (1 + dim) * snapshots + 16384)
 
 
@@ -196,7 +207,7 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     grid = (FULL_GRID_POINTS, FULL_GRID_POINTS) if full_grid else config.grid
     grid_text = " x ".join(map(str, grid))
     per_axis, cutoff = config.dict_per_axis, config.energy_cutoff
-    needs = f"dictionary size N = {per_axis**2} on the {grid_text} grid with energy_cutoff = {cutoff}"
+    needs = f"dictionary size N = {_short(per_axis**2)} on the {grid_text} grid with energy_cutoff = {cutoff}"
     _check_fits(_kronecker_bytes(grid, per_axis, cutoff), needs, "per-axis factors, spectra and cluster rows")
     dictionary = _dictionary(config, 2)
     snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), grid)
@@ -253,7 +264,8 @@ def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     n_ref = config.probe_n_ref
     sizes = list(config.probe_sizes)
-    _check_fits(_probe_bytes(n_ref), f"probe_n_ref = {n_ref}", "length-n_ref work vectors")
+    moment_rows = (config.probe_max_moment + 1) * (len(sizes) + 1)
+    _check_fits(_probe_bytes(n_ref, moment_rows), f"probe_n_ref = {n_ref}", "work vectors and probe rows")
     # closed forms: the probes form no n x n array and call no eigh
     references = {"free_jacobi": FreeJacobiSections(n_ref), "diagonal": DiagonalSections(n_ref)}
     v = np.zeros(n_ref)
@@ -296,7 +308,7 @@ def run_custom(config: ExperimentConfig, x_path, y_path, out_dir: Path) -> int:
             f"snapshot shapes differ: {x_path} is {x_pts.shape}, {y_path} is {y_pts.shape}"
         )
     count, dim = x_pts.shape
-    needs = f"dictionary size N = {config.dict_per_axis**dim} on {count} snapshots"
+    needs = f"dictionary size N = {_short(config.dict_per_axis**dim)} on {count} snapshots"
     _check_fits(_custom_bytes(count, dim, config.dict_per_axis), needs, "row blocks and N x N work arrays")
     dictionary = _dictionary(config, dim)
     quad = monte_carlo(x_pts, total_mass=1.0)

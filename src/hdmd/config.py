@@ -116,8 +116,9 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         fail("probe_sizes", f"must be strictly increasing positive integers, got {c.probe_sizes}")
     if c.probe_sizes[-1] > c.probe_n_ref:
         fail("probe_sizes", f"largest size {c.probe_sizes[-1]} exceeds probe_n_ref {c.probe_n_ref}")
-    if c.probe_max_moment < 0:
-        fail("probe_max_moment", f"must be >= 0, got {c.probe_max_moment}")
+    if not 0 <= c.probe_max_moment <= 1023:
+        fail("probe_max_moment", f"must be in [0, 1023], got {c.probe_max_moment}: "
+             "the references' k-th moments reach 2^k, and 2^1024 overflows a float")
     if len(c.grid) == 1:
         c = replace(c, grid=(c.grid[0], c.grid[0]))
     return c

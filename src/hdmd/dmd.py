@@ -101,9 +101,7 @@ class GramPair:
         retained eigenspace is cached for every downstream solve.  Rank
         deficiency is left to the caller to report (see `rank_deficient`).
         """
-        if not np.any(g):  # before eigh, which would take as long as for any other G
-            raise ValueError("Gram matrix is zero: no dictionary function is nonzero at any snapshot; "
-                             "check dict_width, dict_box_min and dict_box_max against the snapshots")
+        _refuse_zero(g)  # before eigh, which would take as long as for any other G
         g = g + g.conj().T  # one N x N temporary, halved in place: the caller's g stays as it is
         g *= 0.5
         a = np.asarray(a).view()  # freezing a view leaves the caller's a writeable
@@ -150,12 +148,18 @@ class KoopmanEig:
         return np.abs(self.eigenvectors.conj().T @ moments) ** 2
 
 
+def _refuse_zero(g: np.ndarray) -> None:
+    if not np.any(g):
+        raise ValueError("Gram matrix is zero: no dictionary function is nonzero at any snapshot; "
+                         "check dict_width, dict_box_min and dict_box_max against the snapshots")
+
+
 def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: QuadratureRule) -> GramPair:
     """Form G = Psi_X^* W Psi_X and A = Psi_X^* W Psi_Y as weighted snapshot sums.
 
     The weights are positive, so blocks arrive as rows of W^(1/2) Psi; A is
-    summed over them in features.dtype, G comes from features.gram, and both
-    are scaled once, in place, by features.scale.
+    summed over them in features.dtype, G comes first from features.gram, and
+    both are scaled once, in place, by features.scale.
     The cutoff is features.rank_tolerance_used; see `GramPair.from_matrices`.
     """
     if features.snapshot_count != quad.size:
@@ -164,6 +168,8 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
         )
     root_w, n = np.sqrt(quad.weights), features.dictionary_size
     rows = block_rows(n)
+    g = features.gram(quad.weights, rows)
+    _refuse_zero(g)  # before the A loop, which would sum its blocks as long as for any other G
     a = np.zeros((n, n), dtype=features.dtype)
     buffers = np.empty((2, min(rows, quad.size), n), features.dtype)  # reused: fresh blocks fault in pages again
     for start in range(0, quad.size, rows):
@@ -171,7 +177,6 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
         bx, by = features.block(sl, root_w[sl], buffers[:, : root_w[sl].size])  # W^(1/2) Psi_X, W^(1/2) Psi_Y
         a += bx.conj().T @ by
     del buffers, bx, by
-    g = features.gram(quad.weights, rows)  # after the loop, so G is not live beside the blocks
     g *= features.scale  # in place: scaled copies would be two more N x N arrays, live during eigh(G)
     a *= features.scale
     return GramPair.from_matrices(g, a, features.rank_tolerance_used)

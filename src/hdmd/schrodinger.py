@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .dictionary import DEFAULT_RANK_TOLERANCE, Dictionary, FeatureMatrices, gaussian_grid_dictionary, rowwise_kron
-from .dmd import GramPair, KoopmanEig, KoopmanMatrix, block_rows, eigendecompose, hermitian_dmd
+from .dmd import GramPair, KoopmanEig, KoopmanMatrix, eigendecompose, hermitian_dmd
 from .quadrature import QuadratureRule, grid_nodes, trapezoid_axes
 from .spectral import AtomicMeasure
 
@@ -90,15 +90,10 @@ def generate_snapshots(
         raise ValueError("quadrature nodes must lie inside the problem domain")
 
     dictionary = problem.dictionary
-    psi_x = np.empty((nodes.shape[0], dictionary.size), dtype=complex)
-    psi_y = np.empty_like(psi_x)
-    rows = block_rows(dictionary.size)
-    for start in range(0, nodes.shape[0], rows):
-        sl = slice(start, start + rows)
-        axes = zip(nodes[sl].T, dictionary.axis_centers, strict=True)
-        terms = [_axis_multiplier(dictionary.width, x[:, None] - c, x[:, None]) for x, c in axes]
-        psi_x[sl] = dictionary.amplitude * dictionary.rows(nodes[sl])
-        psi_y[sl] = psi_x[sl] * rowwise_kron(terms, np.add)
+    axes = zip(nodes.T, dictionary.axis_centers, strict=True)
+    terms = [_axis_multiplier(dictionary.width, x[:, None] - c, x[:, None]) for x, c in axes]
+    psi_x = dictionary.amplitude * dictionary.rows(nodes)
+    psi_y = psi_x * rowwise_kron(terms, np.add)
     return FeatureMatrices(psi_x=psi_x, psi_y=psi_y, rank_tolerance_used=rank_tolerance)
 
 

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 
 import hdmd.cli as cli
 from hdmd.config import ConfigError, ExperimentConfig, default_config, load_config, validate
-from hdmd.dictionary import FeatureMatrices, evaluate_snapshots, gaussian_grid_dictionary
+from hdmd.dictionary import FeatureMatrices, SnapshotFeatures, evaluate_snapshots, gaussian_grid_dictionary
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
 from hdmd.quadrature import grid_nodes, monte_carlo
 from hdmd.schrodinger import HarmonicOscillatorProblem, separable_snapshots
@@ -401,6 +402,72 @@ def test_probes_artifacts_and_trivial_reference(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_ref"] == 128
     assert "resolution_floors" in summary
+
+
+def strict_json(path):
+    """A summary.json parsed as strict JSON: NaN, Infinity and -Infinity raise."""
+
+    def reject(constant):
+        raise ValueError(f"{path}: non-finite {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def non_finite_cells(path) -> list[tuple[int, str]]:
+    """(line, column) of each CSV cell that is empty (a NaN as written) or a non-finite float; text cells
+    such as probe keys are skipped, and so is the empty location of an empty cluster in clustered.csv."""
+    header, *lines = path.read_text().splitlines()
+    bad = []
+    for lineno, line in enumerate(lines, start=2):
+        empty_cluster = path.name == "clustered.csv" and line.endswith(",0")
+        for column, cell in zip(header.split(","), line.split(",")):
+            try:
+                finite = np.isfinite(float(cell))
+            except ValueError:
+                finite = bool(cell) or (empty_cluster and column == "location")
+            if not finite:
+                bad.append((lineno, column))
+    return bad
+
+
+def test_probe_max_moment_is_refused_past_1023_and_finite_at_it(tmp_path, capsys):
+    # the free-Jacobi moments grow like 2^k: at 1035 they overflowed, and the run wrote NaN gaps and exited 0
+    refused = tmp_path / "refused"
+    cfg = write_config(tmp_path, "probe_max_moment = 1024\n", name="refused.cfg")
+    assert cli.main(["probes", "--config", str(cfg), "--out", str(refused)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hdmd: config error: probe_max_moment must be in [0, 1023], got 1024: ")
+    assert err.count("\n") == 1 and "2^1024 overflows" in err
+    assert not refused.exists()
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "probe_max_moment = 1023\n")
+    assert cli.main(["probes", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("free_jacobi", "diagonal"):
+        path = out / f"moments_{name}.csv"
+        assert len(path.read_text().splitlines()) == 1 + 1024 * 7  # six sizes and the floor per k
+        assert non_finite_cells(path) == []
+    floors = strict_json(out / "summary.json")["resolution_floors"]
+    assert all(len(floors[name]["moments"]) == 1024 for name in ("free_jacobi", "diagonal"))
+
+
+def test_runs_that_exit_0_write_no_nan_or_infinity(tmp_path):
+    # probes at probe_max_moment = 1035 used to exit 0 with empty gap cells and NaN in summary.json
+    points = swap_points(half=250)
+    write_points(tmp_path / "x.csv", points)
+    write_points(tmp_path / "y.csv", points[:, ::-1])
+    runs = {
+        "schrodinger": ([], ""),
+        "custom": ([str(tmp_path / "x.csv"), str(tmp_path / "y.csv")], "rank_tolerance = 1e-9\n"),
+        "probes": ([], "probe_n_ref = 64\nprobe_sizes = 2 4 8 16 32\nprobe_max_moment = 1023\n"),
+    }
+    for command, (snapshots, body) in runs.items():
+        out = tmp_path / command
+        cfg = write_config(tmp_path, body, name=f"{command}.cfg")
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *snapshots]) == 0
+        strict_json(out / "summary.json")
+        for path in out.glob("*.csv"):
+            assert non_finite_cells(path) == [], path.name
+        assert all(np.isfinite(np.load(path)).all() for path in out.glob("*.npy"))
 
 
 # ------------------------------------------------------------------
@@ -844,6 +911,9 @@ def test_zero_gram_exits_2_naming_dictionary_keys_without_eigh(tmp_path, capsys,
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    blocks = []  # custom's G comes before A, so a zero G is refused before any row block of A
+    block = SnapshotFeatures.block
+    monkeypatch.setattr(SnapshotFeatures, "block", lambda self, *args: blocks.append(args) or block(self, *args))
     pts = np.random.default_rng(5).uniform(20.0, 30.0, size=(2000, 2))
     write_points(tmp_path / "x.csv", pts)
     write_points(tmp_path / "y.csv", pts[:, ::-1])
@@ -854,7 +924,7 @@ def test_zero_gram_exits_2_naming_dictionary_keys_without_eigh(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("hdmd: Gram matrix is zero: no dictionary function is nonzero at any snapshot")
     assert err.count("\n") == 1 and all(key in err for key in ("dict_width", "dict_box_min", "dict_box_max"))
-    assert not any(zero_eighs)
+    assert not any(zero_eighs) and not blocks
     assert not out.exists()
 
 
@@ -882,6 +952,26 @@ def test_custom_refuses_dictionary_beyond_physical_memory(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert "N = 160000 on 2 snapshots" in err and "2288.8 GiB" in err and "physical memory" in err
     assert not out.exists()
+
+
+def test_custom_refuses_a_wide_snapshot_file_with_a_short_message(tmp_path, capsys):
+    # 200 columns give N = 20^200: the estimate in GiB overflows a float, and N in full has 261 digits
+    header = ",".join(f"c{j}" for j in range(200))
+    for name, shift in (("x.csv", 0.0), ("y.csv", 1.0)):
+        (tmp_path / name).write_text("\n".join([header, *(",".join([repr(i + shift)] * 200) for i in range(3))]) + "\n")
+    out = tmp_path / "o"
+    assert cli.main(["custom", "--out", str(out), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hdmd: dictionary size N = 1.61e+260 on 3 snapshots needs about ")
+    assert err.count("\n") == 1 and "physical memory" in err
+    assert max(map(len, re.findall(r"\d+", err))) <= 20
+    assert not out.exists()
+
+
+def test_short_numbers_stay_short_at_any_size():
+    assert [cli._short(160000), cli._short(2457600000000, 2**30)] == ["160000", "2288.8"]
+    assert [cli._short(10**15), cli._short(20**4000)] == ["1.00e+15", "1.32e+5204"]  # str() refuses 20^4000
+    assert cli._short(20**400 * 2**30, 2**30) == "2.58e+520"  # a float division would overflow
 
 
 def test_schrodinger_refuses_dictionary_beyond_physical_memory(tmp_path, capsys, monkeypatch):
@@ -989,15 +1079,22 @@ def test_custom_size_estimate_covers_what_it_allocates(tmp_path, snapshots, dim,
     assert peak <= cli._custom_bytes(snapshots, dim, per_axis) <= 10 * peak
 
 
-@pytest.mark.parametrize("n_ref", [2000, 20000])
-def test_probes_size_estimate_covers_what_it_allocates(tmp_path, n_ref):
-    # n_ref = 2000 is the default; the guard's estimate is O(n_ref) like the allocations
-    cfg = write_config(tmp_path, f"probe_n_ref = {n_ref}\n")
+@pytest.mark.parametrize(
+    "n_ref, body",
+    [(2000, ""), (20000, ""), (64, "probe_sizes = 2 4 8 16 32\nprobe_max_moment = 1023\n")],
+    ids=["2000", "20000", "64-k1023"],
+)
+def test_probes_size_estimate_covers_what_it_allocates(tmp_path, n_ref, body):
+    # n_ref = 2000 is the default; the guard's estimate is O(n_ref) like the allocations, plus the
+    # moment probe's rows, which set the peak at probe_max_moment = 1023
+    cfg = write_config(tmp_path, f"probe_n_ref = {n_ref}\n" + body)
+    config = load_config(cfg)
     argv = ["probes", "--config", str(cfg), "--out"]
     assert cli.main(argv + [str(tmp_path / "warm")]) == 0
     code, peak = traced_peak(argv + [str(tmp_path / "out")])
     assert code == 0
-    assert peak <= cli._probe_bytes(n_ref) <= 10 * peak
+    moment_rows = (config.probe_max_moment + 1) * (len(config.probe_sizes) + 1)
+    assert peak <= cli._probe_bytes(n_ref, moment_rows) <= 10 * peak
 
 
 def child_env():

@@ -175,7 +175,7 @@ def _kronecker_bytes(grid, per_axis: int, references: int) -> int:
     """About what `schrodinger` allocates: M_k x n_k factors and their temporaries and n_k x n_k
     matrices per axis, O(N) spectra and weights, 48 words per reference energy (its cluster row and
     CSV text, about 370 bytes traced) and 64 KB of other text; nothing grows with M = prod(grid)."""
-    words = 8 * per_axis * sum(grid) + 40 * per_axis**2 * len(grid) + 32 * per_axis ** len(grid)
+    words = 8 * per_axis * sum(grid) + 16 * per_axis**2 * len(grid) + 32 * per_axis ** len(grid)
     return 8 * (words + 48 * references + 8192)
 
 
@@ -205,9 +205,9 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     """Benchmark pipeline; writes eigenvalues.csv, measure.csv, clustered.csv, summary.json."""
     t0 = time.perf_counter()
     grid = (FULL_GRID_POINTS, FULL_GRID_POINTS) if full_grid else config.grid
-    grid_text = " x ".join(map(str, grid))
+    grid_text = " x ".join(map(_short, grid))
     per_axis, cutoff = config.dict_per_axis, config.energy_cutoff
-    needs = f"dictionary size N = {_short(per_axis**2)} on the {grid_text} grid with energy_cutoff = {cutoff}"
+    needs = f"dictionary size N = {_short(per_axis**2)} on the {grid_text} grid with energy_cutoff = {_short(cutoff)}"
     _check_fits(_kronecker_bytes(grid, per_axis, cutoff), needs, "per-axis factors, spectra and cluster rows")
     dictionary = _dictionary(config, 2)
     snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), grid)
@@ -265,7 +265,7 @@ def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
     n_ref = config.probe_n_ref
     sizes = list(config.probe_sizes)
     moment_rows = (config.probe_max_moment + 1) * (len(sizes) + 1)
-    _check_fits(_probe_bytes(n_ref, moment_rows), f"probe_n_ref = {n_ref}", "work vectors and probe rows")
+    _check_fits(_probe_bytes(n_ref, moment_rows), f"probe_n_ref = {_short(n_ref)}", "work vectors and probe rows")
     # closed forms: the probes form no n x n array and call no eigh
     references = {"free_jacobi": FreeJacobiSections(n_ref), "diagonal": DiagonalSections(n_ref)}
     v = np.zeros(n_ref)

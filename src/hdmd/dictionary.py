@@ -70,6 +70,12 @@ def rowwise_kron(factors, combine=np.multiply, out=None) -> np.ndarray:
     return p
 
 
+def refuse_zero_gram(g: np.ndarray) -> None:
+    if not np.any(g):
+        raise ValueError("Gram matrix is zero: no dictionary function is nonzero at any snapshot; "
+                         "check dict_width, dict_box_min and dict_box_max against the snapshots")
+
+
 @dataclass(frozen=True)
 class FeatureMatrices:
     """Materialized evaluations at snapshot inputs (psi_x) and outputs (psi_y); real stays real."""
@@ -161,6 +167,7 @@ class SnapshotFeatures:
             *lead, last = halves.axis_bumps(self.x[s : s + block_rows].T)
             table = table + rowwise_kron((weights[s : s + block_rows, None], *lead)).T @ last
             del lead, last  # else this block's bumps live on while the next ones are evaluated
+        refuse_zero_gram(table)  # a zero table gives a zero G: refused before G's N x N gather
         g = sliding_window_view(np.reshape(table, [2 * n - 1 for n in sizes]), sizes).copy()  # the one gather
         decays = Dictionary(dic.axis_centers, dic.width / 2, 1.0).axis_bumps(dic.axis_centers)
         for k, decay in enumerate(decays):  # in place, and the same products for G[i, l] and G[l, i]

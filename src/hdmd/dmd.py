@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import FeatureMatrices, SnapshotFeatures
+from .dictionary import FeatureMatrices, SnapshotFeatures, refuse_zero_gram
 from .quadrature import QuadratureRule
 
 _BLOCK_WORDS = 2**18  # 2 MiB of float64
@@ -101,7 +101,7 @@ class GramPair:
         retained eigenspace is cached for every downstream solve.  Rank
         deficiency is left to the caller to report (see `rank_deficient`).
         """
-        _refuse_zero(g)  # before eigh, which would take as long as for any other G
+        refuse_zero_gram(g)  # before eigh, which would take as long as for any other G
         g = g + g.conj().T  # one N x N temporary, halved in place: the caller's g stays as it is
         g *= 0.5
         a = np.asarray(a).view()  # freezing a view leaves the caller's a writeable
@@ -148,12 +148,6 @@ class KoopmanEig:
         return np.abs(self.eigenvectors.conj().T @ moments) ** 2
 
 
-def _refuse_zero(g: np.ndarray) -> None:
-    if not np.any(g):
-        raise ValueError("Gram matrix is zero: no dictionary function is nonzero at any snapshot; "
-                         "check dict_width, dict_box_min and dict_box_max against the snapshots")
-
-
 def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: QuadratureRule) -> GramPair:
     """Form G = Psi_X^* W Psi_X and A = Psi_X^* W Psi_Y as weighted snapshot sums.
 
@@ -169,7 +163,7 @@ def assemble_gram_pair(features: FeatureMatrices | SnapshotFeatures, quad: Quadr
     root_w, n = np.sqrt(quad.weights), features.dictionary_size
     rows = block_rows(n)
     g = features.gram(quad.weights, rows)
-    _refuse_zero(g)  # before the A loop, which would sum its blocks as long as for any other G
+    refuse_zero_gram(g)  # before the A loop, which would sum its blocks as long as for any other G
     a = np.zeros((n, n), dtype=features.dtype)
     buffers = np.empty((2, min(rows, quad.size), n), features.dtype)  # reused: fresh blocks fault in pages again
     for start in range(0, quad.size, rows):

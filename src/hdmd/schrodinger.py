@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
 from math import factorial, pi, prod, sqrt
 from typing import Callable
 
@@ -97,16 +96,6 @@ def generate_snapshots(
     return FeatureMatrices(psi_x=psi_x, psi_y=psi_y, rank_tolerance_used=rank_tolerance)
 
 
-def _kron_sum_norm(terms) -> float:
-    """||sum_t (x)_k terms[t][k]||_F from per-axis inner products, using
-    <(x)_k X_k, (x)_k Y_k>_F = prod_k <X_k, Y_k>_F; no Kronecker product is formed."""
-    inner = 1.0
-    for factors in zip(*terms):
-        flat = np.array([f.ravel() for f in factors])
-        inner = inner * (flat.conj() @ flat.T)
-    return sqrt(max(float(np.real(np.sum(inner))), 0.0))
-
-
 @dataclass(frozen=True)
 class KroneckerEig:
     """Hermitian DMD of the separable data, solved one axis at a time.
@@ -120,6 +109,7 @@ class KroneckerEig:
     G^+ = (x)_k G1_k^+ / s.  `eigenvalues` ascend (a stable sort of the
     row-major sums); `order` holds the flat index of each.  A product
     observable's weights and mass are products of each axis's 1-D ones.
+    `hermiticity_residual`, a max over axes, bounded K's own in every trial with exactly Hermitian G1_k (empirical).
     """
 
     scale: float
@@ -162,25 +152,8 @@ class KroneckerEig:
         return prod(e.gram.observable_mass(m) for e, m in zip(self.axes, axis_moments, strict=True))
 
     def hermiticity_residual(self) -> float:
-        """||G K - K^* G||_F / ||G K||_F (0 when G K = 0) for the Kronecker-sum K, from 1-D factors.
-
-        G K = s sum_k (x)_l T_kl with T_kk = G1_k K_k and T_kl = G1_l Pi_l; s cancels.
-        With T = S + D split into Hermitian and anti-Hermitian parts,
-        (x)_l T_l - (x)_l T_l^* = 2 sum over odd-sized sets J of axes of
-        (x)_l (D_l if l in J else S_l), so the difference is summed from
-        small terms instead of cancelled from large ones.
-        """
-        own = [  # (G1_k K_k, G1_k Pi_k) per axis
-            (op.source.g @ op.k, op.source.g @ op.source.basis @ op.source.basis.conj().T) for op in self.operators
-        ]
-        gk = [[pair[l != k] for l, pair in enumerate(own)] for k in range(len(own))]
-        diff = []
-        for factors in gk:
-            parts = [(0.5 * (t + t.conj().T), 0.5 * (t - t.conj().T)) for t in factors]
-            for flips in product((0, 1), repeat=len(parts)):
-                if sum(flips) % 2:
-                    diff.append([part[f] for part, f in zip(parts, flips)])
-        return 2 * _kron_sum_norm(diff) / norm if (norm := _kron_sum_norm(gk)) else 0.0
+        """The largest of the axes' `KoopmanMatrix.hermiticity_residual`, the gate's bound on K's own (see above)."""
+        return max(op.hermiticity_residual() for op in self.operators)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hdmd.cli as cli
+import hdmd.dictionary
 from hdmd.config import ConfigError, ExperimentConfig, default_config, load_config, validate
 from hdmd.dictionary import FeatureMatrices, SnapshotFeatures, evaluate_snapshots, gaussian_grid_dictionary
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
@@ -323,6 +324,17 @@ def test_schrodinger_fails_on_nan_hermiticity_residual(tmp_path, monkeypatch, ca
     out = tmp_path / "out"
     assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(out)]) == 1
     assert "hermiticity residual nan" in caplog.text
+
+
+@pytest.mark.parametrize("grid, code", [(15, 0), (20, 1)])
+def test_schrodinger_gate_verdict_on_coarse_grids_with_the_real_residual(tmp_path, caplog, grid, code):
+    # with the default dictionary, cond(G) ~ 1e21 at 20^2 puts the residual near 2e-8; at 15^2 it is ~3e-12
+    cfg = write_config(tmp_path, f"grid = {grid} {grid}\n")
+    out = tmp_path / "out"
+    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(out)]) == code
+    residual = json.loads((out / "summary.json").read_text())["hermiticity_residual"]
+    assert (residual > cli.HERMITICITY_LIMIT) == bool(code)
+    assert ("cond(G) = " in caplog.text) == bool(code)
 
 
 def test_schrodinger_eigenvalues_csv_lists_every_computed_eigenvalue(tmp_path):
@@ -914,6 +926,9 @@ def test_zero_gram_exits_2_naming_dictionary_keys_without_eigh(tmp_path, capsys,
     blocks = []  # custom's G comes before A, so a zero G is refused before any row block of A
     block = SnapshotFeatures.block
     monkeypatch.setattr(SnapshotFeatures, "block", lambda self, *args: blocks.append(args) or block(self, *args))
+    gathers = []  # custom's midpoint table is refused before G's N x N gather
+    gather = hdmd.dictionary.sliding_window_view
+    monkeypatch.setattr(hdmd.dictionary, "sliding_window_view", lambda *args: gathers.append(args) or gather(*args))
     pts = np.random.default_rng(5).uniform(20.0, 30.0, size=(2000, 2))
     write_points(tmp_path / "x.csv", pts)
     write_points(tmp_path / "y.csv", pts[:, ::-1])
@@ -924,7 +939,7 @@ def test_zero_gram_exits_2_naming_dictionary_keys_without_eigh(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("hdmd: Gram matrix is zero: no dictionary function is nonzero at any snapshot")
     assert err.count("\n") == 1 and all(key in err for key in ("dict_width", "dict_box_min", "dict_box_max"))
-    assert not any(zero_eighs) and not blocks
+    assert not any(zero_eighs) and not blocks and not gathers
     assert not out.exists()
 
 
@@ -1011,7 +1026,22 @@ def test_probes_refuse_reference_beyond_physical_memory(tmp_path, capsys, monkey
     out = tmp_path / "o"
     assert cli.main(["probes", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("hdmd: probe_n_ref = 1000000000000000 needs about ") and "physical memory" in err
+    assert err.startswith("hdmd: probe_n_ref = 1.00e+15 needs about ") and "physical memory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [("probes", "probe_n_ref = {}"), ("schrodinger", "energy_cutoff = {}"), ("schrodinger", "grid = 75 {}")],
+    ids=["probe_n_ref", "energy_cutoff", "grid"],
+)
+def test_memory_guard_message_stays_short_for_a_huge_config_value(tmp_path, capsys, command, body):
+    cfg = write_config(tmp_path, body.format(10**400) + "\n")
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hdmd: ") and err.count("\n") == 1 and "1.00e+400" in err and "physical memory" in err
+    assert max(map(len, re.findall(r"\d+", err))) <= 20
     assert not out.exists()
 
 
@@ -1101,6 +1131,65 @@ def child_env():
     """The environment of a child that imports the same hdmd as this process, installed or not."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_with_threads(argv, out, threads: int) -> None:
+    """One `python -m hdmd.cli` child whose BLAS and OpenMP pools have `threads` threads."""
+    env = {**child_env(), "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+    cmd = [sys.executable, "-m", "hdmd.cli", *map(str, argv), "--out", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+THREAD_COUNTS = (1, 2)
+needs_two_cores = pytest.mark.skipif(
+    (os.cpu_count() or 1) < max(THREAD_COUNTS),
+    reason=f"comparing {THREAD_COUNTS} BLAS threads needs {max(THREAD_COUNTS)} cores; fewer cannot show a difference",
+)
+
+
+@needs_two_cores
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("schrodinger", ""),
+        ("schrodinger", "grid = 60 60\ndict_per_axis = 40\n"),
+        ("probes", "probe_n_ref = 200\nprobe_sizes = 2 4 8 16 32 100\n"),
+    ],
+    ids=["schrodinger-defaults", "schrodinger-60-40", "probes"],
+)
+def test_separable_and_probe_artifacts_are_bitwise_thread_invariant(tmp_path, command, body):
+    cfg = write_config(tmp_path, body)
+    outs = [tmp_path / f"threads-{t}" for t in THREAD_COUNTS]
+    for threads, out in zip(THREAD_COUNTS, outs):
+        run_with_threads([command, "--config", cfg], out, threads)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        one, two = ((out / name).read_bytes() for out in outs)
+        if name == "summary.json":
+            one, two = ({k: v for k, v in json.loads(t).items() if k != "runtime_seconds"} for t in (one, two))
+        assert one == two, name
+
+
+@needs_two_cores
+def test_custom_results_agree_across_thread_counts_to_stated_tolerances(tmp_path):
+    # custom's GEMMs and eigh sum in an order that follows the thread count, so its bits may differ
+    x = swap_points()
+    write_points(tmp_path / "x.csv", x)
+    write_points(tmp_path / "y.csv", x[:, ::-1])
+    outs = [tmp_path / f"threads-{t}" for t in THREAD_COUNTS]
+    for threads, out in zip(THREAD_COUNTS, outs):
+        run_with_threads(["custom", tmp_path / "x.csv", tmp_path / "y.csv"], out, threads)
+    eigs, atoms = ([np.loadtxt(out / name, delimiter=",", skiprows=1) for out in outs]
+                   for name in ("eigenvalues.csv", "measure.csv"))
+    assert np.max(np.abs(eigs[0][:, 1] - eigs[1][:, 1])) <= 1e-9
+    totals = [json.loads((out / "summary.json").read_text())["total_mass"] for out in outs]
+    assert totals[0] == pytest.approx(totals[1], rel=1e-13)
+    # psi_0's center lies on the diagonal, so it is swap-even and the -1 cluster holds only roundoff (~1e-30):
+    # both clusters are compared relative to the total
+    one, two = (cluster_masses(a[:, 0], a[:, 1]) for a in atoms)
+    assert np.max(np.abs(np.subtract(one, two))) <= 1e-13 * totals[0]
 
 
 def test_import_and_probes_load_neither_fft_nor_scipy(tmp_path):

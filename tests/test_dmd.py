@@ -112,6 +112,17 @@ def test_from_matrices_leaves_caller_a_writeable(rng):
     assert np.array_equal(pair.a, a)
 
 
+@pytest.mark.parametrize("complex_gram", [False, True], ids=["real", "complex"])
+def test_from_matrices_stores_an_exactly_hermitian_g(rng, complex_gram):
+    # the Kronecker route's per-axis Hermiticity gate bounds the dense residual only for an exactly Hermitian G1
+    shape = (5, 5)
+    g = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_gram else 0.0)
+    g = g @ g.conj().T + 0.3 * rng.normal(size=shape)
+    assert not np.array_equal(g, g.conj().T)
+    pair = GramPair.from_matrices(g, rng.normal(size=shape), 1e-12)
+    assert pair.g.dtype == g.dtype and np.array_equal(pair.g, pair.g.conj().T)
+
+
 def complex_oracle_pair(box, per_axis, width, amp, x, y, w, tol=1e-12):
     """Psi = amp * exp(-width sum_k (x_k - c_k)^2) materialized in complex, then Psi^* W Psi."""
     centers = grid_nodes(gaussian_grid_dictionary(box, per_axis, width, amp).axis_centers)

@@ -7,6 +7,7 @@ from math import factorial, pi, sqrt
 import numpy as np
 import pytest
 
+from hdmd.cli import HERMITICITY_LIMIT
 from hdmd.dictionary import gaussian_grid_dictionary
 from hdmd.dmd import KoopmanMatrix, assemble_gram_pair, eigendecompose, hermitian_dmd
 from hdmd.quadrature import QuadratureRule, grid_nodes, tensor_trapezoid
@@ -324,7 +325,7 @@ def dense_hermiticity_residual(eig):
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
-def test_kronecker_hermiticity_residual_matches_dense_formula(dimension, rng):
+def test_kronecker_hermiticity_residual_bounds_dense_formula(dimension, rng):
     box = ((-4.0, 4.0),) * dimension
     dictionary = gaussians(centers_box=box, per_axis=5, width=1.0, amplitude=0.3 - 2.1j)
     problem = HarmonicOscillatorProblem(domain=((-5.0, 5.0),) * dimension, dictionary=dictionary)
@@ -332,20 +333,26 @@ def test_kronecker_hermiticity_residual_matches_dense_formula(dimension, rng):
     assert eig.hermiticity_residual() <= 1e-13
     assert dense_hermiticity_residual(eig) <= 1e-13
 
-    # deliberately non-symmetric K_k and G1_k on every axis, so the residual is not
-    # roundoff and every factor of every term (all odd sets of axes) contributes
-    skewed = tuple(
-        KoopmanMatrix(
-            k=op.k + 0.3 * rng.normal(size=op.k.shape),
-            source=replace(op.source, g=op.source.g + 0.3 * rng.normal(size=op.k.shape)),
-            compressed_b=op.compressed_b,
-        )
-        for op in eig.operators
-    )
-    broken = replace(eig, operators=skewed)
-    expected = dense_hermiticity_residual(broken)
-    assert expected > 1e-5
-    assert broken.hermiticity_residual() == pytest.approx(expected, rel=1e-10)
+    def skewed(scales, skew_gram: bool):
+        """eig with a deliberately non-symmetric K_k on every axis k, of size scales[k], and G1_k too if skew_gram."""
+        noise = [scale * rng.normal(size=(2,) + op.k.shape) for scale, op in zip(scales, eig.operators, strict=True)]
+        return replace(eig, operators=tuple(
+            KoopmanMatrix(
+                k=op.k + dk,
+                source=replace(op.source, g=op.source.g + dg) if skew_gram else op.source,
+                compressed_b=op.compressed_b,
+            )
+            for op, (dk, dg) in zip(eig.operators, noise)
+        ))
+
+    # G1_k exactly Hermitian, as GramPair.from_matrices stores it: the per-axis gate is the stricter one;
+    # the skew falls tenfold from one axis to the next, so a gate that read the wrong axis would be seen
+    broken = skewed([0.3 / 10**k for k in range(dimension)], False)
+    assert broken.hermiticity_residual() >= dense_hermiticity_residual(broken) > 1e-5
+    # a skewed G1_k, which the pipeline cannot produce: the per-axis max misses G1_l Pi_l's skew and may
+    # fall below the dense residual, but both are far above the gate's limit, so the verdict is the same
+    broken = skewed([0.3] * dimension, True)
+    assert min(broken.hermiticity_residual(), dense_hermiticity_residual(broken)) > HERMITICITY_LIMIT
 
 
 # ------------------------------------------------------------------

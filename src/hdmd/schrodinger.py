@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import factorial, pi, prod, sqrt
+from math import pi, prod, sqrt
 from typing import Callable
 
 import numpy as np
@@ -207,15 +207,29 @@ def separable_snapshots(problem: HarmonicOscillatorProblem, points_per_axis) -> 
 
 
 def _normalized_hermite_table(m_max: int, x: np.ndarray) -> np.ndarray:
-    """Rows m = 0..m_max of hhat_m(x) = H_m(x) e^{-x^2/2} / sqrt(2^m m! sqrt(pi))."""
-    table = np.empty((m_max + 1, x.shape[0]))
-    table[0] = 1.0
-    if m_max >= 1:
-        table[1] = 2 * x
-    for k in range(1, m_max):  # H_{k+1} = 2 x H_k - 2 k H_{k-1}
-        table[k + 1] = 2 * x * table[k] - 2 * k * table[k - 1]
-    norms = np.array([sqrt(2.0**m * factorial(m) * sqrt(pi)) for m in range(m_max + 1)])
-    return table * np.exp(-0.5 * x**2) / norms[:, None]
+    """Rows m = 0..m_max of hhat_m(x) = H_m(x) e^{-x^2/2} / sqrt(2^m m! sqrt(pi)), finite for every m."""
+    table = np.zeros((m_max + 1, x.shape[0]))
+    table[0] = pi**-0.25 * np.exp(-0.5 * x**2)
+    for k in range(m_max):  # no 2^m m! is formed; at k = 0 the zero last row stands in for hhat_{-1}
+        table[k + 1] = sqrt(2 / (k + 1)) * x * table[k] - sqrt(k / (k + 1)) * table[k - 1]
+    return table
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] in O(n) memory (Hale & Townsend, 2013): Newton's
+    method on P_n from Tricomi's guesses, with P_n and P_{n-1} by the recurrence; w = 2 (1 - x^2) / (n P_{n-1})^2."""
+    x = np.cos(pi * (4 * np.arange(n, 0, -1) - 1) / (4 * n + 2))
+    step = np.inf
+    while True:
+        q, p = np.ones(n), x
+        for k in range(2, n + 1):
+            q, p = p, ((2 * k - 1) * x * p - (k - 1) * q) / k
+        if np.max(np.abs(step)) <= 1e-15:  # the last step was at roundoff: x is final and q = P_{n-1}(x)
+            break
+        step = (x * x - 1) * p / (n * (x * p - q))  # P_n / P_n'
+        x = x - step
+    w = 2 * (1 - x) * (1 + x) / (n * q) ** 2
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2  # symmetric about 0
 
 
 @dataclass(frozen=True)
@@ -261,29 +275,30 @@ def exact_spike_weights(
 ) -> AtomicMeasure:
     """Oracle spike weights sum_{m+n+1=E} |<f, phi_hat_{m,n}>|^2 for E <= max_energy, f real or complex.
 
-    Inner products use a Gauss-Legendre tensor grid with quad_resolution
-    points per axis on the problem's domain, entirely independent of the DMD
-    pipeline.  The default resolution leaves the weights converged far below
-    1e-4 for the built-in observable (doubling the resolution moves them at
-    roundoff level only).
+    Inner products use a Gauss-Legendre tensor grid (`_gauss_legendre`) with
+    quad_resolution points per axis on the problem's domain, entirely
+    independent of the DMD pipeline.  The observable is called once per slab of
+    about 2^14 grid points and must act pointwise; memory stays O(quad_resolution).
+    The default resolution leaves the weights converged far below 1e-4 for the
+    built-in observable (doubling the resolution moves them at roundoff level only).
     """
     if max_energy < 1:
         raise ValueError(f"max_energy must be >= 1, got {max_energy}")
     if quad_resolution < 2:
         raise ValueError("quad_resolution must be >= 2")
 
-    base_x, base_w = np.polynomial.legendre.leggauss(quad_resolution)
+    base_x, base_w = _gauss_legendre(quad_resolution)
     (gx, wx), (gy, wy) = [
         (0.5 * (b - a) * base_x + 0.5 * (b + a), 0.5 * (b - a) * base_w) for a, b in HarmonicOscillatorProblem.domain
     ]
+    hx = _normalized_hermite_table(max_energy - 1, gx) * wx
+    hy = _normalized_hermite_table(max_energy - 1, gy) * wy
 
-    fvals = np.asarray(observable(grid_nodes((gx, gy)))).reshape(quad_resolution, quad_resolution)
-
-    m_max = max_energy - 1
-    hx = _normalized_hermite_table(m_max, gx)
-    hy = _normalized_hermite_table(m_max, gy)
-    # inner products <f, phi_hat_{m,n}> for all (m, n) at once
-    inner = (hx * wx[None, :]) @ fvals @ (hy * wy[None, :]).T
+    b = max(1, 2**14 // quad_resolution)  # x-rows per slab
+    inner = 0
+    for s in range(0, quad_resolution, b):  # inner products <f, phi_hat_{m,n}> for all (m, n), a slab at a time
+        f = np.asarray(observable(grid_nodes((gx[s : s + b], gy)))).reshape(-1, quad_resolution)
+        inner = inner + hx[:, s : s + b] @ (f @ hy.T)
 
     energies = np.arange(1, max_energy + 1, dtype=float)
     weights = [sum(abs(inner[m, e - 1 - m]) ** 2 for m in range(e)) for e in range(1, max_energy + 1)]

@@ -1,5 +1,6 @@
 """Tests for the harmonic-oscillator benchmark and its closed-form oracles."""
 
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 from math import factorial, pi, sqrt
@@ -15,6 +16,7 @@ from hdmd.schrodinger import (
     ExactEigenpair,
     HarmonicOscillatorProblem,
     _axis_multiplier,
+    _gauss_legendre,
     _normalized_hermite_table,
     exact_spectrum,
     exact_spike_weights,
@@ -393,6 +395,33 @@ def test_hermite_vectorized():
     assert np.allclose(vec, pointwise, rtol=1e-15)
 
 
+def test_hermite_table_stays_finite_and_orthonormal_far_beyond_m_150():
+    # 2^m m! overflows a double from m = 151 on; the table must not depend on it.  The
+    # trapezoid rule on [-30, 30] with step 0.02 integrates these products to roundoff:
+    # they decay to ~1e-150 at the ends and their bandwidth (~49) is far below pi / 0.02
+    xs = np.linspace(-30.0, 30.0, 3001)
+    table = _normalized_hermite_table(300, xs)
+    assert np.all(np.isfinite(table))
+    gram = (table * (xs[1] - xs[0])) @ table.T
+    assert np.max(np.abs(gram - np.eye(301))) <= 1e-12
+
+
+# ------------------------------------------------------------------
+# the Gauss-Legendre rule behind the spike-weight oracle
+# ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 51, 400])
+def test_gauss_legendre_matches_numpy(n):
+    # numpy's own outermost weight at n = 400 is 5.7e-10 from a 40-digit reference,
+    # and this rule's 9.5e-10, so weights are compared to 1e-9 relative
+    nodes, weights = _gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+    assert np.max(np.abs(weights / ref_weights - 1)) <= 1e-9
+    assert abs(weights.sum() - 2.0) <= 1e-13
+
+
 # ------------------------------------------------------------------
 # exact_spectrum
 # ------------------------------------------------------------------
@@ -537,32 +566,91 @@ def test_spike_weights_total_approaches_norm_from_below():
     assert totals[-1] > 24.9
 
 
-def test_spike_weights_resolution_converged():
-    coarse = exact_spike_weights(11, quad_resolution=200)
-    fine = exact_spike_weights(11, quad_resolution=400)
-    assert np.max(np.abs(coarse.weights - fine.weights)) <= 1e-8
+@pytest.mark.parametrize(("coarse_q", "fine_q", "tol"), [(200, 400, 1e-8), (400, 800, 1e-12)])
+def test_spike_weights_resolution_converged(coarse_q, fine_q, tol):
+    coarse = exact_spike_weights(11, quad_resolution=coarse_q)
+    fine = exact_spike_weights(11, quad_resolution=fine_q)
+    assert np.max(np.abs(coarse.weights - fine.weights)) <= tol
+
+
+def even_observable(pts):
+    return np.cos(pi * pts[:, 0] / 10.0) * np.cos(pi * pts[:, 1] / 10.0)
+
+
+def complex_observable(pts):
+    return np.exp(1j * pts[:, 0]) * np.exp(-pts[:, 1] ** 2)
 
 
 def test_spike_weights_custom_observable_matches_projection_parity():
     # even-even observable puts no mass on even-energy levels' complement
-    def g(pts):
-        return np.cos(pi * pts[:, 0] / 10.0) * np.cos(pi * pts[:, 1] / 10.0)
-
-    mu = exact_spike_weights(8, observable=g)
+    mu = exact_spike_weights(8, observable=even_observable)
     odd_even_levels = mu.weights[1::2]  # E = 2, 4, ... hold odd/even mixed states
     assert np.all(odd_even_levels <= 1e-10)
 
 
 def test_spike_weights_keep_imaginary_part_of_complex_observable():
     # |<f, phi>|^2 = <Re f, phi>^2 + <Im f, phi>^2 for real phi
-    def f(pts):
-        return np.exp(1j * pts[:, 0]) * np.exp(-pts[:, 1] ** 2)
-
+    f = complex_observable
     mu = exact_spike_weights(8, observable=f)
     re = exact_spike_weights(8, observable=lambda pts: f(pts).real)
     im = exact_spike_weights(8, observable=lambda pts: f(pts).imag)
     assert im.total_mass > 0.1 * mu.total_mass
     assert np.max(np.abs(mu.weights - (re.weights + im.weights))) <= 1e-12 * mu.total_mass
+
+
+def dense_spike_weights(max_energy, observable, quad_resolution):
+    """The oracle as one dense pass: numpy's leggauss (a Q x Q eigensolve), f on the
+    full Q^2 grid and the Hermite table scaled by 1 / sqrt(2^m m! sqrt(pi)) (m <= 150)."""
+    base_x, base_w = np.polynomial.legendre.leggauss(quad_resolution)
+    (gx, wx), (gy, wy) = [
+        (0.5 * (b - a) * base_x + 0.5 * (b + a), 0.5 * (b - a) * base_w) for a, b in HarmonicOscillatorProblem.domain
+    ]
+    fvals = np.asarray(observable(grid_nodes((gx, gy)))).reshape(quad_resolution, quad_resolution)
+
+    def table(x):
+        rows = [np.ones_like(x), 2 * x]
+        for k in range(1, max_energy - 1):
+            rows.append(2 * x * rows[k] - 2 * k * rows[k - 1])
+        norms = np.array([sqrt(2.0**m * factorial(m) * sqrt(pi)) for m in range(max_energy)])
+        return np.array(rows[:max_energy]) * np.exp(-0.5 * x**2) / norms[:, None]
+
+    inner = (table(gx) * wx) @ fvals @ (table(gy) * wy).T
+    return np.array([sum(abs(inner[m, e - 1 - m]) ** 2 for m in range(e)) for e in range(1, max_energy + 1)])
+
+
+@pytest.mark.parametrize(
+    ("observable", "max_energy", "quad_resolution"),
+    [
+        (reference_observable, 12, 400),
+        (even_observable, 12, 400),
+        (complex_observable, 8, 400),
+        (reference_observable, 12, 333),  # 333 x-rows: the last slab is a partial one
+    ],
+    ids=["reference", "even", "complex", "partial-slab"],
+)
+def test_spike_weights_match_the_dense_one_pass_formula(observable, max_energy, quad_resolution):
+    dense = dense_spike_weights(max_energy, observable, quad_resolution)
+    mu = exact_spike_weights(max_energy, observable=observable, quad_resolution=quad_resolution)
+    assert np.max(np.abs(mu.weights - dense)) <= 1e-12 * np.max(dense)
+
+
+@pytest.mark.parametrize("quad_resolution", [400, 2000])
+def test_spike_weights_memory_stays_flat_in_the_resolution(quad_resolution):
+    # the dense pass holds Q^2 nodes and values and a Q x Q companion matrix: 6.1 MiB at Q = 400
+    tracemalloc.start()
+    try:
+        exact_spike_weights(12, quad_resolution=quad_resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
+def test_spike_weights_keep_mass_beyond_energy_171():
+    # at E >= 152 the table's rows m >= 151 once vanished, and at E >= 172 they raised OverflowError
+    mu = exact_spike_weights(200)
+    assert np.all(np.isfinite(mu.weights))
+    assert exact_spike_weights(171).total_mass < mu.total_mass < 25.0
 
 
 def test_spike_weights_validation():

@@ -172,10 +172,10 @@ def _check_fits(estimate: int, what: str, arrays: str) -> None:
 
 
 def _kronecker_bytes(grid, per_axis: int, references: int) -> int:
-    """About what `schrodinger` allocates: M_k x n_k factors and their temporaries and n_k x n_k
-    matrices per axis, O(N) spectra and weights, 48 words per reference energy (its cluster row and
-    CSV text, about 370 bytes traced) and 64 KB of other text; nothing grows with M = prod(grid)."""
-    words = 8 * per_axis * sum(grid) + 16 * per_axis**2 * len(grid) + 32 * per_axis ** len(grid)
+    """About what `schrodinger` allocates: M_k x n_k factors and their temporaries per axis, n_k x n_k matrices
+    per distinct grid count (equal axes share one solve), O(N) spectra and weights, 48 words per reference energy
+    (its cluster row and CSV text, about 370 bytes traced) and 64 KB of other text; nothing grows with M."""
+    words = 8 * per_axis * sum(grid) + 16 * per_axis**2 * len(set(grid)) + 32 * per_axis ** len(grid)
     return 8 * (words + 48 * references + 8192)
 
 

@@ -95,15 +95,17 @@ class GramPair:
 
     @classmethod
     def from_matrices(cls, g: np.ndarray, a: np.ndarray, rank_tolerance: float) -> "GramPair":
-        """Symmetrize G as (G + G^*)/2, eigendecompose it once and apply the cutoff.
+        """Symmetrize G as (G + G^*)/2 unless it is exactly Hermitian, eigendecompose it once and apply the cutoff.
 
         Eigenvalues at or below rank_tolerance * lambda_max are dropped and the
         retained eigenspace is cached for every downstream solve.  Rank
         deficiency is left to the caller to report (see `rank_deficient`).
         """
         refuse_zero_gram(g)  # before eigh, which would take as long as for any other G
-        g = g + g.conj().T  # one N x N temporary, halved in place: the caller's g stays as it is
-        g *= 0.5
+        g = np.asarray(g).view()  # kept if exactly Hermitian (custom's G): no second N x N array lives through eigh
+        if not np.array_equal(g, g.conj().T):
+            g = g + g.conj().T  # one N x N temporary, halved in place: the caller's g stays as it is
+            g *= 0.5
         a = np.asarray(a).view()  # freezing a view leaves the caller's a writeable
         eigvals, eigvecs = np.linalg.eigh(g)
         floor = float(rank_tolerance) * max(eigvals[-1], 0.0)

@@ -1,8 +1,10 @@
 """The on-disk format of every artifact: columnar CSVs, the K matrices and summary.json.
 
 Each CSV is one header row, then one row per line.  Floats are written with
-``repr``, so values round-trip bitwise through the text.  K_edmd's CSV keeps a complex
-matrix's header ``c0_re,c0_im,c1_re,...`` and has ``0.0`` in every imaginary cell; K_herm is ``.npy``.
+``repr``, so values round-trip bitwise through the text.  A run of bit-equal floats in a column is
+formatted once: the Kronecker route's equal axes share one solve, so each mu_i + mu_j, i != j, is two
+atoms of equal bits.  K_edmd's CSV keeps a complex matrix's header ``c0_re,c0_im,c1_re,...`` and has
+``0.0`` in every imaginary cell; K_herm is ``.npy``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,15 @@ def write_artifact(path, content) -> None:
 # an iterator, not a list: the cells of a column are not held beside the rows' text
 def _cells(column):
     values = np.asarray(column)
-    if values.dtype.kind == "f":
-        return ("" if v != v else repr(v) for v in values.tolist())  # v != v only for NaN
-    return map(str, values.tolist())
+    floats, values = values.dtype.kind == "f", values.tolist()  # the array is not held while the cells are made
+    if not floats:
+        yield from map(str, values)
+        return
+    last = text = None
+    for v in values:
+        if v != last or not v:  # equal nonzero floats have equal bits; a zero is formatted again for -0.0's sign
+            last, text = v, "" if v != v else repr(v)  # v != v only for NaN, which equals nothing, not even last
+        yield text
 
 
 def float_text(column) -> np.ndarray:

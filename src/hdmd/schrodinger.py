@@ -110,6 +110,7 @@ class KroneckerEig:
     row-major sums); `order` holds the flat index of each.  A product
     observable's weights and mass are products of each axis's 1-D ones.
     `hermiticity_residual`, a max over axes, bounded K's own in every trial with exactly Hermitian G1_k (empirical).
+    Equal axes (every square grid) share one solve, so mu_i + mu_j, i != j, is two equal-bit atoms, formatted once.
     """
 
     scale: float
@@ -176,15 +177,18 @@ class SeparableSnapshots:
     def kronecker_eig(self, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> KroneckerEig:
         """G1, H1 of each axis through `GramPair.from_matrices` and `hermitian_dmd`; rank
         deficiency is left to the caller to report (see `retained_rank`, `axis_retained_ranks`)."""
-        operators = []
+        solved = []  # ((E, w, h), operator, eigenpairs) per axis; an axis equal to an earlier one reuses its solve
         for e, w, h in zip(self.bumps, self.weights, self.multipliers):
-            ew = w[:, None] * e
-            pair = GramPair.from_matrices(ew.T @ e, ew.T @ (e * h), rank_tolerance)
-            operators.append(hermitian_dmd(pair))
-        axes = tuple(eigendecompose(op) for op in operators)
+            earlier = next((s for s in solved if all(map(np.array_equal, s[0], (e, w, h)))), None)
+            if earlier is None:
+                ew = w[:, None] * e
+                op = hermitian_dmd(GramPair.from_matrices(ew.T @ e, ew.T @ (e * h), rank_tolerance))
+                earlier = ((e, w, h), op, eigendecompose(op))
+            solved.append(earlier)
+        _, operators, axes = zip(*solved)
         sums = reduce(np.add.outer, [e.eigenvalues for e in axes]).ravel()
         order = np.argsort(sums, kind="stable")
-        return KroneckerEig(abs(self.amplitude) ** 2, tuple(operators), axes, sums[order], order)
+        return KroneckerEig(abs(self.amplitude) ** 2, operators, axes, sums[order], order)
 
     def moments(self, factors) -> tuple[np.ndarray, ...]:
         """Per-axis moments m_k = E_k^T W_k f_k of the product observable f = prod_k f_k(x_k),

@@ -15,6 +15,7 @@ import pytest
 
 import hdmd.cli as cli
 import hdmd.dictionary
+import hdmd.matio
 from hdmd.config import ConfigError, ExperimentConfig, default_config, load_config, validate
 from hdmd.dictionary import FeatureMatrices, SnapshotFeatures, evaluate_snapshots, gaussian_grid_dictionary
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
@@ -1093,6 +1094,25 @@ def test_schrodinger_size_estimate_covers_what_it_allocates(tmp_path, grid, per_
     code, peak = traced_peak(argv + [str(tmp_path / "out")])
     assert code == 0
     assert peak <= cli._kronecker_bytes(grid, per_axis, cutoff) <= 10 * peak
+
+
+@pytest.mark.parametrize(
+    "command, body, calls",
+    [("schrodinger", "", 484), ("schrodinger", "grid = 60 60\ndict_per_axis = 40\n", 1419), ("probes", "", 196)],
+    ids=["schrodinger-defaults", "schrodinger-60-40", "probes-defaults"],
+)
+def test_csv_writer_formats_each_run_of_equal_floats_once(tmp_path, monkeypatch, command, body, calls):
+    # the Kronecker spectrum repeats each mu_i + mu_j, i != j, bit for bit, and so do its weights: a run of
+    # equal cells is formatted once (1236 and 3924 repr calls when every cell was); probes' cells are all distinct
+    count = [0]
+
+    def counted_repr(value):
+        count[0] += 1
+        return repr(value)
+
+    monkeypatch.setattr(hdmd.matio, "repr", counted_repr, raising=False)
+    assert cli.main([command, "--config", str(write_config(tmp_path, body)), "--out", str(tmp_path / "out")]) == 0
+    assert count[0] == calls
 
 
 @pytest.mark.parametrize("snapshots, dim, per_axis", [(20000, 2, 20), (100000, 1, 20)], ids=["2d-400", "1d-20"])

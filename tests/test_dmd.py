@@ -123,6 +123,32 @@ def test_from_matrices_stores_an_exactly_hermitian_g(rng, complex_gram):
     assert pair.g.dtype == g.dtype and np.array_equal(pair.g, pair.g.conj().T)
 
 
+def test_from_matrices_keeps_an_exactly_symmetric_g_without_a_copy(rng, monkeypatch):
+    # custom's gathered G is exactly symmetric, and (G + G^T)/2 would be the same bits: no N x N copy is made
+    n = 400
+    g = rng.normal(size=(n + 20, n))
+    g = g.T @ g
+    g, a = np.triu(g) + np.triu(g, 1).T, rng.normal(size=(n, n))
+    at_eigh, eigh = [], np.linalg.eigh
+
+    def recorded_eigh(m):
+        at_eigh.append((tracemalloc.get_traced_memory()[0], np.shares_memory(m, g)))
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pair = GramPair.from_matrices(g, a, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    [(held, shared)] = at_eigh
+    assert shared and held - before < g.nbytes / 8  # the caller's G goes to eigh as it is
+    assert peak < 2.5 * g.nbytes  # eigh's eigenvectors and the retained basis, not a third N x N array
+    assert np.shares_memory(pair.g, g) and not pair.g.flags.writeable and g.flags.writeable
+
+
 def complex_oracle_pair(box, per_axis, width, amp, x, y, w, tol=1e-12):
     """Psi = amp * exp(-width sum_k (x_k - c_k)^2) materialized in complex, then Psi^* W Psi."""
     centers = grid_nodes(gaussian_grid_dictionary(box, per_axis, width, amp).axis_centers)

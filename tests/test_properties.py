@@ -1,4 +1,4 @@
-"""Property-based checks of the streamed real Gram assembly and the Hermitian pipeline (hypothesis)."""
+"""Property-based checks of the streamed real Gram assembly, the Hermitian pipeline and the CSV writer (hypothesis)."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hdmd.dictionary import FeatureMatrices
 from hdmd.dmd import assemble_gram_pair, eigendecompose, hermitian_dmd
+from hdmd.matio import write_csv
 from hdmd.quadrature import QuadratureRule
 from hdmd.spectral import project_observable, spectral_measure
 from test_dmd import complex_oracle_pair, relative_gap, streamed_pair
@@ -98,3 +99,24 @@ def test_raising_rank_tolerance_never_raises_retained_rank(seed, n, extra, expon
         assert eigendecompose(hermitian_dmd(pair)).eigenvalues.shape == (pair.retained_rank,)
         ranks.append(pair.retained_rank)
     assert all(later <= earlier for earlier, later in zip(ranks, ranks[1:]))
+
+
+# values whose text a reused cell could get wrong: both zeros, NaN, the infinities, subnormals and their neighbours
+EDGE_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, np.nextafter(0.0, 1.0) * 3, 1.0,
+               np.nextafter(1.0, 2.0), -1.0, 0.1]
+cell_values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(cell_values, min_size=1, max_size=6),
+    runs=st.lists(st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=4)),
+                  min_size=1, max_size=30),
+)
+def test_write_csv_text_equals_per_value_formatting(tmp_path_factory, pool, runs):
+    # runs of repeated draws from a small pool, so equal values follow each other and also recur later
+    values = np.array([pool[i % len(pool)] for i, count in runs for _ in range(count)], dtype=float)
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, "a,b", values, values[::-1])
+    cells = [["" if v != v else repr(v) for v in column.tolist()] for column in (values, values[::-1])]
+    assert path.read_text() == "\n".join(["a,b", *map(",".join, zip(*cells))]) + "\n"

@@ -8,13 +8,15 @@ from math import factorial, pi, sqrt
 import numpy as np
 import pytest
 
+import hdmd.schrodinger
 from hdmd.cli import HERMITICITY_LIMIT
 from hdmd.dictionary import gaussian_grid_dictionary
-from hdmd.dmd import KoopmanMatrix, assemble_gram_pair, eigendecompose, hermitian_dmd
+from hdmd.dmd import GramPair, KoopmanMatrix, assemble_gram_pair, eigendecompose, hermitian_dmd
 from hdmd.quadrature import QuadratureRule, grid_nodes, tensor_trapezoid
 from hdmd.schrodinger import (
     ExactEigenpair,
     HarmonicOscillatorProblem,
+    KroneckerEig,
     _axis_multiplier,
     _gauss_legendre,
     _normalized_hermite_table,
@@ -312,6 +314,62 @@ def test_kronecker_axes_are_gram_orthonormal(grid, dictionary):
     assert eig.condition_number == pytest.approx(np.prod([a.gram.condition_number for a in eig.axes]))
     kept = np.multiply.outer(*[a.gram.basis_eigenvalues for a in eig.axes]) * abs(dictionary.amplitude) ** 2
     assert np.min(kept) > eig.g_eigen_floor
+
+
+def record_axis_solves(monkeypatch):
+    """Count `GramPair.from_matrices` and `eigendecompose` calls made by `kronecker_eig`."""
+    calls = {"from_matrices": 0, "eigendecompose": 0}
+    from_matrices = GramPair.from_matrices
+
+    def recorded_from_matrices(cls, g, a, rank_tolerance):
+        calls["from_matrices"] += 1
+        return from_matrices(g, a, rank_tolerance)
+
+    def recorded_eigendecompose(k):
+        calls["eigendecompose"] += 1
+        return eigendecompose(k)
+
+    monkeypatch.setattr(GramPair, "from_matrices", classmethod(recorded_from_matrices))
+    monkeypatch.setattr(hdmd.schrodinger, "eigendecompose", recorded_eigendecompose)
+    return calls
+
+
+def separately_solved(snapshots):
+    """The KroneckerEig of snapshots with every axis solved on its own, as a 1-D problem, whether or not it
+    equals another axis: the per-axis operators and eigenpairs, then the stable sort of the row-major sums."""
+    one_axis = [replace(snapshots, bumps=(e,), weights=(w,), multipliers=(h,)).kronecker_eig()
+                for e, w, h in zip(snapshots.bumps, snapshots.weights, snapshots.multipliers)]
+    axes = tuple(eig.axes[0] for eig in one_axis)
+    sums = reduce(np.add.outer, [e.eigenvalues for e in axes]).ravel()
+    order = np.argsort(sums, kind="stable")
+    return KroneckerEig(one_axis[0].scale, tuple(eig.operators[0] for eig in one_axis), axes, sums[order], order)
+
+
+@pytest.mark.parametrize(
+    "grid, dictionary, solves",
+    [
+        ((60, 60), gaussians(), 1),
+        ((60, 75), gaussians(), 2),
+        ((50, 50), gaussians(centers_box=((-3.0, 4.5), (-1.0, 2.0)), per_axis=8), 2),  # equal counts, unequal axes
+    ],
+    ids=["60sq", "60x75", "square-grid-asymmetric-box"],
+)
+def test_equal_axes_share_one_solve(monkeypatch, grid, dictionary, solves):
+    snapshots = separable_snapshots(HarmonicOscillatorProblem(dictionary=dictionary), grid)
+    calls = record_axis_solves(monkeypatch)
+    eig = snapshots.kronecker_eig()
+    assert calls == {"from_matrices": solves, "eigendecompose": solves}
+    assert len({id(a) for a in eig.axes}) == len({id(op) for op in eig.operators}) == solves
+    monkeypatch.undo()
+    # the shared solve is bit for bit the separate ones, in every output the CLI reads
+    reference = separately_solved(snapshots)
+    moments = snapshots.moments([reference_factor(x) for x in snapshots.axes])
+    assert np.array_equal(eig.eigenvalues, reference.eigenvalues)
+    assert np.array_equal(eig.order, reference.order)
+    assert np.array_equal(eig.weights(moments), reference.weights(moments))
+    assert eig.observable_mass(moments) == reference.observable_mass(moments)
+    assert eig.hermiticity_residual() == reference.hermiticity_residual()
+    assert eig.axis_retained_ranks == reference.axis_retained_ranks
 
 
 def dense_hermiticity_residual(eig):

@@ -94,8 +94,9 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         fail("dict_per_axis", f"must be >= 1, got {c.dict_per_axis}")
     if not c.dict_width > 0:
         fail("dict_width", f"must be positive, got {c.dict_width}")
-    if not float_info.min <= (r := hypot(c.dict_amplitude_re, c.dict_amplitude_im)) * r <= float_info.max:
-        fail("dict_amplitude_re", f"and dict_amplitude_im give |amp|^2 = {r * r:.3g}, not a finite normal float")
+    if not float_info.min**0.25 <= (r := hypot(c.dict_amplitude_re, c.dict_amplitude_im)) <= float_info.max**0.25:
+        fail("dict_amplitude_re", f"and dict_amplitude_im give |amp| = {r:.3g}, outside [1.2e-77, 1.2e77]: the "
+             "Hermiticity gate sums squares of |amp|^2-scaled entries, which would under- or overflow")
     if c.rank_tolerance < 0:
         fail("rank_tolerance", f"must be nonnegative, got {c.rank_tolerance}")
     if c.rank_tolerance >= 1:

@@ -126,11 +126,14 @@ class KoopmanMatrix:
     compressed_b: np.ndarray
 
     def hermiticity_residual(self) -> float:
-        """||G K - K^* G||_F / ||G K||_F (0 when G K = 0): relative, so the dictionary amplitude cancels."""
+        """||G K - K^* G||_F / ||G K||_F: relative, so the dictionary amplitude cancels.  0 when G K = 0, and NaN
+        when G K is nonzero but ||G K||_F under- or overflows (the ratio would read 0 and pass the gate)."""
         gk = self.source.g @ self.k
         rows = max(1, _BLOCK_WORDS // len(gk))  # the difference by row panels: no second N x N array beside G K
         diff = [np.linalg.norm(gk[s : s + rows] - gk[:, s : s + rows].conj().T) for s in range(0, len(gk), rows)]
-        return float(np.linalg.norm(diff) / norm) if (norm := np.linalg.norm(gk)) else 0.0
+        if 0 < (norm := np.linalg.norm(gk)) < np.inf:
+            return float(np.linalg.norm(diff) / norm)
+        return float("nan") if np.any(gk) else 0.0
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ Kronecker sum of the per-axis multipliers), the general route and oracle.
 
 Exact eigenpairs are phi_{m,n}(x, y) = H_m(x) H_n(y) exp(-(x^2+y^2)/2) with
 energies E = m + n + 1, using physicists' Hermite polynomials H_m.  The
-L2(R^2) normalization constant is (2^{m+n} m! n! pi)^{-1/2}.  Spike-weight
-oracles integrate |<f, phi_hat>|^2 with high-resolution Gauss-Legendre
-tensor quadrature, fully independent of the DMD pipeline.
+L2(R^2) normalization constant is (2^{m+n} m! n! pi)^{-1/2}.  The spike-weight
+oracle convolves the squared Hermite coefficients of the reference factor on each
+axis (Gauss-Legendre quadrature), fully independent of the DMD pipeline.
 
 Default configuration: domain (-5, 5)^2, 20 x 20 Gaussian centers on
 [-4, 4]^2 (endpoints included), width 3, amplitude 1 + i.  Accuracy of
@@ -41,13 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import pi, prod, sqrt
-from typing import Callable
 
 import numpy as np
 
 from .dictionary import DEFAULT_RANK_TOLERANCE, Dictionary, FeatureMatrices, gaussian_grid_dictionary, rowwise_kron
 from .dmd import GramPair, KoopmanEig, KoopmanMatrix, eigendecompose, hermitian_dmd
-from .quadrature import QuadratureRule, grid_nodes, trapezoid_axes
+from .quadrature import QuadratureRule, trapezoid_axes
 from .spectral import AtomicMeasure
 
 
@@ -153,8 +152,8 @@ class KroneckerEig:
         return prod(e.gram.observable_mass(m) for e, m in zip(self.axes, axis_moments, strict=True))
 
     def hermiticity_residual(self) -> float:
-        """The largest of the axes' `KoopmanMatrix.hermiticity_residual`, the gate's bound on K's own (see above)."""
-        return max(op.hermiticity_residual() for op in self.operators)
+        """The axes' largest `KoopmanMatrix.hermiticity_residual`, or NaN if any is NaN: the gate's bound on K's own."""
+        return float(np.max([op.hermiticity_residual() for op in self.operators]))
 
 
 @dataclass(frozen=True)
@@ -272,38 +271,22 @@ def reference_observable(points) -> np.ndarray:
     return reduce(np.multiply, map(reference_factor, pts.T))
 
 
-def exact_spike_weights(
-    max_energy: int,
-    observable: Callable[[np.ndarray], np.ndarray] = reference_observable,
-    quad_resolution: int = 400,
-) -> AtomicMeasure:
-    """Oracle spike weights sum_{m+n+1=E} |<f, phi_hat_{m,n}>|^2 for E <= max_energy, f real or complex.
+def exact_spike_weights(max_energy: int, *, quad_resolution: int = 400) -> AtomicMeasure:
+    """Oracle spike weights sum_{m+n+1=E} |<f, phi_hat_{m,n}>|^2 of the reference observable, for E <= max_energy.
 
-    Inner products use a Gauss-Legendre tensor grid (`_gauss_legendre`) with
-    quad_resolution points per axis on the problem's domain, entirely
-    independent of the DMD pipeline.  The observable is called once per slab of
-    about 2^14 grid points and must act pointwise; memory stays O(quad_resolution).
-    The default resolution leaves the weights converged far below 1e-4 for the
-    built-in observable (doubling the resolution moves them at roundoff level only).
+    f and every phi_hat_{m,n} are products over the axes, so <f, phi_hat_{m,n}> = c_m c_n with
+    c = <`reference_factor`, hhat> on each axis, and the weights are the convolution of the axes' c^2.
+    Each c is a Gauss-Legendre sum (`_gauss_legendre`) with quad_resolution points on the axis of the
+    problem's domain, entirely independent of the DMD pipeline; memory stays O(max_energy quad_resolution).
+    The default resolution leaves the weights converged far below 1e-4 (doubling it moves them at roundoff).
     """
     if max_energy < 1:
         raise ValueError(f"max_energy must be >= 1, got {max_energy}")
     if quad_resolution < 2:
         raise ValueError("quad_resolution must be >= 2")
-
     base_x, base_w = _gauss_legendre(quad_resolution)
-    (gx, wx), (gy, wy) = [
-        (0.5 * (b - a) * base_x + 0.5 * (b + a), 0.5 * (b - a) * base_w) for a, b in HarmonicOscillatorProblem.domain
-    ]
-    hx = _normalized_hermite_table(max_energy - 1, gx) * wx
-    hy = _normalized_hermite_table(max_energy - 1, gy) * wy
-
-    b = max(1, 2**14 // quad_resolution)  # x-rows per slab
-    inner = 0
-    for s in range(0, quad_resolution, b):  # inner products <f, phi_hat_{m,n}> for all (m, n), a slab at a time
-        f = np.asarray(observable(grid_nodes((gx[s : s + b], gy)))).reshape(-1, quad_resolution)
-        inner = inner + hx[:, s : s + b] @ (f @ hy.T)
-
-    energies = np.arange(1, max_energy + 1, dtype=float)
-    weights = [sum(abs(inner[m, e - 1 - m]) ** 2 for m in range(e)) for e in range(1, max_energy + 1)]
-    return AtomicMeasure(energies, weights)
+    squares = []  # c^2 on each axis
+    for a, b in HarmonicOscillatorProblem.domain:
+        x, w = 0.5 * (b - a) * base_x + 0.5 * (b + a), 0.5 * (b - a) * base_w
+        squares.append((_normalized_hermite_table(max_energy - 1, x) @ (w * reference_factor(x))) ** 2)
+    return AtomicMeasure(np.arange(1, max_energy + 1, dtype=float), reduce(np.convolve, squares)[:max_energy])

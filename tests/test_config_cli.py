@@ -224,10 +224,11 @@ def test_schrodinger_deterministic_output(small_run, tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
-@pytest.mark.parametrize("amplitude", ["0", "1e-200", "1e200"])
+@pytest.mark.parametrize("amplitude", ["0", "1e-200", "1e200", "1e-77", "1e78"])
 @pytest.mark.parametrize("command", ["schrodinger", "custom"])
 def test_amplitude_whose_square_is_not_a_normal_float_exits_2_naming_key(tmp_path, capsys, command, amplitude):
     # |amp|^2 is 0 or underflows to 0 (G = 0, and the mass would divide by it) or overflows to inf,
+    # or |amp|^4 does, so ||G K||_F would and the Hermiticity residual could read 0 (1e-77 and 1e78);
     # and the check itself must not raise
     cfg = write_config(tmp_path, f"grid = 20 20\ndict_amplitude_re = {amplitude}\ndict_amplitude_im = 0\n")
     write_points(tmp_path / "x.csv", symmetric_grid_points())
@@ -831,7 +832,7 @@ def test_custom_gate_verdict_does_not_depend_on_the_dictionary_amplitude(tmp_pat
     write_points(tmp_path / "x.csv", x)
     write_points(tmp_path / "y.csv", x[:, ::-1])
     residuals = []
-    for re, im in [(1.0, 1.0), (1e-3, 0.0)]:
+    for re, im in [(1.0, 1.0), (1e-3, 0.0), (1e-76, 0.0), (1e77, 0.0)]:  # the last two lie just inside the bounds
         cfg = write_config(tmp_path, f"dict_amplitude_re = {re}\ndict_amplitude_im = {im}\n")
         out = tmp_path / f"out-{re}"
         assert cli.main(["custom", "--config", str(cfg), "--out", str(out),

@@ -10,6 +10,7 @@ import pytest
 from hdmd.dictionary import FeatureMatrices, evaluate_snapshots, gaussian_grid_dictionary
 from hdmd.dmd import (
     GramPair,
+    KoopmanMatrix,
     assemble_gram_pair,
     block_rows,
     edmd,
@@ -365,6 +366,28 @@ def test_hermitian_dmd_residual_invariant_rank_deficient(rng):
     pair, _, _ = make_pair(psi_x, psi_y)
     assert pair.rank_deficient
     assert hermitian_dmd(pair).hermiticity_residual() <= 1e-10
+
+
+def skewed_operator(g_scale):
+    """A K that is not G-Hermitian (residual 2^-30 sqrt(2/5)) for G = g_scale I, so ||G K||_F is sqrt(5) g_scale."""
+    k = np.array([[1.0, 2.0**-30], [0.0, 2.0]])
+    g = g_scale * np.eye(2)
+    return KoopmanMatrix(k, GramPair.from_matrices(g, g @ k, 1e-12), None)
+
+
+def test_hermiticity_residual_keeps_its_value_in_the_normal_range():
+    assert skewed_operator(1.0).hermiticity_residual() == skewed_operator(2.0**500).hermiticity_residual() > 1e-10
+
+
+def test_hermiticity_residual_is_nan_when_the_norm_of_g_k_underflows():
+    # the squares of G K's entries, 2^-1080 and 2^-1078, underflow to 0: ||G K||_F = 0, and a ratio would read 0
+    assert np.isnan(skewed_operator(2.0**-540).hermiticity_residual())
+
+
+def test_hermiticity_residual_is_nan_when_the_norm_of_g_k_overflows():
+    # only ||G K||_F overflows (to inf; the difference's entries are 2^485), and a ratio would read 0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert np.isnan(skewed_operator(2.0**515).hermiticity_residual())
 
 
 def test_hermitian_dmd_objective_beats_random_perturbations(rng):

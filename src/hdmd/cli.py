@@ -4,7 +4,7 @@ Subcommands
     schrodinger   harmonic-oscillator benchmark (eigenvalues, raw and
                   clustered spectral measures, summary)
     probes        finite-section diagnostics for the built-in free-Jacobi
-                  and diagonal references
+                  reference
     custom        EDMD + Hermitian DMD on user-supplied snapshot CSVs
 
 Common flags: ``--config PATH`` (key-value file, see `hdmd.config`) and
@@ -38,7 +38,6 @@ from .dictionary import Dictionary, gaussian_grid_dictionary, evaluate_snapshots
 from .dmd import assemble_gram_pair, block_rows, edmd, eigendecompose, hermitian_dmd
 from .matio import float_text, write_artifact, write_complex_csv, write_csv, write_summary
 from .probes import (
-    DiagonalSections,
     FreeJacobiSections,
     moment_convergence_probe,
     resolvent_convergence_probe,
@@ -250,7 +249,7 @@ def resolvent_re_shifted(lam: np.ndarray) -> np.ndarray:
 
 
 def bump_off_spectrum(lam: np.ndarray) -> np.ndarray:
-    # smooth bump supported on [4, 6], disjoint from the references' spectra; exp(-1/0) = 0 outside (4, 6)
+    # smooth bump supported on [4, 6], disjoint from the free-Jacobi spectrum [-2, 2]; exp(-1/0) = 0 outside (4, 6)
     t = np.minimum(np.abs(lam - 5.0), 1.0)
     with np.errstate(divide="ignore"):
         return np.exp(-1.0 / (1.0 - t * t))
@@ -260,31 +259,29 @@ PROBE_TEST_FNS = (constant, resolvent_re, resolvent_re_shifted, bump_off_spectru
 
 
 def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
-    """Finite-section probes for the free-Jacobi and diagonal references."""
+    """Finite-section probes for the free-Jacobi reference."""
     t0 = time.perf_counter()
     n_ref = config.probe_n_ref
     sizes = list(config.probe_sizes)
     moment_rows = (config.probe_max_moment + 1) * (len(sizes) + 1)
     _check_fits(_probe_bytes(n_ref, moment_rows), f"probe_n_ref = {_short(n_ref)}", "work vectors and probe rows")
-    # closed forms: the probes form no n x n array and call no eigh
-    references = {"free_jacobi": FreeJacobiSections(n_ref), "diagonal": DiagonalSections(n_ref)}
+    # a closed form: the probes form no n x n array and call no eigh
+    sections = FreeJacobiSections(n_ref)
     v = np.zeros(n_ref)
     v[0] = 1.0
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    floors = {}
-    for name, sections in references.items():
-        probes = {
-            "resolvent": resolvent_convergence_probe(sections, v, 1j, sizes),
-            "moments": moment_convergence_probe(sections, v, config.probe_max_moment, sizes),
-            "weak": weak_convergence_probe(sections, v, PROBE_TEST_FNS, sizes),
-        }
-        for kind, probe in probes.items():
-            # each key's resolution floor is one more row, at n = n_ref // 2 with key "<key>|floor"
-            floor_rows = [(n_ref // 2, f"{key}|floor", gap) for key, gap in probe.floors.items()]
-            write_csv(out_dir / f"{kind}_{name}.csv", "n,key,gap", *zip(*probe.rows, *floor_rows))
-        floors[name] = {kind: probe.floors for kind, probe in probes.items()}
-        logger.info("probes for %s reference done", name)
+    probes = {
+        "resolvent": resolvent_convergence_probe(sections, v, 1j, sizes),
+        "moments": moment_convergence_probe(sections, v, config.probe_max_moment, sizes),
+        "weak": weak_convergence_probe(sections, v, PROBE_TEST_FNS, sizes),
+    }
+    for kind, probe in probes.items():
+        # each key's resolution floor is one more row, at n = n_ref // 2 with key "<key>|floor"
+        floor_rows = [(n_ref // 2, f"{key}|floor", gap) for key, gap in probe.floors.items()]
+        write_csv(out_dir / f"{kind}_free_jacobi.csv", "n,key,gap", *zip(*probe.rows, *floor_rows))
+    floors = {"free_jacobi": {kind: probe.floors for kind, probe in probes.items()}}
+    logger.info("probes for the free_jacobi reference done")
 
     write_summary(
         out_dir / "summary.json", "probes", config, t0,

@@ -97,8 +97,9 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
     if not float_info.min**0.25 <= (r := hypot(c.dict_amplitude_re, c.dict_amplitude_im)) <= float_info.max**0.25:
         fail("dict_amplitude_re", f"and dict_amplitude_im give |amp| = {r:.3g}, outside [1.2e-77, 1.2e77]: the "
              "Hermiticity gate sums squares of |amp|^2-scaled entries, which would under- or overflow")
-    if c.rank_tolerance < 0:
-        fail("rank_tolerance", f"must be nonnegative, got {c.rank_tolerance}")
+    if not c.rank_tolerance >= float_info.epsilon:
+        fail("rank_tolerance", f"must be at least float64 epsilon ({float_info.epsilon:.3g}), got {c.rank_tolerance}: "
+             "eigh(G) resolves no eigenvalue below eps * max eig(G), and cond(G) could overflow")
     if c.rank_tolerance >= 1:
         fail("rank_tolerance", f"must be below 1, got {c.rank_tolerance}: the cutoff would drop every direction of G")
     if not c.cluster_radius > 0:
@@ -119,7 +120,7 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         fail("probe_sizes", f"largest size {c.probe_sizes[-1]} exceeds probe_n_ref {c.probe_n_ref}")
     if not 0 <= c.probe_max_moment <= 1023:
         fail("probe_max_moment", f"must be in [0, 1023], got {c.probe_max_moment}: "
-             "the references' k-th moments reach 2^k, and 2^1024 overflows a float")
+             "the free-Jacobi reference's k-th moments reach 2^k, and 2^1024 overflows a float")
     if len(c.grid) == 1:
         c = replace(c, grid=(c.grid[0], c.grid[0]))
     return c

@@ -11,17 +11,17 @@ operator-level quantities as n grows:
                 where mu_{v,n} is the spectral measure of the n x n section
                 with respect to P_n v.
 
-The probes see a reference through one of three holders, each giving for
+The probes see a reference through one of two holders, each giving for
 a section L_n = V diag(lambda) V^* its ascending eigenvalues, the
 transforms x -> V^* x and w -> V w, and the matvec u -> L_n u.  The
 resolvent is V (lambda - z)^{-1} V^* P_n v, the weak probe's measure has
 atoms lambda with weights |V^* P_n v|^2, and the moment probe keeps exact
 repeated matvecs, so walk-count moments stay exact integers.  A plain
 matrix goes into `FiniteSections`, which eigendecomposes each section once;
-`FreeJacobiSections` and `DiagonalSections` give the built-in references in
-closed form (a DST-I, the identity) and form no n x n array.  A weak test
-function maps the array of a section's eigenvalues to an array of values
-(or one scalar), so it is called once per section.
+`FreeJacobiSections` gives the built-in reference in closed form (a DST-I)
+and forms no n x n array.  A weak test function maps the array of a
+section's eigenvalues to an array of values (or one scalar), so it is
+called once per section.
 
 The reference is itself a truncation of the operator it models, so each
 probe also reports a resolution floor: the same gap evaluated at
@@ -144,27 +144,8 @@ class FreeJacobiSections:
         return out
 
 
-@dataclass(frozen=True)
-class DiagonalSections:
-    """The sections of diag(0, 1, ..., size - 1) in closed form: lambda = 0..n-1 and V = I."""
-
-    size: int
-
-    def eigenvalues(self, n: int) -> np.ndarray:
-        return np.arange(n, dtype=float)
-
-    def to_eigenbasis(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def from_eigenbasis(self, w: np.ndarray) -> np.ndarray:
-        return w
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        return np.arange(u.shape[0]) * u
-
-
 def _check_reference(reference, v, truncation_sizes):
-    if not isinstance(reference, (FiniteSections, FreeJacobiSections, DiagonalSections)):
+    if not isinstance(reference, (FiniteSections, FreeJacobiSections)):
         reference = FiniteSections(reference)
     n_ref = reference.size
     vec = np.asarray(v).ravel()

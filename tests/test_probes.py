@@ -1,6 +1,7 @@
 """Tests for the finite-section convergence probes."""
 
 import re
+from math import e, erfc, exp, pi, prod, sqrt
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from test_config_cli import traced_peak
 import hdmd.cli as cli
 from hdmd.config import default_config
 from hdmd.probes import (
-    DiagonalSections,
     FiniteSections,
     FreeJacobiSections,
     free_jacobi,
@@ -190,8 +190,8 @@ def test_weak_probe_calls_each_test_function_once_per_section(tmp_path, monkeypa
     distinct = default_section_sizes()
     assert len(distinct) == 8
     names = [fn.__name__ for fn in cli.PROBE_TEST_FNS]
-    # one array call per distinct section and reference: 8 per reference at the defaults
-    assert sorted(calls) == sorted((name, (n,)) for name in names for n in distinct for _ in range(2))
+    # one array call per distinct section: 8 at the defaults
+    assert sorted(calls) == sorted((name, (n,)) for name in names for n in distinct)
 
 
 @pytest.mark.parametrize(
@@ -232,6 +232,44 @@ def test_weak_probe_matches_manual_dense_oracle(rng):
 
     expected = abs(manual(ref[:n, :n], v[:n]) - manual(ref, v))
     assert probe.rows[0][2] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+# ------------------------------------------------------------------
+# Hermite reference: an unbounded operator with exact targets
+# ------------------------------------------------------------------
+
+
+def hermite_jacobi(n):
+    """The position operator x in the Hermite-function basis: zero diagonal, off-diagonals sqrt(k/2), k = 1..n-1.
+
+    It is unbounded and essentially self-adjoint; its spectral measure with respect to e_0 is the Gaussian
+    e^{-x^2}/sqrt(pi) dx, continuous on all of R, and the n-section's measure is the n-point Gauss-Hermite rule.
+    """
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+def test_hermite_sections_converge_to_the_gaussian_measure():
+    # every section misses the measure, and the targets are closed forms, so a broken probe cannot read 0
+    sections = FiniteSections(hermite_jacobi(256))
+    sizes = range(2, 129)
+    stieltjes = []
+    for n in sizes:
+        lam, evecs = sections.eigh(n)
+        weights = evecs[0] ** 2  # the n-section's measure: atoms lam, weights |V^* e_0|^2
+        for k in range(min(2 * n - 1, 16) + 1):
+            # Gauss-Hermite is exact through degree 2n - 1: (k - 1)!! / 2^(k/2) for even k, 0 for odd k
+            exact = 0.0 if k % 2 else prod(range(k - 1, 0, -2)) / 2.0 ** (k / 2)
+            assert abs(weights @ lam**k - exact) <= 1e-12 * (weights @ np.abs(lam) ** k), (n, k)
+        if n == 16:
+            assert abs(weights @ np.cos(lam) - exp(-0.25)) < 1e-10
+        stieltjes.append(abs(weights @ (1.0 / (1.0 + lam * lam)) - sqrt(pi) * e * erfc(1.0)))
+    assert all(nxt < prev for prev, nxt in zip(stieltjes, stieltjes[1:]))
+    assert stieltjes[0] > 1e-2 and stieltjes[-1] < 1e-12
+
+    probe = resolvent_convergence_probe(sections, first_basis_vector(256), 1j, sizes)
+    errors = [gap for _, gap in probe.gaps("resolvent")]
+    assert errors[0] > 1e-1 and all(nxt < prev for prev, nxt in zip(errors, errors[1:]))
 
 
 # ------------------------------------------------------------------
@@ -306,14 +344,12 @@ def test_probes_cli_uses_closed_forms_without_eigh(tmp_path, monkeypatch):
         raise AssertionError("hdmd probes decomposed a dense section")
 
     monkeypatch.setattr(FreeJacobiSections, "eigenvalues", recording("free_jacobi", FreeJacobiSections.eigenvalues))
-    monkeypatch.setattr(DiagonalSections, "eigenvalues", recording("diagonal", DiagonalSections.eigenvalues))
     monkeypatch.setattr(np.linalg, "eigh", no_dense)
     monkeypatch.setattr(FiniteSections, "__init__", no_dense)
     assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
     distinct = default_section_sizes()
     assert len(distinct) == 8
-    expected = [(name, n) for name in ("diagonal", "free_jacobi") for n in distinct]
-    assert sorted(set(requested)) == expected  # every section of both references, in closed form
+    assert sorted(set(requested)) == [("free_jacobi", n) for n in distinct]  # every section, in closed form
 
 
 def unit(x):
@@ -322,33 +358,20 @@ def unit(x):
 
 @pytest.mark.parametrize("n", sorted({1, 2, 3, *default_section_sizes()}))
 def test_closed_form_sections_match_eigh(n, rng):
-    xs = [unit(rng.normal(size=n)), unit(rng.normal(size=n) + 1j * rng.normal(size=n))]
-    for sections, matrix in [
-        (FreeJacobiSections(n), free_jacobi(n)),
-        (DiagonalSections(n), np.diag(np.arange(n, dtype=float))),
-    ]:
-        ref_evals, ref_evecs = np.linalg.eigh(matrix)
-        evals = sections.eigenvalues(n)
-        assert np.max(np.abs(evals - ref_evals)) <= 1e-13
-        for x in xs:
-            coeffs = sections.to_eigenbasis(x)
-            ref_coeffs = ref_evecs.T @ x
-            # eigenvector signs are arbitrary; |V^* x|^2 and the resolvent are not
-            assert np.max(np.abs(np.abs(coeffs) ** 2 - np.abs(ref_coeffs) ** 2)) <= 1e-12
-            resolvent = sections.from_eigenbasis(coeffs / (evals - 1j))
-            ref_resolvent = ref_evecs @ (ref_coeffs / (ref_evals - 1j))
-            assert np.max(np.abs(resolvent - ref_resolvent)) <= 1e-12
-            assert np.max(np.abs(sections.from_eigenbasis(coeffs) - x)) <= 1e-13
-            assert np.array_equal(sections.matvec(x), matrix @ x)
-
-
-def test_diagonal_closed_form_gives_exactly_zero_gaps():
-    n_ref = 64
-    sections = DiagonalSections(n_ref)
-    v = first_basis_vector(n_ref)
-    assert all(gap == 0.0 for _, gap in resolvent_convergence_probe(sections, v, 1j, SIZES[:4]).gaps("resolvent"))
-    weak = weak_convergence_probe(sections, v, cli.PROBE_TEST_FNS, SIZES[:4])
-    assert all(gap == 0.0 for _, _, gap in weak.rows)
+    sections, matrix = FreeJacobiSections(n), free_jacobi(n)
+    ref_evals, ref_evecs = np.linalg.eigh(matrix)
+    evals = sections.eigenvalues(n)
+    assert np.max(np.abs(evals - ref_evals)) <= 1e-13
+    for x in [unit(rng.normal(size=n)), unit(rng.normal(size=n) + 1j * rng.normal(size=n))]:
+        coeffs = sections.to_eigenbasis(x)
+        ref_coeffs = ref_evecs.T @ x
+        # eigenvector signs are arbitrary; |V^* x|^2 and the resolvent are not
+        assert np.max(np.abs(np.abs(coeffs) ** 2 - np.abs(ref_coeffs) ** 2)) <= 1e-12
+        resolvent = sections.from_eigenbasis(coeffs / (evals - 1j))
+        ref_resolvent = ref_evecs @ (ref_coeffs / (ref_evals - 1j))
+        assert np.max(np.abs(resolvent - ref_resolvent)) <= 1e-12
+        assert np.max(np.abs(sections.from_eigenbasis(coeffs) - x)) <= 1e-13
+        assert np.array_equal(sections.matvec(x), matrix @ x)
 
 
 def test_probes_cli_traced_peak_stays_under_ceiling(tmp_path):

@@ -181,7 +181,7 @@ def _kronecker_bytes(grid, per_axis: int, references: int) -> int:
 def _probe_bytes(n_ref: int, moment_rows: int) -> int:
     """About what `probes` allocates, O(n_ref): a traced peak of about 15 words per
     n_ref, set by the free-Jacobi resolvent's complex DST-I buffers (the weak probe's
-    spectrum, test-function values and temporaries reach about 10); 24 words per
+    spectrum, test-function values and temporaries reach about 6); 24 words per
     n_ref and 64 KB for the CSV and summary text cover that.  Each row of a moment
     probe (one per k and size, floors included) traces about 40 words more: its
     tuple, gap, key, CSV line and summary text; 56 words cover that."""
@@ -233,29 +233,14 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     )
 
 
-# weak-probe test functions, applied to a section's whole spectrum; their names become the CSV row keys
-def constant(lam: np.ndarray) -> np.ndarray:
-    return np.ones_like(lam)
-
-
-def resolvent_re(lam: np.ndarray) -> np.ndarray:
-    # Re 1/(lam - i)
-    return lam / (lam * lam + 1.0)
-
-
+# weak-probe test functions, applied to a section's whole spectrum; their names become the CSV row keys.  Every
+# free-Jacobi section's measure has mass 1, is even and lies in (-2, 2), so f = 1, odd f and f = 0 there gap 0
 def resolvent_re_shifted(lam: np.ndarray) -> np.ndarray:
     # Re 1/(lam - (1 + i)); asymmetric, so symmetric spectra give nonzero values
     return (lam - 1.0) / ((lam - 1.0) ** 2 + 1.0)
 
 
-def bump_off_spectrum(lam: np.ndarray) -> np.ndarray:
-    # smooth bump supported on [4, 6], disjoint from the free-Jacobi spectrum [-2, 2]; exp(-1/0) = 0 outside (4, 6)
-    t = np.minimum(np.abs(lam - 5.0), 1.0)
-    with np.errstate(divide="ignore"):
-        return np.exp(-1.0 / (1.0 - t * t))
-
-
-PROBE_TEST_FNS = (constant, resolvent_re, resolvent_re_shifted, bump_off_spectrum)
+PROBE_TEST_FNS = (resolvent_re_shifted,)
 
 
 def run_probes(config: ExperimentConfig, out_dir: Path) -> int:

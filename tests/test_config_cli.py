@@ -1095,7 +1095,7 @@ def test_schrodinger_size_estimate_covers_what_it_allocates(tmp_path, grid, per_
 
 @pytest.mark.parametrize(
     "command, body, calls",
-    [("schrodinger", "", 484), ("schrodinger", "grid = 60 60\ndict_per_axis = 40\n", 1419), ("probes", "", 98)],
+    [("schrodinger", "", 484), ("schrodinger", "grid = 60 60\ndict_per_axis = 40\n", 1419), ("probes", "", 77)],
     ids=["schrodinger-defaults", "schrodinger-60-40", "probes-defaults"],
 )
 def test_csv_writer_formats_each_run_of_equal_floats_once(tmp_path, monkeypatch, command, body, calls):

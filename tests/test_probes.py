@@ -157,23 +157,6 @@ def test_weak_probe_constant_function_tracks_projection_mass(rng):
         assert gap == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
-def test_weak_probe_bump_off_spectrum_is_null():
-    ref = free_jacobi(N_REF)  # spectrum inside [-2, 2]
-    probe = weak_convergence_probe(ref, first_basis_vector(N_REF), [cli.bump_off_spectrum], SIZES)
-    for n, _, gap in probe.rows:
-        assert gap == 0.0
-
-
-def test_bump_off_spectrum_matches_scalar_formula():
-    inside = np.linspace(4.0, 6.0, 201)[1:-1]
-    expected = [np.exp(-1.0 / (1.0 - (lam - 5.0) ** 2)) for lam in inside]
-    assert np.array_equal(cli.bump_off_spectrum(inside), expected)
-    outside = np.array([-np.inf, -2.0, 0.0, 3.999, 4.0, 6.0, 6.001, 1e300, np.inf])
-    with np.errstate(all="raise"):  # no warning escapes at the support's edges or beyond
-        values = cli.bump_off_spectrum(outside)
-    assert values.tolist() == [0.0] * outside.size
-
-
 def test_weak_probe_calls_each_test_function_once_per_section(tmp_path, monkeypatch):
     calls = []
 
@@ -192,6 +175,21 @@ def test_weak_probe_calls_each_test_function_once_per_section(tmp_path, monkeypa
     names = [fn.__name__ for fn in cli.PROBE_TEST_FNS]
     # one array call per distinct section: 8 at the defaults
     assert sorted(calls) == sorted((name, (n,)) for name in names for n in distinct)
+
+
+@pytest.mark.parametrize("body", ["", "probe_n_ref = 128\nprobe_sizes = 2 4 8 64\n"], ids=["defaults", "128"])
+def test_every_weak_row_key_moves_on_free_jacobi(tmp_path, body):
+    # every section's measure has mass 1, is even and lies in (-2, 2), so f = 1, Re 1/(x - i) and a bump on [4, 6]
+    # gapped at most 4.4e-16 in both configs: a key whose gaps stay at roundoff shows nothing
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("schema = 1\n" + body)
+    assert cli.main(["probes", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    largest = {}
+    for line in (tmp_path / "out" / "weak_free_jacobi.csv").read_text().splitlines()[1:]:
+        _, key, gap = line.split(",")
+        if not key.endswith("|floor"):
+            largest[key] = max(largest.get(key, 0.0), float(gap))
+    assert largest and all(gap > 1e-12 for gap in largest.values()), largest
 
 
 @pytest.mark.parametrize(

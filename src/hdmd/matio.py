@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -72,7 +71,7 @@ def write_complex_csv(matrix: np.ndarray, path) -> None:
 def write_summary(path, experiment: str, config, started: float, **keys) -> dict:
     """Write summary.json: schema, experiment, the config's fields (tuples as lists), the
     route's keys and the runtime_seconds since perf_counter() read `started`; returns the payload."""
-    summary = {"schema": 1, "experiment": experiment, "config": asdict(config), **keys}
+    summary = {"schema": 1, "experiment": experiment, "config": dict(vars(config)), **keys}
     summary["runtime_seconds"] = time.perf_counter() - started
     write_artifact(path, [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     return summary

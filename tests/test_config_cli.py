@@ -1,5 +1,7 @@
 """Tests for the config format and the command-line front end."""
 
+import contextlib
+import io
 import json
 import logging
 import os
@@ -1230,3 +1232,62 @@ def test_console_entry_point_runs():
     # argparse --version exits 0 and prints the version string
     assert proc.returncode == 0
     assert "hdmd" in proc.stdout
+
+
+def test_the_parser_is_built_once_per_process_on_the_first_call(tmp_path):
+    # a child counts ArgumentParser constructions: none at import, the root and its three subparsers on the first
+    # main call, none on the second
+    code = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import hdmd.cli\n"
+        "counts = [len(built)]\n"
+        "for out in sys.argv[1:]:\n"
+        "    assert hdmd.cli.main(['schrodinger', '--out', out]) == 0\n"
+        "    counts.append(len(built) - sum(counts))\n"
+        "print(*counts)\n"
+    )
+    argv = [sys.executable, "-c", code, str(tmp_path / "first"), str(tmp_path / "second")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "4", "0"]
+
+
+# help and version exit 0 on stdout; the rest are argparse's errors, exit 2 with a usage line on stderr
+ARGPARSE_CASES = [
+    ["--help"], ["schrodinger", "--help"], ["custom", "--help"], ["--version"],
+    [], ["bogus"], ["schrodinger", "--nope"], ["custom", "x.csv"],
+]
+
+
+def main_output(argv) -> tuple[int, bytes, bytes]:
+    """cli.main(argv) in process: its exit code (argparse's SystemExit included), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def test_argparse_text_and_exit_codes_are_those_of_a_fresh_process(tmp_path, monkeypatch):
+    # argparse wraps its text to COLUMNS, so the child and this process get the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**child_env(), "COLUMNS": "80"}
+    fresh = []
+    for argv in ARGPARSE_CASES:
+        proc = subprocess.run([sys.executable, "-m", "hdmd.cli", *argv], capture_output=True, env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 2, 2]
+    assert all(err.startswith(b"usage: hdmd") for code, _, err in fresh if code)
+    assert main_output(["schrodinger", "--out", str(tmp_path / "before")])[:2] == (0, b"")
+    assert [main_output(argv) for argv in ARGPARSE_CASES] == fresh  # after a valid run
+    assert main_output(["bogus"])[0] == 2
+    assert [main_output(argv) for argv in ARGPARSE_CASES] == fresh  # after an error exit
+    assert main_output(["schrodinger", "--out", str(tmp_path / "after")])[:2] == (0, b"")

@@ -3,6 +3,7 @@
 Every run exits 0, 1 or 2 with no traceback and no Python warning, and writes to stderr only hdmd's own lines,
 `hdmd: ...` or `<LEVEL> hdmd: ...`; a run that fails says why, and a run that exits 0 writes no NaN or Infinity.
 Absurd sizes are drawn apart, and the memory guard must refuse them before anything is allocated.
+Argv that argparse refuses is drawn between runs: it exits 2 with a usage line, and the next run keeps the contract.
 """
 
 import contextlib
@@ -136,9 +137,39 @@ def check_contract(command: str, body: str, points=None) -> tuple[int, str, bool
         return code, err, out.exists()
 
 
+COMMANDS = ("schrodinger", "probes", "custom")
+# a flag that is a prefix of one of these is an abbreviation of it, not an unknown flag
+KNOWN_FLAGS = ("--config", "--out", "--full-grid", "--help", "--version")
+words = st.from_regex(r"[a-z][a-z0-9-]{0,11}", fullmatch=True)
+unknown_flags = words.map("--".__add__).filter(lambda flag: not any(known.startswith(flag) for known in KNOWN_FLAGS))
+
+# argv that argparse refuses: an unknown subcommand, an unknown flag before or after the subcommand, or a missing
+# subcommand or positional
+argv_errors = st.one_of(
+    st.tuples(words.filter(lambda word: word not in COMMANDS)).map(list),
+    st.tuples(st.sampled_from(COMMANDS), unknown_flags, st.booleans()).map(
+        lambda drawn: [drawn[1], drawn[0]] if drawn[2] else [drawn[0], drawn[1]]
+    ),
+    st.sampled_from([[], ["--out", "unused"], ["custom"], ["custom", "x.csv"], ["custom", "--config", "x.cfg"]]),
+)
+
+
+def check_argv_error(argv: list[str]) -> None:
+    """argparse refuses argv: SystemExit(2), a usage line and one `hdmd[ <command>]: error: ...` line on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as refused:
+        cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert refused.value.code == 2, (argv, refused.value.code)
+    assert lines[0].startswith("usage: hdmd") and re.match(r"hdmd( \w+)?: error: ", lines[-1]), (argv, lines)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(run=runs)
-def test_drawn_runs_keep_the_contract(run):
+@given(run=runs, argv_error=st.none() | argv_errors)
+def test_drawn_runs_keep_the_contract(run, argv_error):
+    # the parser is built once per process, so a refused argv must leave the next run's contract intact
+    if argv_error is not None:
+        check_argv_error(argv_error)
     check_contract(*run)
 
 

@@ -49,6 +49,7 @@ from .schrodinger import (
     HarmonicOscillatorProblem,
     reference_factor,
     separable_snapshots,
+    shared_map,
 )
 from .spectral import AtomicMeasure, cluster_table
 
@@ -214,12 +215,11 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), dictionary.size)
 
     eig = snapshots.kronecker_eig(config.rank_tolerance)
-    moments = snapshots.moments([reference_factor(x) for x in snapshots.axes])
+    moments = snapshots.moments(shared_map(reference_factor, snapshots.axes))
     measure = AtomicMeasure(eig.eigenvalues, eig.weights(moments))
 
     # the distinct exact energies; exact_spectrum lists energy E with multiplicity E
-    references = [float(e) for e in range(1, config.energy_cutoff + 1)]
-    rows, _ = cluster_table(measure, references, config.cluster_radius)
+    rows, _ = cluster_table(measure, np.arange(1.0, config.energy_cutoff + 1), config.cluster_radius)
 
     # the fewest levels L whose L(L + 1) / 2 energies cover every computed eigenvalue
     levels = (isqrt(8 * measure.locations.size) + 1) // 2

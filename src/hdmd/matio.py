@@ -10,32 +10,32 @@ atoms of equal bits.  K_edmd's CSV keeps a complex matrix's header ``c0_re,c0_im
 from __future__ import annotations
 
 import json
+import os
 import time
+from contextlib import suppress
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
 
 def write_artifact(path, content) -> None:
-    """Write an ndarray (as .npy) or an iterable of strings to path as a new file: truncating a
-    just-written file instead makes ext4 flush its data first, about 60 ms per CSV of a reused --out."""
-    path = Path(path)
-    path.unlink(missing_ok=True)
-    if isinstance(content, np.ndarray):
-        with path.open("wb") as f:
+    """Write an ndarray (as .npy) or an iterable of strings to path as a new file, opened once in binary: truncating
+    a just-written file instead makes ext4 flush its data first, about 60 ms per CSV of a reused --out."""
+    with suppress(FileNotFoundError):
+        os.unlink(path)
+    with open(path, "wb") as f:
+        if isinstance(content, np.ndarray):
             np.save(f, content, allow_pickle=False)  # bitwise, and no text to format
-    else:
-        with path.open("w") as f:
-            f.writelines(content)
+        else:
+            f.writelines(map(str.encode, content))  # one write for a single string, as write_csv passes
 
 
 # an iterator, not a list: the cells of a column are not held beside the rows' text
 def _cells(column):
     values = np.asarray(column)
-    floats, values = values.dtype.kind == "f", values.tolist()  # the array is not held while the cells are made
-    if not floats:
-        yield from map(str, values)
+    kind, values = values.dtype.kind, values.tolist()  # the array is not held while the cells are made
+    if kind != "f":
+        yield from values if kind == "O" else map(str, values)  # an object column holds `float_text`'s str
         return
     last = text = None
     for v in values:
@@ -57,7 +57,7 @@ def write_csv(path, header: str, *columns) -> None:
     str columns with str.
     """
     rows = zip(*map(_cells, columns))
-    write_artifact(path, ["\n".join([header, *map(",".join, rows)]) + "\n"])
+    write_artifact(path, ["\n".join([header, *map(",".join, rows), ""])])  # ends in a newline, with no second copy
 
 
 def write_complex_csv(matrix: np.ndarray, path) -> None:

@@ -38,7 +38,7 @@ convention; see README for notes on alternatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import pi, prod, sqrt
 
@@ -95,6 +95,16 @@ def generate_snapshots(
     return FeatureMatrices(psi_x=psi_x, psi_y=psi_y, rank_tolerance_used=rank_tolerance)
 
 
+def shared_map(fn, *columns) -> list:
+    """[fn(*args) for args in zip(*columns)], calling fn once per distinct tuple of argument objects (by identity)."""
+    done, results = {}, []
+    for args in zip(*columns, strict=True):
+        if (key := tuple(map(id, args))) not in done:
+            done[key] = args, fn(*args)  # args kept alive, so no later object can take one of their ids
+        results.append(done[key][1])
+    return results
+
+
 @dataclass(frozen=True)
 class KroneckerEig:
     """Hermitian DMD of the separable data, solved one axis at a time.
@@ -109,7 +119,8 @@ class KroneckerEig:
     row-major sums); `order` holds the flat index of each.  A product
     observable's weights and mass are products of each axis's 1-D ones.
     `hermiticity_residual`, a max over axes, bounded K's own in every trial with exactly Hermitian G1_k (empirical).
-    Equal axes (every square grid) share one solve, so mu_i + mu_j, i != j, is two equal-bit atoms, formatted once.
+    Equal axes (every square grid) are the same objects here, found by identity (`shared_map`), not by value: each
+    distinct axis is solved, gated and weighed once, and mu_i + mu_j, i != j, is two equal-bit atoms, formatted once.
     """
 
     scale: float
@@ -143,17 +154,16 @@ class KroneckerEig:
         |v^* m|^2 = prod_k |u_k^* m_k|^2: the outer product of each axis's
         `KoopmanEig.weights`, raveled row-major like the eigenvalue sums.
         """
-        per_axis = [e.weights(m) for e, m in zip(self.axes, axis_moments, strict=True)]
-        return reduce(np.multiply.outer, per_axis).ravel()[self.order]
+        return reduce(np.multiply.outer, shared_map(KoopmanEig.weights, self.axes, axis_moments)).ravel()[self.order]
 
     def observable_mass(self, axis_moments) -> float:
         """g_c^* G g_c for g_c = G^+ m: with G^+ = (x)_k G1_k^+ / s, the product of each
         axis's `GramPair.observable_mass`, so the weights' sum is checked against it (Parseval)."""
-        return prod(e.gram.observable_mass(m) for e, m in zip(self.axes, axis_moments, strict=True))
+        return prod(shared_map(lambda e, m: e.gram.observable_mass(m), self.axes, axis_moments))
 
     def hermiticity_residual(self) -> float:
         """The axes' largest `KoopmanMatrix.hermiticity_residual`, or NaN if any is NaN: the gate's bound on K's own."""
-        return float(np.max([op.hermiticity_residual() for op in self.operators]))
+        return float(np.max(shared_map(KoopmanMatrix.hermiticity_residual, self.operators)))
 
 
 @dataclass(frozen=True)
@@ -176,37 +186,32 @@ class SeparableSnapshots:
     def kronecker_eig(self, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> KroneckerEig:
         """G1, H1 of each axis through `GramPair.from_matrices` and `hermitian_dmd`; rank
         deficiency is left to the caller to report (see `retained_rank`, `axis_retained_ranks`)."""
-        solved = []  # ((E, w, h), operator, eigenpairs) per axis; an axis equal to an earlier one reuses its solve
-        for e, w, h in zip(self.bumps, self.weights, self.multipliers):
-            earlier = next((s for s in solved if all(map(np.array_equal, s[0], (e, w, h)))), None)
-            if earlier is None:
-                ew = w[:, None] * e
-                op = hermitian_dmd(GramPair.from_matrices(ew.T @ e, ew.T @ (e * h), rank_tolerance))
-                earlier = ((e, w, h), op, eigendecompose(op))
-            solved.append(earlier)
-        _, operators, axes = zip(*solved)
+        def solve(e, w, h):
+            ew = w[:, None] * e
+            op = hermitian_dmd(GramPair.from_matrices(ew.T @ e, ew.T @ (e * h), rank_tolerance))
+            return op, eigendecompose(op)
+
+        operators, axes = zip(*shared_map(solve, self.bumps, self.weights, self.multipliers))
         sums = reduce(np.add.outer, [e.eigenvalues for e in axes]).ravel()
         order = np.argsort(sums, kind="stable")
         return KroneckerEig(abs(self.amplitude) ** 2, operators, axes, sums[order], order)
 
     def moments(self, factors) -> tuple[np.ndarray, ...]:
         """Per-axis moments m_k = E_k^T W_k f_k of the product observable f = prod_k f_k(x_k),
-        given f_k sampled at axes[k]; `KroneckerEig` takes them as they are (the amplitude cancels)."""
-        return tuple((w[:, None] * e).T @ f for e, w, f in zip(self.bumps, self.weights, factors, strict=True))
+        given f_k sampled at axes[k] (once per axis object, by `shared_map`); `KroneckerEig` takes them as they are."""
+        return tuple(shared_map(lambda e, w, f: (w[:, None] * e).T @ f, self.bumps, self.weights, factors))
 
 
 def separable_snapshots(problem: HarmonicOscillatorProblem, points_per_axis) -> SeparableSnapshots:
-    """Factors for the tensor trapezoid rule with points_per_axis on problem.domain."""
-    dictionary = problem.dictionary
-    axes, weights = zip(*trapezoid_axes(problem.domain, points_per_axis))
-    centers = zip(axes, dictionary.axis_centers, strict=True)
-    return SeparableSnapshots(
-        amplitude=dictionary.amplitude,
-        axes=axes,
-        weights=weights,
-        bumps=dictionary.axis_bumps(axes),
-        multipliers=tuple(_axis_multiplier(dictionary.width, x[:, None] - c, x[:, None]) for x, c in centers),
-    )
+    """Factors for the tensor trapezoid rule with points_per_axis on problem.domain.  An axis with the interval,
+    count and centers of an earlier one (bitwise equal nodes and centers) gets that axis's arrays, the same objects."""
+    dictionary, built, axes = problem.dictionary, {}, []
+    for (x, w), c in zip(trapezoid_axes(problem.domain, points_per_axis), dictionary.axis_centers, strict=True):
+        if (key := (x.tobytes(), c.tobytes())) not in built:  # the nodes fix the weights
+            [e] = replace(dictionary, axis_centers=(c,)).axis_bumps((x,))
+            built[key] = x, w, e, _axis_multiplier(dictionary.width, x[:, None] - c, x[:, None])
+        axes.append(built[key])
+    return SeparableSnapshots(dictionary.amplitude, *zip(*axes))
 
 
 def _normalized_hermite_table(m_max: int, x: np.ndarray) -> np.ndarray:

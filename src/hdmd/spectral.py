@@ -92,23 +92,6 @@ def spectral_measure(eig: KoopmanEig, obs: ObservableCoefficients) -> AtomicMeas
     return AtomicMeasure(eig.eigenvalues, eig.weights(obs.moments))
 
 
-def _validate_references(reference_locations, radius: float) -> np.ndarray:
-    refs = np.asarray(reference_locations, dtype=float).ravel()
-    if refs.size == 0:
-        raise ValueError("need at least one reference location")
-    # sorted gaps, not np.unique: that would import numpy.ma inside the first call
-    gaps = np.diff(np.sort(refs))
-    if np.any(gaps == 0):
-        raise ValueError("reference locations must be distinct")
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if gaps.size and not radius < 0.5 * float(np.min(gaps)):
-        raise ValueError(
-            f"radius {radius} must be below half the minimum reference gap ({0.5 * float(np.min(gaps))})"
-        )
-    return refs
-
-
 def cluster_table(
     measure: AtomicMeasure,
     reference_locations: Sequence[float],
@@ -124,22 +107,34 @@ def cluster_table(
     atoms matched by any reference.  Requires distinct references and radius
     below half the minimum reference gap, so clusters cannot overlap.
     """
-    refs = _validate_references(reference_locations, radius)
-    locs, wts = measure.locations, measure.weights
-    matched = np.zeros(locs.shape[0], dtype=bool)
+    refs = np.asarray(reference_locations, dtype=float).ravel()
+    if refs.size == 0:
+        raise ValueError("need at least one reference location")
+    # sorted gaps, not np.unique: that would import numpy.ma inside the first call
+    order = np.argsort(refs, kind="stable")
+    edges = np.concatenate(([np.nan], refs[order], [np.nan]))  # NaN past both ends: |lambda - NaN| <= radius is false
+    gaps = np.diff(edges[1:-1])
+    if (gaps == 0).any():
+        raise ValueError("reference locations must be distinct")
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    if gaps.size and not radius < 0.5 * float(gaps.min()):
+        raise ValueError(
+            f"radius {radius} must be below half the minimum reference gap ({0.5 * float(gaps.min())})"
+        )
+    # one pass: the gap bound leaves each atom only its neighbours in edges to match, tested as |lambda - E| <= radius
+    sides = np.add.outer(np.searchsorted(edges[1:-1], measure.locations), (0, 1))
+    hits = np.flatnonzero(np.abs(measure.locations[:, None] - edges[sides]) <= radius)  # atom by atom
+    labels = order[sides.ravel()[hits] - 1]  # the caller's index of each matched reference
+    members = (hits // 2)[np.argsort(labels, kind="stable")]  # cluster by cluster, each in atom order
+    matched = np.bincount(members, minlength=measure.locations.shape[0]) > 0
+    locs, wts = measure.locations[members], measure.weights[members]  # so each cluster is one contiguous slice
     light = np.finfo(float).eps * measure.total_mass
-    rows = []
-    for ref in refs:
-        mask = np.abs(locs - ref) <= radius
-        count = int(np.count_nonzero(mask))
-        if count == 0:
-            rows.append((float(ref), float("nan"), 0.0, 0))
-            continue
-        matched |= mask
-        cw = float(np.sum(wts[mask]))
-        if cw > light:
-            loc = float(np.dot(wts[mask], locs[mask]) / cw)
-        else:
-            loc = float(np.mean(locs[mask]))
-        rows.append((float(ref), loc, cw, count))
+    rows, start = [], 0
+    for ref, end in zip(refs.tolist(), np.cumsum(np.bincount(labels, minlength=refs.size)).tolist()):
+        lam, w, count = locs[start:end], wts[start:end], end - start
+        cw = float(np.add.reduce(w)) if count else 0.0  # np.sum's and np.mean's arithmetic, without their overhead
+        loc = float("nan") if not count else np.dot(w, lam) / cw if cw > light else np.add.reduce(lam) / count
+        rows.append((ref, float(loc), cw, count))
+        start = end
     return rows, matched

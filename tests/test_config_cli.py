@@ -18,6 +18,7 @@ import pytest
 import hdmd.cli as cli
 import hdmd.dictionary
 import hdmd.matio
+import hdmd.schrodinger
 from hdmd.config import ConfigError, ExperimentConfig, default_config, load_config, validate
 from hdmd.dictionary import FeatureMatrices, SnapshotFeatures, evaluate_snapshots, gaussian_grid_dictionary
 from hdmd.dmd import assemble_gram_pair, edmd, eigendecompose, hermitian_dmd
@@ -1055,6 +1056,30 @@ def test_schrodinger_runs_dictionary_of_ten_thousand(tmp_path):
     ranks = summary["axis_retained_ranks"]
     assert summary["retained_rank"] == ranks[0] * ranks[1] < 10_000
     assert summary["total_mass"] == pytest.approx(summary["observable_mass"], rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "body, flags, eighs, axes", [("", ["--full-grid"], 2, 1), ("grid = 40 55\n", [], 4, 2)], ids=["full-grid", "40x55"]
+)
+def test_schrodinger_builds_and_solves_each_distinct_axis_once(tmp_path, monkeypatch, body, flags, eighs, axes):
+    # equal axes share one axis's factors (one bump table, one multiplier) and one solve: eigh(G1) and the
+    # whitened eigh per distinct axis; a 300^2 grid has one distinct axis, a 40 x 55 grid two
+    counts = {"eigh": 0, "bump tables": 0, "multipliers": 0}
+
+    def counted(key, fn, size=lambda result: 1):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            counts[key] += size(result)
+            return result
+        return wrapper
+
+    dictionary = hdmd.dictionary.Dictionary
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(dictionary, "axis_bumps", counted("bump tables", dictionary.axis_bumps, len))
+    monkeypatch.setattr(hdmd.schrodinger, "_axis_multiplier", counted("multipliers", hdmd.schrodinger._axis_multiplier))
+    argv = ["schrodinger", "--config", str(write_config(tmp_path, body)), *flags, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert counts == {"eigh": eighs, "bump tables": axes, "multipliers": axes}
 
 
 def test_schrodinger_forms_no_n_by_n_array(tmp_path):

@@ -1,10 +1,14 @@
 """Tests for artifact writing (columnar CSVs, a real matrix's re/im-pair CSV, .npy arrays) and the refusal of a damaged matrix CSV."""
 
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdmd.cli as cli
+import hdmd.matio
 from hdmd.cli import read_points_csv
 from hdmd.matio import float_text, write_artifact, write_complex_csv, write_csv
 
@@ -117,6 +121,68 @@ def test_write_artifact_replaces_an_array_file_instead_of_truncating_it(rng, tmp
     loaded = np.load(path)  # bitwise, with its dtype and shape
     assert loaded.dtype == np.float64 and loaded.shape == (5, 7) and loaded.tobytes() == new.tobytes()
     assert np.load(link).tobytes() == old.tobytes()
+
+
+def cli_runs(tmp_path):
+    """argv (without --out) of a small run per subcommand; custom's covers K_edmd's CSV and K_herm's .npy."""
+    x = np.random.default_rng(11).uniform(-5.0, 5.0, size=(300, 2))
+    for name, points in (("x.csv", x), ("y.csv", 0.9 * x[:, ::-1])):
+        (tmp_path / name).write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in points.tolist()))
+    config = tmp_path / "small.cfg"
+    config.write_text("schema = 1\ndict_per_axis = 4\nrank_tolerance = 1e-8\n")
+    return {
+        "schrodinger": ["schrodinger"],
+        "probes": ["probes"],
+        "custom": ["custom", "--config", str(config), str(tmp_path / "x.csv"), str(tmp_path / "y.csv")],
+    }
+
+
+@pytest.mark.parametrize("command", ["schrodinger", "probes", "custom"])
+def test_a_reused_out_gets_new_files(tmp_path, command):
+    # each artifact of a second run into the same --out is a new file (a new inode), and the first run's
+    # file, kept alive under a hard link so its inode cannot be reused, still holds the first run's bytes
+    argv = cli_runs(tmp_path)[command] + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    (tmp_path / "old").mkdir()
+    old = {}
+    for path in (tmp_path / "out").iterdir():
+        os.link(path, tmp_path / "old" / path.name)
+        old[path.name] = os.stat(path).st_ino, path.read_bytes()
+    assert cli.main(argv) == 0
+    assert sorted(old) == sorted(path.name for path in (tmp_path / "out").iterdir())
+    for name, (inode, data) in old.items():
+        assert os.stat(tmp_path / "out" / name).st_ino != inode, name
+        assert (tmp_path / "old" / name).read_bytes() == data, name
+
+
+@pytest.mark.parametrize("command", ["schrodinger", "custom"])
+def test_artifacts_are_the_bytes_of_a_text_mode_write(tmp_path, monkeypatch, command):
+    # every text artifact (the CSVs, K_edmd's CSV, summary.json) holds the bytes that writing its strings to a
+    # file opened in text mode gives; an array artifact (K_herm) loads back with the bits it was written with
+    written = {}
+    write_artifact = hdmd.matio.write_artifact
+
+    def recording(path, content):
+        content = content if isinstance(content, np.ndarray) else list(content)
+        written[Path(path).name] = content
+        write_artifact(path, content)
+
+    monkeypatch.setattr(hdmd.matio, "write_artifact", recording)
+    monkeypatch.setattr(cli, "write_artifact", recording)
+    assert cli.main(cli_runs(tmp_path)[command] + ["--out", str(tmp_path / "out")]) == 0
+    names = {"eigenvalues.csv", "measure.csv", "summary.json"}
+    assert set(written) == names | ({"clustered.csv"} if command == "schrodinger" else {
+        "koopman_edmd.csv", "koopman_hermitian.npy"})
+    for name, content in written.items():
+        data = (tmp_path / "out" / name).read_bytes()
+        if isinstance(content, np.ndarray):
+            loaded = np.load(tmp_path / "out" / name)
+            assert loaded.dtype == content.dtype and loaded.shape == content.shape
+            assert loaded.tobytes() == content.tobytes()
+            continue
+        with open(tmp_path / "text", "w") as f:
+            f.writelines(content)
+        assert data == (tmp_path / "text").read_bytes(), name
 
 
 def test_complex_csv_holds_one_row_of_text_at_a_time(rng, tmp_path):

@@ -17,6 +17,7 @@ from hdmd.schrodinger import (
     ExactEigenpair,
     HarmonicOscillatorProblem,
     KroneckerEig,
+    SeparableSnapshots,
     _axis_multiplier,
     _gauss_legendre,
     _normalized_hermite_table,
@@ -26,6 +27,7 @@ from hdmd.schrodinger import (
     reference_factor,
     reference_observable,
     separable_snapshots,
+    shared_map,
 )
 from hdmd.spectral import AtomicMeasure, cluster_table, project_observable, spectral_measure
 
@@ -370,6 +372,25 @@ def test_equal_axes_share_one_solve(monkeypatch, grid, dictionary, solves):
     assert eig.observable_mass(moments) == reference.observable_mass(moments)
     assert eig.hermiticity_residual() == reference.hermiticity_residual()
     assert eig.axis_retained_ranks == reference.axis_retained_ranks
+
+
+def test_equal_axes_as_distinct_arrays_match_the_shared_build_bit_for_bit():
+    # separable_snapshots hands equal axes the same arrays, and KroneckerEig finds them by identity; copies of
+    # them are solved, gated and weighed once per axis instead, with the same bits in every output the CLI reads
+    shared = separable_snapshots(HarmonicOscillatorProblem(), (60, 60))
+    names = ("axes", "weights", "bumps", "multipliers")
+    assert all(first is second for first, second in (getattr(shared, name) for name in names))
+    copies = (tuple(a.copy() for a in getattr(shared, name)) for name in names)
+    distinct = SeparableSnapshots(shared.amplitude, *copies)
+    outputs = []
+    for snapshots, solves in ((shared, 1), (distinct, 2)):
+        eig = snapshots.kronecker_eig()
+        moments = snapshots.moments(shared_map(reference_factor, snapshots.axes))
+        assert len({id(op) for op in eig.operators}) == len({id(m) for m in moments}) == solves
+        outputs.append((eig.eigenvalues, eig.weights(moments), eig.hermiticity_residual(), eig.observable_mass(moments)))
+    (values, weights, residual, mass), (values_d, weights_d, residual_d, mass_d) = outputs
+    assert values.tobytes() == values_d.tobytes() and weights.tobytes() == weights_d.tobytes()
+    assert repr(residual) == repr(residual_d) and repr(mass) == repr(mass_d)
 
 
 def dense_hermiticity_residual(eig):

@@ -287,6 +287,71 @@ def test_cluster_table_reports_empty_clusters():
     assert np.array_equal(matched, [False, True])
 
 
+def mask_oracle(measure, references, radius):
+    """cluster_table's definition, one |lambda - E| <= radius mask over every atom per reference, in the
+    caller's order: the plain sum, the weighted mean, or np.mean for a cluster of at most eps * total mass."""
+    locs, wts = measure.locations, measure.weights
+    matched = np.zeros(locs.shape, dtype=bool)
+    rows = []
+    for ref in np.asarray(references, dtype=float):
+        mask = np.abs(locs - ref) <= radius
+        matched |= mask
+        count = int(np.count_nonzero(mask))
+        if count == 0:
+            rows.append((float(ref), float("nan"), 0.0, 0))
+            continue
+        weight = float(np.sum(wts[mask]))
+        heavy = weight > np.finfo(float).eps * measure.total_mass
+        location = np.dot(wts[mask], locs[mask]) / weight if heavy else np.mean(locs[mask])
+        rows.append((float(ref), float(location), weight, count))
+    return rows, matched
+
+
+def edge_atoms(references, radius):
+    """Atoms at E - radius and E + radius, one ulp either side of each, and E itself, for every reference E."""
+    edges = [e + s * radius for e in references for s in (-1, 1)]
+    return sorted([*references, *edges, *np.nextafter(edges, np.inf), *np.nextafter(edges, -np.inf)])
+
+
+@pytest.mark.parametrize(
+    "locations, weights, references, radius",
+    [
+        (edge_atoms([1.0, 2.0, 3.0], 0.25), None, [1.0, 2.0, 3.0], 0.25),  # E +- radius exact in binary
+        (edge_atoms([1.0, 2.0, 3.0], 0.3), None, [3.0, 1.0, 2.0], 0.3),  # rounded, and the references unsorted
+        (edge_atoms([-7.5, 0.1, 1e3], 0.05), None, [1e3, 0.1, 42.0, -7.5], 0.05),  # 42 is an empty cluster
+        ([0.9, 1.0, 1.1, 2.95, 3.05], [1.0, 2.0, 1.0, 3e-30, 1e-30], [3.0, 1.0], 0.2),  # a light cluster
+        ([0.9, 1.0, 1.1], [0.0, 0.0, 0.0], [1.0, 5.0], 0.2),  # zero total mass: every cluster is light
+        ([], [], [2.0, 1.0], 0.1),  # an empty measure
+        ([1.0, 2.0], [1.0, 1.0], [7.0], 1e300),  # one reference, and no gap bounds the radius
+    ],
+    ids=["exact-edges", "rounded-edges-unsorted", "wide-range-empty", "light", "zero-mass", "empty-measure", "one-ref"],
+)
+def test_cluster_table_matches_the_mask_oracle_bit_for_bit(rng, locations, weights, references, radius):
+    if weights is None:
+        weights = rng.uniform(0.0, 1.0, len(locations))
+    measure = AtomicMeasure(locations, weights)
+    rows, matched = cluster_table(measure, references, radius)
+    oracle_rows, oracle_matched = mask_oracle(measure, references, radius)
+    assert repr(rows) == repr(oracle_rows)  # shortest round-trip text: equal bits and equal types
+    assert matched.dtype == bool and np.array_equal(matched, oracle_matched)
+
+
+def test_cluster_table_matches_the_mask_oracle_on_random_spectra(rng):
+    # Kronecker-like spectra: runs of near-equal atoms around each reference, clusters of 1 to 200 atoms
+    for _ in range(50):
+        references = rng.permutation(np.arange(1.0, rng.integers(2, 15)))
+        radius = rng.uniform(0.01, 0.49)
+        centers = rng.choice(references, size=rng.integers(0, 400))
+        stray = rng.uniform(0.0, references.max() + 1.0, size=rng.integers(0, 50))
+        locs = np.sort(np.concatenate([centers + rng.uniform(-1.5, 1.5, centers.size) * radius, stray]))
+        weights = rng.uniform(0.0, 1.0, locs.size) * rng.choice([1.0, 1e-30], size=locs.size)
+        measure = AtomicMeasure(locs, weights)
+        rows, matched = cluster_table(measure, references, radius)
+        oracle_rows, oracle_matched = mask_oracle(measure, references, radius)
+        assert repr(rows) == repr(oracle_rows)
+        assert np.array_equal(matched, oracle_matched)
+
+
 # ------------------------------------------------------------------
 # AtomicMeasure container
 # ------------------------------------------------------------------

@@ -9,7 +9,9 @@ Subcommands
 
 Common flags: ``--config PATH`` (key-value file, see `hdmd.config`) and
 ``--out DIR``.  ``schrodinger`` additionally takes ``--full-grid`` to run
-the 300 x 300 snapshot grid instead of the reduced default.  Verbosity
+the 300 x 300 snapshot grid instead of the reduced default.  A plain argv
+(exact flags, values not led by ``-``) is read without argparse; argparse is
+imported only for help, ``--version``, errors and every other argv.  Verbosity
 comes from the ``HDMD_LOG`` environment variable (debug/info/warning).
 Bad input exits 2 and a numerical failure exits 1, each with one line on
 stderr.
@@ -21,7 +23,6 @@ koopman_hermitian.npy (bitwise), and runtime appears only in summary.json.
 
 from __future__ import annotations
 
-import argparse
 import logging
 import os
 import sys
@@ -30,6 +31,7 @@ from dataclasses import replace
 from functools import cache
 from math import isfinite, isqrt, prod
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -66,6 +68,11 @@ HERMITICITY_MESSAGE = (
     "(rank_tolerance %g); raising rank_tolerance trades rank for G-Hermiticity"
 )
 FULL_GRID_POINTS = 300
+SUBCOMMANDS = {
+    "schrodinger": "harmonic-oscillator benchmark",
+    "probes": "finite-section convergence diagnostics",
+    "custom": "pipeline on user snapshot CSVs",
+}
 
 
 def _report(
@@ -319,8 +326,42 @@ def _configure_logging() -> None:
     logger.setLevel(level if isinstance(level, int) else logging.WARNING)
 
 
-@cache  # built on the first main call, not at import, which would cost every import its ~0.3 ms
+def _plain_args(argv: list) -> SimpleNamespace | None:
+    """What `_build_parser().parse_args(argv)` returns for a plain argv, without argparse; None for any other.
+
+    Plain: a subcommand, then exact `--config V` and `--out V` pairs, `--full-grid` after schrodinger, and
+    custom's two files, none of the values led by "-".  argparse stays the grammar's reference: help,
+    --version, errors, abbreviations, `--opt=value` and `--` all fall back to it, as does any option added there.
+    """
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    command, *rest = argv
+    args = {"command": command, "config": None, "out": None}
+    if command == "schrodinger":
+        args["full_grid"] = False
+    files = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("--config", "--out"):
+            value = next(tokens, "-")  # a missing value is refused as a "-"-led one is
+            if value.startswith("-"):
+                return None
+            args[token[2:]] = Path(value)
+        elif token == "--full-grid" and command == "schrodinger":
+            args["full_grid"] = True
+        elif token.startswith("-"):
+            return None
+        else:
+            files.append(Path(token))
+    if len(files) != (2 if command == "custom" else 0):
+        return None
+    return SimpleNamespace(**args, **dict(zip(("x_csv", "y_csv"), files)))
+
+
+@cache  # built only for an argv that is not plain, so a plain run imports no argparse, gettext or locale
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hdmd",
         description="Hermitian DMD experiments: spectra and spectral measures of "
@@ -328,11 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hdmd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = [sub.add_parser(name, help=text) for name, text in (
-        ("schrodinger", "harmonic-oscillator benchmark"),
-        ("probes", "finite-section convergence diagnostics"),
-        ("custom", "pipeline on user snapshot CSVs"),
-    )]
+    parsers = [sub.add_parser(name, help=text) for name, text in SUBCOMMANDS.items()]
     for p in parsers:
         p.add_argument("--config", type=Path, default=None, help="key-value config file")
         p.add_argument("--out", type=Path, default=None, help="output directory")
@@ -347,7 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _configure_logging()
-    args = _build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else default_config()
         out_dir = Path(args.out) if args.out else Path(config.output_dir)

@@ -53,9 +53,9 @@ class AtomicMeasure:
         wts = np.asarray(self.weights, dtype=float).ravel()
         if loc.shape != wts.shape:
             raise ValueError(f"locations/weights length mismatch: {loc.shape} vs {wts.shape}")
-        if np.any(wts < 0):
+        if not np.all(wts >= 0):  # so NaN fails, as it does not fail `wts < 0`
             raise ValueError("atom weights must be nonnegative")
-        if np.any(np.diff(loc) < 0):
+        if not np.all(np.diff(loc) >= 0):
             raise ValueError("atom locations must be sorted ascending")
         loc.setflags(write=False)
         wts.setflags(write=False)

@@ -1252,6 +1252,31 @@ def test_import_and_probes_load_neither_fft_nor_scipy(tmp_path):
     assert proc.stdout.split() == ["False", "False", "False"]
 
 
+def test_import_and_plain_runs_load_no_argparse_and_help_still_does(tmp_path):
+    # a plain argv is read without argparse, whose import (with gettext's locale) and parser build took a one-shot
+    # run 2-3 ms on a 2-core Xeon VM; help needs argparse, which is imported then
+    code = (
+        "import contextlib, io, sys, hdmd.cli\n"
+        "parsing = ('argparse', 'gettext', 'locale')\n"
+        "assert hdmd.cli.main(['schrodinger', '--out', sys.argv[1]]) == 0\n"
+        "print(*[name in sys.modules for name in parsing])\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    try:\n"
+        "        hdmd.cli.main(['--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code, file=sys.stderr)\n"
+        "assert out.getvalue() == hdmd.cli._build_parser().format_help(), out.getvalue()\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out")], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False", "True"]
+    assert proc.stderr.split() == ["0"]
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "hdmd.cli", "--version"], capture_output=True, text=True, env=child_env())
     # argparse --version exits 0 and prints the version string
@@ -1260,10 +1285,11 @@ def test_console_entry_point_runs():
 
 
 def test_the_parser_is_built_once_per_process_on_the_first_call(tmp_path):
-    # a child counts ArgumentParser constructions: none at import, the root and its three subparsers on the first
-    # main call, none on the second
+    # a child counts ArgumentParser constructions: none at import or for plain runs, which skip argparse; the root
+    # and its three subparsers for the first argv that needs argparse, help or refused alike; none for any later
+    # call, whether refused, plain or abbreviated
     code = (
-        "import argparse, sys\n"
+        "import argparse, contextlib, io, sys\n"
         "built = []\n"
         "init = argparse.ArgumentParser.__init__\n"
         "def counted(self, *args, **kwargs):\n"
@@ -1272,15 +1298,28 @@ def test_the_parser_is_built_once_per_process_on_the_first_call(tmp_path):
         "argparse.ArgumentParser.__init__ = counted\n"
         "import hdmd.cli\n"
         "counts = [len(built)]\n"
-        "for out in sys.argv[1:]:\n"
-        "    assert hdmd.cli.main(['schrodinger', '--out', out]) == 0\n"
+        "def call(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            code = hdmd.cli.main(list(argv))\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
         "    counts.append(len(built) - sum(counts))\n"
+        "    return code\n"
+        "first, second, refused, *parsed = sys.argv[1:]\n"
+        "assert call('schrodinger', '--out', first) == 0\n"
+        "assert call('schrodinger', '--out', second) == 0\n"
+        "assert call(*parsed) == 2 * int(refused)\n"
+        "assert call('bogus') == 2\n"
+        "assert call('schrodinger', '--out', first) == 0\n"
+        "assert call('schrodinger', '--ou', second) == 0\n"
         "print(*counts)\n"
     )
-    argv = [sys.executable, "-c", code, str(tmp_path / "first"), str(tmp_path / "second")]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "4", "0"]
+    for refused, parsed in ((0, ["--help"]), (1, ["custom", "x.csv"])):
+        argv = [sys.executable, "-c", code, str(tmp_path / "first"), str(tmp_path / "second"), str(refused), *parsed]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0", "0", "4", "0", "0", "0"], parsed
 
 
 # help and version exit 0 on stdout; the rest are argparse's errors, exit 2 with a usage line on stderr

@@ -4,6 +4,9 @@ Every run exits 0, 1 or 2 with no traceback and no Python warning, and writes to
 `hdmd: ...` or `<LEVEL> hdmd: ...`; a run that fails says why, and a run that exits 0 writes no NaN or Infinity.
 Absurd sizes are drawn apart, and the memory guard must refuse them before anything is allocated.
 Argv that argparse refuses is drawn between runs: it exits 2 with a usage line, and the next run keeps the contract.
+Each run's argv is drawn in the plain form that `cli` reads without argparse or in a form only argparse reads
+(`--out=DIR`, the abbreviation `--conf`), custom's files before or after the flags; `_plain_args` is checked
+against argparse, its reference, on drawn argv.
 """
 
 import contextlib
@@ -18,9 +21,9 @@ from sys import float_info
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_config_cli import non_finite_cells, strict_json, write_points
+from test_config_cli import ARGPARSE_CASES, non_finite_cells, strict_json, write_points
 
 import hdmd.cli as cli
 
@@ -88,10 +91,13 @@ def snapshots(draw, dims=st.integers(1, 2)) -> tuple[np.ndarray, np.ndarray]:
     return x, SNAPSHOT_MAPS[draw(st.sampled_from(sorted(SNAPSHOT_MAPS)))](x, rng)
 
 
+# how a run's argv is spelled: whether custom's files come first, `--out=DIR` and `--conf PATH`, the last two of which
+# only argparse reads
+forms = st.tuples(st.booleans(), st.booleans(), st.booleans())
 runs = st.one_of(
-    st.tuples(st.just("schrodinger"), config_body(COMMON_LINES), st.none()),
-    st.tuples(st.just("probes"), probe_body(), st.none()),
-    st.tuples(st.just("custom"), config_body(COMMON_LINES), snapshots()),
+    st.tuples(st.just("schrodinger"), config_body(COMMON_LINES), st.none(), forms),
+    st.tuples(st.just("probes"), probe_body(), st.none(), forms),
+    st.tuples(st.just("custom"), config_body(COMMON_LINES), snapshots(), forms),
 )
 
 
@@ -112,9 +118,10 @@ def run_cli(argv: list[str]) -> tuple[int, str, list[str]]:
     return code, err.getvalue(), [str(w.message) for w in caught]
 
 
-def check_contract(command: str, body: str, points=None) -> tuple[int, str, bool]:
-    """Run one command on `body` (and snapshot files for custom), assert the contract, and return the exit code,
-    the stderr text and whether the output directory exists."""
+def check_contract(command: str, body: str, points=None, form=(False, False, False)) -> tuple[int, str, bool]:
+    """Run one command on `body` (and snapshot files for custom), its argv spelled as `form` says, assert the
+    contract, and return the exit code, the stderr text and whether the output directory exists."""
+    files_first, out_equals, abbreviated = form
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         cfg = tmp / "run.cfg"
@@ -125,7 +132,12 @@ def check_contract(command: str, body: str, points=None) -> tuple[int, str, bool
                 write_points(tmp / name, pts)
                 files.append(str(tmp / name))
         out = tmp / "out"
-        code, err, caught = run_cli([command, "--config", str(cfg), "--out", str(out), *files])
+        flags = ["--conf" if abbreviated else "--config", str(cfg)]
+        flags += [f"--out={out}"] if out_equals else ["--out", str(out)]
+        argv = [command, *files, *flags] if files_first else [command, *flags, *files]
+        # the plain route reads every argv without an argparse-only form, and argparse reads the rest
+        assert (cli._plain_args(argv) is None) == (abbreviated or out_equals), argv
+        code, err, caught = run_cli(argv)
         assert code in (0, 1, 2) and not caught, (code, caught, body)
         assert all(HDMD_LINE.match(text) for text in err.splitlines()), err
         assert code == 0 or err, body  # a failure says why
@@ -162,6 +174,53 @@ def check_argv_error(argv: list[str]) -> None:
     lines = err.getvalue().splitlines()
     assert refused.value.code == 2, (argv, refused.value.code)
     assert lines[0].startswith("usage: hdmd") and re.match(r"hdmd( \w+)?: error: ", lines[-1]), (argv, lines)
+
+
+# argv for the reference test: plain argv, built from the plain grammar with names not led by "-", and argv with
+# tokens of every form argparse reads, most of which it or the plain route refuses
+NAMES = ("x.csv", "a b", "", " -x", *COMMANDS)
+ARGV_TOKENS = (*COMMANDS, "--config", "--out", "--full-grid", "--conf", "--out=x", "--", "-h", "--version", "-5", "",
+               "x.csv", "a b")
+
+
+@st.composite
+def plain_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(COMMANDS))
+    names = st.sampled_from(NAMES)
+    pieces = st.tuples(st.sampled_from(["--config", "--out"]), names)
+    if command == "schrodinger":
+        pieces |= st.just(("--full-grid",))
+    drawn = draw(st.lists(pieces, max_size=4)) + [(draw(names),) for _ in range(2 * (command == "custom"))]
+    return [command, *(token for piece in draw(st.permutations(drawn)) for token in piece)]
+
+
+# any tokens, or a plain argv with one token replaced or, past its end, appended; a name in a value's place, say,
+# leaves it plain
+token_argv = st.lists(st.sampled_from(ARGV_TOKENS), min_size=1, max_size=6) | st.tuples(
+    plain_argv(), st.integers(0, 10), st.sampled_from(ARGV_TOKENS)
+).map(lambda drawn: drawn[0][: drawn[1]] + [drawn[2]] + drawn[0][drawn[1] + 1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=plain_argv())
+def test_plain_args_reads_every_plain_argv_as_argparse_does(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None and vars(plain) == vars(cli._build_parser().parse_args(argv)), argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=token_argv)
+@example(["custom", "x.csv", "-h"])  # argparse prints help where a plain route that took "-h" for a file would not
+def test_plain_args_is_what_argparse_returns_whenever_it_answers(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli._build_parser().parse_args(argv)), argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=argv_errors | st.sampled_from(ARGPARSE_CASES))
+def test_plain_args_leaves_help_version_and_every_refused_argv_to_argparse(argv):
+    assert cli._plain_args(argv) is None
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -362,6 +362,11 @@ def test_measure_validation():
         AtomicMeasure(locations=np.array([1.0]), weights=np.array([-0.5]))
     with pytest.raises(ValueError, match="sorted"):
         AtomicMeasure(locations=np.array([2.0, 1.0]), weights=np.array([1.0, 1.0]))
+    # NaN fails both checks: every comparison with it is false, so a `< 0` test would let it through
+    with pytest.raises(ValueError, match="sorted"):
+        AtomicMeasure(locations=[1.0, np.nan, 0.5], weights=[1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        AtomicMeasure(locations=[0.0, 1.0], weights=[np.nan, 1.0])
 
 
 def test_measure_total_mass_is_the_sum_of_weights(rng):

@@ -51,7 +51,6 @@ from .schrodinger import (
     HarmonicOscillatorProblem,
     reference_factor,
     separable_snapshots,
-    shared_map,
 )
 from .spectral import AtomicMeasure, cluster_table
 
@@ -222,7 +221,7 @@ def run_schrodinger(config: ExperimentConfig, out_dir: Path, full_grid: bool = F
     logger.info("grid %s (%d nodes), dictionary size %d", grid, prod(grid), dictionary.size)
 
     eig = snapshots.kronecker_eig(config.rank_tolerance)
-    moments = snapshots.moments(shared_map(reference_factor, snapshots.axes))
+    moments = snapshots.moments(reference_factor)
     measure = AtomicMeasure(eig.eigenvalues, eig.weights(moments))
 
     # the distinct exact energies; exact_spectrum lists energy E with multiplicity E
@@ -330,7 +329,7 @@ def _plain_args(argv: list) -> SimpleNamespace | None:
     """What `_build_parser().parse_args(argv)` returns for a plain argv, without argparse; None for any other.
 
     Plain: a subcommand, then exact `--config V` and `--out V` pairs, `--full-grid` after schrodinger, and
-    custom's two files, none of the values led by "-".  argparse stays the grammar's reference: help,
+    custom's two files, none of the values empty or led by "-".  argparse stays the grammar's reference: help,
     --version, errors, abbreviations, `--opt=value` and `--` all fall back to it, as does any option added there.
     """
     if not argv or argv[0] not in SUBCOMMANDS:
@@ -344,12 +343,12 @@ def _plain_args(argv: list) -> SimpleNamespace | None:
     for token in tokens:
         if token in ("--config", "--out"):
             value = next(tokens, "-")  # a missing value is refused as a "-"-led one is
-            if value.startswith("-"):
+            if not value or value.startswith("-"):
                 return None
             args[token[2:]] = Path(value)
         elif token == "--full-grid" and command == "schrodinger":
             args["full_grid"] = True
-        elif token.startswith("-"):
+        elif not token or token.startswith("-"):
             return None
         else:
             files.append(Path(token))
@@ -362,6 +361,11 @@ def _plain_args(argv: list) -> SimpleNamespace | None:
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
+    def path(text: str) -> Path:
+        if not text:  # Path("") is the current directory; argparse reports "invalid path value: ''"
+            raise ValueError(text)
+        return Path(text)
+
     parser = argparse.ArgumentParser(
         prog="hdmd",
         description="Hermitian DMD experiments: spectra and spectral measures of "
@@ -371,14 +375,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parsers = [sub.add_parser(name, help=text) for name, text in SUBCOMMANDS.items()]
     for p in parsers:
-        p.add_argument("--config", type=Path, default=None, help="key-value config file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.add_argument("--config", type=path, default=None, help="key-value config file")
+        p.add_argument("--out", type=path, default=None, help="output directory")
     p_s, _, p_c = parsers
     p_s.add_argument(
         "--full-grid", action="store_true", help=f"use the full {FULL_GRID_POINTS}x{FULL_GRID_POINTS} snapshot grid"
     )
-    p_c.add_argument("x_csv", type=Path, help="snapshot inputs (header + coordinate rows)")
-    p_c.add_argument("y_csv", type=Path, help="snapshot outputs, same shape")
+    p_c.add_argument("x_csv", type=path, help="snapshot inputs (header + coordinate rows)")
+    p_c.add_argument("y_csv", type=path, help="snapshot outputs, same shape")
     return parser
 
 

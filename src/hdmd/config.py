@@ -108,6 +108,8 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         fail("cluster_radius", f"must stay below half the unit energy gap (0.5), got {c.cluster_radius}")
     if c.energy_cutoff < 1:
         fail("energy_cutoff", f"must be >= 1, got {c.energy_cutoff}")
+    if not c.output_dir:
+        fail("output_dir", "must not be empty: it would name the current directory")
     if c.probe_n_ref < 2:
         fail("probe_n_ref", f"must be >= 2, got {c.probe_n_ref}")
     if not c.probe_sizes:

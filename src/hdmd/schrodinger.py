@@ -95,16 +95,6 @@ def generate_snapshots(
     return FeatureMatrices(psi_x=psi_x, psi_y=psi_y, rank_tolerance_used=rank_tolerance)
 
 
-def shared_map(fn, *columns) -> list:
-    """[fn(*args) for args in zip(*columns)], calling fn once per distinct tuple of argument objects (by identity)."""
-    done, results = {}, []
-    for args in zip(*columns, strict=True):
-        if (key := tuple(map(id, args))) not in done:
-            done[key] = args, fn(*args)  # args kept alive, so no later object can take one of their ids
-        results.append(done[key][1])
-    return results
-
-
 @dataclass(frozen=True)
 class KroneckerEig:
     """Hermitian DMD of the separable data, solved one axis at a time.
@@ -119,19 +109,20 @@ class KroneckerEig:
     row-major sums); `order` holds the flat index of each.  A product
     observable's weights and mass are products of each axis's 1-D ones.
     `hermiticity_residual`, a max over axes, bounded K's own in every trial with exactly Hermitian G1_k (empirical).
-    Equal axes (every square grid) are the same objects here, found by identity (`shared_map`), not by value: each
-    distinct axis is solved, gated and weighed once, and mu_i + mu_j, i != j, is two equal-bit atoms, formatted once.
+    `operators` and `axes` hold one solve per distinct axis, expanded by `index` (axis k is entry index[k]; a square
+    grid has (0, 0)).  Equal axes make mu_i + mu_j, i != j, two equal-bit atoms, formatted once.
     """
 
     scale: float
     operators: tuple[KoopmanMatrix, ...]
     axes: tuple[KoopmanEig, ...]
+    index: tuple[int, ...]
     eigenvalues: np.ndarray
     order: np.ndarray
 
     @property
     def axis_retained_ranks(self) -> tuple[int, ...]:
-        return tuple(e.gram.retained_rank for e in self.axes)
+        return tuple(self.axes[i].gram.retained_rank for i in self.index)
 
     @property
     def retained_rank(self) -> int:
@@ -140,78 +131,80 @@ class KroneckerEig:
     @property
     def g_eigen_floor(self) -> float:
         """s prod_k floor_k: every retained eigenvalue s prod_k g_k of G lies above it."""
-        return self.scale * prod(e.gram.g_eigen_floor for e in self.axes)
+        return self.scale * prod(self.axes[i].gram.g_eigen_floor for i in self.index)
 
     @property
     def condition_number(self) -> float:
         """Largest over smallest retained eigenvalue of G, the product of the axes'."""
-        return prod(e.gram.condition_number for e in self.axes)
+        return prod(self.axes[i].gram.condition_number for i in self.index)
 
-    def weights(self, axis_moments) -> np.ndarray:
-        """Weights, in eigenvalue order, of the product observable with per-axis moments m_k.
+    def weights(self, moments) -> np.ndarray:
+        """Weights, in eigenvalue order, of the product observable with moments m_k per distinct axis.
 
         The full moments are m = conj(amp) (x)_k m_k and v = (x)_k u_k / |amp|, so
         |v^* m|^2 = prod_k |u_k^* m_k|^2: the outer product of each axis's
         `KoopmanEig.weights`, raveled row-major like the eigenvalue sums.
         """
-        return reduce(np.multiply.outer, shared_map(KoopmanEig.weights, self.axes, axis_moments)).ravel()[self.order]
+        weights = [e.weights(m) for e, m in zip(self.axes, moments, strict=True)]
+        return reduce(np.multiply.outer, [weights[i] for i in self.index]).ravel()[self.order]
 
-    def observable_mass(self, axis_moments) -> float:
+    def observable_mass(self, moments) -> float:
         """g_c^* G g_c for g_c = G^+ m: with G^+ = (x)_k G1_k^+ / s, the product of each
         axis's `GramPair.observable_mass`, so the weights' sum is checked against it (Parseval)."""
-        return prod(shared_map(lambda e, m: e.gram.observable_mass(m), self.axes, axis_moments))
+        masses = [e.gram.observable_mass(m) for e, m in zip(self.axes, moments, strict=True)]
+        return prod(masses[i] for i in self.index)
 
     def hermiticity_residual(self) -> float:
         """The axes' largest `KoopmanMatrix.hermiticity_residual`, or NaN if any is NaN: the gate's bound on K's own."""
-        return float(np.max(shared_map(KoopmanMatrix.hermiticity_residual, self.operators)))
+        return float(np.max([op.hermiticity_residual() for op in self.operators]))
 
 
 @dataclass(frozen=True)
 class SeparableSnapshots:
     """Per-axis factors of the benchmark data on a tensor trapezoid grid.
 
-    Axis k has nodes x, weights w, bumps E = exp(-a (x - c)^2) and multiplier
-    terms h.  With G1 = E^T W E and H1 = E^T W (E o h) per axis,
-    G = |amp|^2 (x)_k G1_k and A = |amp|^2 sum_k (G1 (x) .. H1_k .. (x) G1),
-    both real; for a product observable f = prod_k f_k(x_k),
-    Psi_X^* W f = conj(amp) (x)_k m_k with per-axis moments m_k = E_k^T W_k f_k.
+    Each distinct axis holds its nodes x, bumps E = exp(-a (x - c)^2), weighted
+    bumps W E (W the trapezoid weights) and multiplier terms h, once; axis k is
+    entry index[k] (a square grid has (0, 0)).  With G1 = (W E)^T E and
+    H1 = (W E)^T (E o h) per axis, G = |amp|^2 (x)_k G1_k and
+    A = |amp|^2 sum_k (G1 (x) .. H1_k .. (x) G1), both real; for a product
+    observable f = prod_k f(x_k), Psi_X^* W f = conj(amp) (x)_k m_k with
+    per-axis moments m_k = (W_k E_k)^T f(x_k).
     """
 
     amplitude: complex
     axes: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
     bumps: tuple[np.ndarray, ...]
+    weighted_bumps: tuple[np.ndarray, ...]
     multipliers: tuple[np.ndarray, ...]
+    index: tuple[int, ...]
 
     def kronecker_eig(self, rank_tolerance: float = DEFAULT_RANK_TOLERANCE) -> KroneckerEig:
-        """G1, H1 of each axis through `GramPair.from_matrices` and `hermitian_dmd`; rank
+        """G1, H1 of each distinct axis through `GramPair.from_matrices` and `hermitian_dmd`; rank
         deficiency is left to the caller to report (see `retained_rank`, `axis_retained_ranks`)."""
-        def solve(e, w, h):
-            ew = w[:, None] * e
-            op = hermitian_dmd(GramPair.from_matrices(ew.T @ e, ew.T @ (e * h), rank_tolerance))
-            return op, eigendecompose(op)
-
-        operators, axes = zip(*shared_map(solve, self.bumps, self.weights, self.multipliers))
-        sums = reduce(np.add.outer, [e.eigenvalues for e in axes]).ravel()
+        operators = tuple(hermitian_dmd(GramPair.from_matrices(we.T @ e, we.T @ (e * h), rank_tolerance))
+                          for e, we, h in zip(self.bumps, self.weighted_bumps, self.multipliers))
+        axes = tuple(map(eigendecompose, operators))
+        sums = reduce(np.add.outer, [axes[i].eigenvalues for i in self.index]).ravel()
         order = np.argsort(sums, kind="stable")
-        return KroneckerEig(abs(self.amplitude) ** 2, operators, axes, sums[order], order)
+        return KroneckerEig(abs(self.amplitude) ** 2, operators, axes, self.index, sums[order], order)
 
-    def moments(self, factors) -> tuple[np.ndarray, ...]:
-        """Per-axis moments m_k = E_k^T W_k f_k of the product observable f = prod_k f_k(x_k),
-        given f_k sampled at axes[k] (once per axis object, by `shared_map`); `KroneckerEig` takes them as they are."""
-        return tuple(shared_map(lambda e, w, f: (w[:, None] * e).T @ f, self.bumps, self.weights, factors))
+    def moments(self, factor) -> tuple[np.ndarray, ...]:
+        """Moments m = (W E)^T f(x) of the product observable f = prod_k f(x_k) per distinct axis, given the
+        factor f as a function of the nodes x; `KroneckerEig.weights` and `observable_mass` take them as they are."""
+        return tuple(we.T @ factor(x) for x, we in zip(self.axes, self.weighted_bumps))
 
 
 def separable_snapshots(problem: HarmonicOscillatorProblem, points_per_axis) -> SeparableSnapshots:
     """Factors for the tensor trapezoid rule with points_per_axis on problem.domain.  An axis with the interval,
-    count and centers of an earlier one (bitwise equal nodes and centers) gets that axis's arrays, the same objects."""
-    dictionary, built, axes = problem.dictionary, {}, []
+    count and centers of an earlier one (bitwise equal nodes and centers) is that axis's distinct entry."""
+    dictionary, built, index = problem.dictionary, {}, []
     for (x, w), c in zip(trapezoid_axes(problem.domain, points_per_axis), dictionary.axis_centers, strict=True):
         if (key := (x.tobytes(), c.tobytes())) not in built:  # the nodes fix the weights
             [e] = replace(dictionary, axis_centers=(c,)).axis_bumps((x,))
-            built[key] = x, w, e, _axis_multiplier(dictionary.width, x[:, None] - c, x[:, None])
-        axes.append(built[key])
-    return SeparableSnapshots(dictionary.amplitude, *zip(*axes))
+            built[key] = x, e, w[:, None] * e, _axis_multiplier(dictionary.width, x[:, None] - c, x[:, None])
+        index.append(list(built).index(key))
+    return SeparableSnapshots(dictionary.amplitude, *zip(*built.values()), tuple(index))
 
 
 def _normalized_hermite_table(m_max: int, x: np.ndarray) -> np.ndarray:

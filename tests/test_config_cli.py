@@ -282,6 +282,20 @@ def test_schrodinger_arithmetic_overflow_exits_1_with_one_line(tmp_path, capsys)
     assert err.count("\n") == 1 and err.startswith("hdmd: numerical failure: OverflowError")
 
 
+@pytest.mark.parametrize("command", ["schrodinger", "probes", "custom"])
+def test_empty_output_dir_exits_2_naming_the_key_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # Path("") is the current directory, where a run would have written its artifacts
+    cfg = write_config(tmp_path, "output_dir =\n")
+    write_points(tmp_path / "x.csv", symmetric_grid_points())
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert cli.main([command, "--config", str(cfg), *[str(tmp_path / "x.csv")] * 2 * (command == "custom")]) == 2
+    err = capsys.readouterr().err
+    assert err == "hdmd: config error: output_dir must not be empty: it would name the current directory\n"
+    assert not any(cwd.iterdir())
+
+
 def test_schrodinger_invalid_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("schema = 1\ndict_width = -3\n")
@@ -1322,11 +1336,14 @@ def test_the_parser_is_built_once_per_process_on_the_first_call(tmp_path):
         assert proc.stdout.split() == ["0", "0", "0", "4", "0", "0", "0"], parsed
 
 
-# help and version exit 0 on stdout; the rest are argparse's errors, exit 2 with a usage line on stderr
+# help and version exit 0 on stdout; the rest are argparse's errors, exit 2 with a usage line on stderr; an empty
+# path would name the current directory, so argparse refuses it, naming the argument
 ARGPARSE_CASES = [
     ["--help"], ["schrodinger", "--help"], ["custom", "--help"], ["--version"],
     [], ["bogus"], ["schrodinger", "--nope"], ["custom", "x.csv"],
+    ["probes", "--out", ""], ["schrodinger", "--out="], ["schrodinger", "--config", ""], ["custom", "", "y.csv"],
 ]
+EMPTY_PATH_ARGUMENTS = ["--out", "--out", "--config", "x_csv"]
 
 
 def main_output(argv) -> tuple[int, bytes, bytes]:
@@ -1344,14 +1361,20 @@ def test_argparse_text_and_exit_codes_are_those_of_a_fresh_process(tmp_path, mon
     # argparse wraps its text to COLUMNS, so the child and this process get the same width
     monkeypatch.setenv("COLUMNS", "80")
     env = {**child_env(), "COLUMNS": "80"}
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     fresh = []
     for argv in ARGPARSE_CASES:
-        proc = subprocess.run([sys.executable, "-m", "hdmd.cli", *argv], capture_output=True, env=env)
+        proc = subprocess.run([sys.executable, "-m", "hdmd.cli", *argv], capture_output=True, env=env, cwd=cwd)
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
-    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 2, 2]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 2]
     assert all(err.startswith(b"usage: hdmd") for code, _, err in fresh if code)
+    for (_, _, err), argument in zip(fresh[-4:], EMPTY_PATH_ARGUMENTS, strict=True):
+        assert err.endswith(f"error: argument {argument}: invalid path value: ''\n".encode()), err
     assert main_output(["schrodinger", "--out", str(tmp_path / "before")])[:2] == (0, b"")
     assert [main_output(argv) for argv in ARGPARSE_CASES] == fresh  # after a valid run
     assert main_output(["bogus"])[0] == 2
     assert [main_output(argv) for argv in ARGPARSE_CASES] == fresh  # after an error exit
     assert main_output(["schrodinger", "--out", str(tmp_path / "after")])[:2] == (0, b"")
+    assert not any(cwd.iterdir())  # no empty path wrote into the current directory

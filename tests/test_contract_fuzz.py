@@ -155,14 +155,15 @@ KNOWN_FLAGS = ("--config", "--out", "--full-grid", "--help", "--version")
 words = st.from_regex(r"[a-z][a-z0-9-]{0,11}", fullmatch=True)
 unknown_flags = words.map("--".__add__).filter(lambda flag: not any(known.startswith(flag) for known in KNOWN_FLAGS))
 
-# argv that argparse refuses: an unknown subcommand, an unknown flag before or after the subcommand, or a missing
-# subcommand or positional
+# argv that argparse refuses: an unknown subcommand, an unknown flag before or after the subcommand, a missing
+# subcommand or positional, or an empty path
 argv_errors = st.one_of(
     st.tuples(words.filter(lambda word: word not in COMMANDS)).map(list),
     st.tuples(st.sampled_from(COMMANDS), unknown_flags, st.booleans()).map(
         lambda drawn: [drawn[1], drawn[0]] if drawn[2] else [drawn[0], drawn[1]]
     ),
-    st.sampled_from([[], ["--out", "unused"], ["custom"], ["custom", "x.csv"], ["custom", "--config", "x.cfg"]]),
+    st.sampled_from([[], ["--out", "unused"], ["custom"], ["custom", "x.csv"], ["custom", "--config", "x.cfg"],
+                     ["probes", "--out", ""]]),
 )
 
 
@@ -176,9 +177,9 @@ def check_argv_error(argv: list[str]) -> None:
     assert lines[0].startswith("usage: hdmd") and re.match(r"hdmd( \w+)?: error: ", lines[-1]), (argv, lines)
 
 
-# argv for the reference test: plain argv, built from the plain grammar with names not led by "-", and argv with
-# tokens of every form argparse reads, most of which it or the plain route refuses
-NAMES = ("x.csv", "a b", "", " -x", *COMMANDS)
+# argv for the reference test: plain argv, built from the plain grammar with names neither empty nor led by "-", and
+# argv with tokens of every form argparse reads, most of which it or the plain route refuses
+NAMES = ("x.csv", "a b", " -x", *COMMANDS)
 ARGV_TOKENS = (*COMMANDS, "--config", "--out", "--full-grid", "--conf", "--out=x", "--", "-h", "--version", "-5", "",
                "x.csv", "a b")
 

@@ -186,16 +186,6 @@ def _kronecker_bytes(grid, per_axis: int, references: int) -> int:
     return 8 * (words + 48 * references + 8192)
 
 
-def _probe_bytes(n_ref: int, moment_rows: int) -> int:
-    """About what `probes` allocates, O(n_ref): a traced peak of about 15 words per
-    n_ref, set by the free-Jacobi resolvent's complex DST-I buffers (the weak probe's
-    spectrum, test-function values and temporaries reach about 6); 24 words per
-    n_ref and 64 KB for the CSV and summary text cover that.  Each row of a moment
-    probe (one per k and size, floors included) traces about 40 words more: its
-    tuple, gap, key, CSV line and summary text; 56 words cover that."""
-    return 8 * (24 * n_ref + 56 * moment_rows + 8192)
-
-
 def _custom_bytes(snapshots: int, dim: int, per_axis: int) -> int:
     """About what `custom` allocates: G's midpoint bumps (d (2 per_axis - 1) words a row, and their Khatri-Rao
     product over all but the last axis), then G, A and a product beside two min(M, block_rows(N)) x N row blocks
@@ -248,36 +238,34 @@ def resolvent_re_shifted(lam: np.ndarray) -> np.ndarray:
 
 
 PROBE_TEST_FNS = (resolvent_re_shifted,)
+# the one demonstration `probes` runs: the reference size, the section sizes and the largest moment k
+PROBE_N_REF, PROBE_SIZES, PROBE_MAX_MOMENT = 2000, (2, 4, 8, 16, 32, 800), 8
 
 
 def run_probes(config: ExperimentConfig, out_dir: Path) -> int:
-    """Finite-section probes for the free-Jacobi reference."""
+    """Finite-section probes for the free-Jacobi reference, at the fixed sizes above."""
     t0 = time.perf_counter()
-    n_ref = config.probe_n_ref
-    sizes = list(config.probe_sizes)
-    moment_rows = (config.probe_max_moment + 1) * (len(sizes) + 1)
-    _check_fits(_probe_bytes(n_ref, moment_rows), f"probe_n_ref = {_short(n_ref)}", "work vectors and probe rows")
     # a closed form: the probes form no n x n array and call no eigh
-    sections = FreeJacobiSections(n_ref)
-    v = np.zeros(n_ref)
+    sections = FreeJacobiSections(PROBE_N_REF)
+    v = np.zeros(PROBE_N_REF)
     v[0] = 1.0
 
     out_dir.mkdir(parents=True, exist_ok=True)
     probes = {
-        "resolvent": resolvent_convergence_probe(sections, v, 1j, sizes),
-        "moments": moment_convergence_probe(sections, v, config.probe_max_moment, sizes),
-        "weak": weak_convergence_probe(sections, v, PROBE_TEST_FNS, sizes),
+        "resolvent": resolvent_convergence_probe(sections, v, 1j, PROBE_SIZES),
+        "moments": moment_convergence_probe(sections, v, PROBE_MAX_MOMENT, PROBE_SIZES),
+        "weak": weak_convergence_probe(sections, v, PROBE_TEST_FNS, PROBE_SIZES),
     }
     for kind, probe in probes.items():
-        # each key's resolution floor is one more row, at n = n_ref // 2 with key "<key>|floor"
-        floor_rows = [(n_ref // 2, f"{key}|floor", gap) for key, gap in probe.floors.items()]
+        # each key's resolution floor is one more row, at n = PROBE_N_REF // 2 with key "<key>|floor"
+        floor_rows = [(PROBE_N_REF // 2, f"{key}|floor", gap) for key, gap in probe.floors.items()]
         write_csv(out_dir / f"{kind}_free_jacobi.csv", "n,key,gap", *zip(*probe.rows, *floor_rows))
     floors = {"free_jacobi": {kind: probe.floors for kind, probe in probes.items()}}
     logger.info("probes for the free_jacobi reference done")
 
     write_summary(
         out_dir / "summary.json", "probes", config, t0,
-        n_ref=n_ref, truncation_sizes=sizes, resolution_floors=floors,
+        n_ref=PROBE_N_REF, truncation_sizes=PROBE_SIZES, resolution_floors=floors,
     )
     return EXIT_OK
 

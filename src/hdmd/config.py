@@ -46,9 +46,6 @@ class ExperimentConfig:
     cluster_radius: float = 0.4
     energy_cutoff: int = 12
     output_dir: str = "hdmd-out"
-    probe_n_ref: int = 2000
-    probe_sizes: tuple[int, ...] = (2, 4, 8, 16, 32, 800)
-    probe_max_moment: int = 8
 
     @property
     def dict_amplitude(self) -> complex:
@@ -110,19 +107,6 @@ def validate(config: ExperimentConfig) -> ExperimentConfig:
         fail("energy_cutoff", f"must be >= 1, got {c.energy_cutoff}")
     if not c.output_dir:
         fail("output_dir", "must not be empty: it would name the current directory")
-    if c.probe_n_ref < 2:
-        fail("probe_n_ref", f"must be >= 2, got {c.probe_n_ref}")
-    if not c.probe_sizes:
-        fail("probe_sizes", "must not be empty")
-    if any(n < 1 for n in c.probe_sizes) or any(
-        b <= a for a, b in zip(c.probe_sizes, c.probe_sizes[1:])
-    ):
-        fail("probe_sizes", f"must be strictly increasing positive integers, got {c.probe_sizes}")
-    if c.probe_sizes[-1] > c.probe_n_ref:
-        fail("probe_sizes", f"largest size {c.probe_sizes[-1]} exceeds probe_n_ref {c.probe_n_ref}")
-    if not 0 <= c.probe_max_moment <= 1023:
-        fail("probe_max_moment", f"must be in [0, 1023], got {c.probe_max_moment}: "
-             "the free-Jacobi reference's k-th moments reach 2^k, and 2^1024 overflows a float")
     if len(c.grid) == 1:
         c = replace(c, grid=(c.grid[0], c.grid[0]))
     return c

@@ -83,8 +83,8 @@ def test_full_round_trip(tmp_path):
         "dict_per_axis = 5\n"
         "dict_width = 1.5\n"
         "rank_tolerance = 1e-10\n"
-        "probe_sizes = 2 4 8\n"
-        "probe_n_ref = 64\n"
+        "cluster_radius = 0.3\n"
+        "output_dir = elsewhere\n"
         "energy_cutoff = 9\n",
     )
     c = load_config(path)
@@ -92,8 +92,8 @@ def test_full_round_trip(tmp_path):
     assert c.dict_per_axis == 5
     assert c.dict_width == 1.5
     assert c.rank_tolerance == 1e-10
-    assert c.probe_sizes == (2, 4, 8)
-    assert c.probe_n_ref == 64
+    assert c.cluster_radius == 0.3
+    assert c.output_dir == "elsewhere"
     assert c.energy_cutoff == 9
 
 
@@ -139,8 +139,8 @@ def test_validation_names_field(tmp_path):
         load_config(write_config(tmp_path, "dict_width = -3\n"))
     with pytest.raises(ConfigError, match="cluster_radius"):
         load_config(write_config(tmp_path, "cluster_radius = 0.6\n"))
-    with pytest.raises(ConfigError, match="probe_sizes"):
-        load_config(write_config(tmp_path, "probe_sizes = 8 4\n"))
+    with pytest.raises(ConfigError, match="dict_per_axis"):
+        load_config(write_config(tmp_path, "dict_per_axis = 0\n"))
     with pytest.raises(ConfigError, match="energy_cutoff"):
         load_config(write_config(tmp_path, "energy_cutoff = 0\n"))
 
@@ -304,13 +304,17 @@ def test_schrodinger_invalid_config_exits_2(tmp_path, capsys):
     assert "dict_width" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["seed = 7", "experiment = probes"])
+@pytest.mark.parametrize(
+    "line", ["seed = 7", "experiment = probes", "probe_n_ref = 2000", "probe_sizes = 2 4", "probe_max_moment = 8"]
+)
 def test_dropped_keys_exit_2_as_unknown_naming_line(tmp_path, capsys, line):
     cfg = tmp_path / "old.cfg"
     cfg.write_text(f"schema = 1\ngrid = 20 20\n{line}\n")
-    assert cli.main(["schrodinger", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     key = line.split()[0]
-    assert capsys.readouterr().err == f"hdmd: config error (line 3): unknown key {key!r}\n"
+    for command in ("schrodinger", "probes"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"hdmd: config error (line 3): unknown key {key!r}\n"
+        assert not (tmp_path / "o").exists()
 
 
 def test_problem_default_dictionary_is_the_cli_default():
@@ -421,14 +425,13 @@ def test_schrodinger_separable_path_matches_dense_pipeline(bench75, tmp_path):
 
 
 def test_probes_artifacts(tmp_path):
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text("schema = 1\nprobe_n_ref = 128\nprobe_sizes = 2 4 8 64\nprobe_max_moment = 4\n")
     out = tmp_path / "out"
-    assert cli.main(["probes", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["probes", "--out", str(out)]) == 0
     names = {p.name for p in out.iterdir()}
     assert names == {"resolvent_free_jacobi.csv", "moments_free_jacobi.csv", "weak_free_jacobi.csv", "summary.json"}
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["n_ref"] == 128
+    assert summary["n_ref"] == 2000 and summary["truncation_sizes"] == [2, 4, 8, 16, 32, 800]
+    assert not any(key.startswith("probe_") for key in summary["config"])
     floors = summary["resolution_floors"]
     assert floors.keys() == {"free_jacobi"} and floors["free_jacobi"].keys() == {"resolvent", "moments", "weak"}
 
@@ -459,33 +462,14 @@ def non_finite_cells(path) -> list[tuple[int, str]]:
     return bad
 
 
-def test_probe_max_moment_is_refused_past_1023_and_finite_at_it(tmp_path, capsys):
-    # the free-Jacobi moments grow like 2^k: at 1035 they overflowed, and the run wrote NaN gaps and exited 0
-    refused = tmp_path / "refused"
-    cfg = write_config(tmp_path, "probe_max_moment = 1024\n", name="refused.cfg")
-    assert cli.main(["probes", "--config", str(cfg), "--out", str(refused)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("hdmd: config error: probe_max_moment must be in [0, 1023], got 1024: ")
-    assert err.count("\n") == 1 and "2^1024 overflows" in err
-    assert not refused.exists()
-    out = tmp_path / "o"
-    cfg = write_config(tmp_path, "probe_max_moment = 1023\n")
-    assert cli.main(["probes", "--config", str(cfg), "--out", str(out)]) == 0
-    path = out / "moments_free_jacobi.csv"
-    assert len(path.read_text().splitlines()) == 1 + 1024 * 7  # six sizes and the floor per k
-    assert non_finite_cells(path) == []
-    assert len(strict_json(out / "summary.json")["resolution_floors"]["free_jacobi"]["moments"]) == 1024
-
-
 def test_runs_that_exit_0_write_no_nan_or_infinity(tmp_path):
-    # probes at probe_max_moment = 1035 used to exit 0 with empty gap cells and NaN in summary.json
     points = swap_points(half=250)
     write_points(tmp_path / "x.csv", points)
     write_points(tmp_path / "y.csv", points[:, ::-1])
     runs = {
         "schrodinger": ([], ""),
         "custom": ([str(tmp_path / "x.csv"), str(tmp_path / "y.csv")], "rank_tolerance = 1e-9\n"),
-        "probes": ([], "probe_n_ref = 64\nprobe_sizes = 2 4 8 16 32\nprobe_max_moment = 1023\n"),
+        "probes": ([], ""),
     }
     for command, (snapshots, body) in runs.items():
         out = tmp_path / command
@@ -1031,24 +1015,10 @@ def test_schrodinger_refuses_energy_cutoff_beyond_physical_memory(tmp_path, caps
     assert not out.exists()
 
 
-def test_probes_refuse_reference_beyond_physical_memory(tmp_path, capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the size guard must refuse before the reference is built")
-
-    monkeypatch.setattr(cli, "FreeJacobiSections", unreachable)
-    # the work vectors are O(n_ref): at 10^15 the input vector alone would be 8 PB
-    cfg = write_config(tmp_path, "probe_n_ref = 1000000000000000\n")
-    out = tmp_path / "o"
-    assert cli.main(["probes", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("hdmd: probe_n_ref = 1.00e+15 needs about ") and "physical memory" in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "command, body",
-    [("probes", "probe_n_ref = {}"), ("schrodinger", "energy_cutoff = {}"), ("schrodinger", "grid = 75 {}")],
-    ids=["probe_n_ref", "energy_cutoff", "grid"],
+    [("schrodinger", "energy_cutoff = {}"), ("schrodinger", "grid = 75 {}")],
+    ids=["energy_cutoff", "grid"],
 )
 def test_memory_guard_message_stays_short_for_a_huge_config_value(tmp_path, capsys, command, body):
     cfg = write_config(tmp_path, body.format(10**400) + "\n")
@@ -1167,24 +1137,6 @@ def test_custom_size_estimate_covers_what_it_allocates(tmp_path, snapshots, dim,
     assert peak <= cli._custom_bytes(snapshots, dim, per_axis) <= 10 * peak
 
 
-@pytest.mark.parametrize(
-    "n_ref, body",
-    [(2000, ""), (20000, ""), (64, "probe_sizes = 2 4 8 16 32\nprobe_max_moment = 1023\n")],
-    ids=["2000", "20000", "64-k1023"],
-)
-def test_probes_size_estimate_covers_what_it_allocates(tmp_path, n_ref, body):
-    # n_ref = 2000 is the default; the guard's estimate is O(n_ref) like the allocations, plus the
-    # moment probe's rows, which set the peak at probe_max_moment = 1023
-    cfg = write_config(tmp_path, f"probe_n_ref = {n_ref}\n" + body)
-    config = load_config(cfg)
-    argv = ["probes", "--config", str(cfg), "--out"]
-    assert cli.main(argv + [str(tmp_path / "warm")]) == 0
-    code, peak = traced_peak(argv + [str(tmp_path / "out")])
-    assert code == 0
-    moment_rows = (config.probe_max_moment + 1) * (len(config.probe_sizes) + 1)
-    assert peak <= cli._probe_bytes(n_ref, moment_rows) <= 10 * peak
-
-
 def child_env():
     """The environment of a child that imports the same hdmd as this process, installed or not."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -1212,7 +1164,7 @@ needs_two_cores = pytest.mark.skipif(
     [
         ("schrodinger", ""),
         ("schrodinger", "grid = 60 60\ndict_per_axis = 40\n"),
-        ("probes", "probe_n_ref = 200\nprobe_sizes = 2 4 8 16 32 100\n"),
+        ("probes", ""),
     ],
     ids=["schrodinger-defaults", "schrodinger-60-40", "probes"],
 )

@@ -65,17 +65,6 @@ def config_body(lines: dict):
     return st.fixed_dictionaries({}, optional=lines).map(lambda drawn: "".join(f"{text}\n" for text in drawn.values()))
 
 
-@st.composite
-def probe_body(draw) -> str:
-    n_ref = draw(st.integers(2, 3000))
-    sizes = sorted(draw(st.sets(st.integers(1, n_ref + 10), min_size=1, max_size=6)))  # a few exceed n_ref
-    return draw(config_body({
-        "probe_n_ref": st.just(f"probe_n_ref = {n_ref}"),
-        "probe_sizes": st.just("probe_sizes = " + " ".join(map(str, sizes))),
-        "probe_max_moment": line("probe_max_moment", st.integers(0, 1100)),
-    }))
-
-
 SNAPSHOT_MAPS = {
     "swap": lambda x, rng: x[:, ::-1],
     "rotation": lambda x, rng: -x if x.shape[1] == 1 else x @ np.array([[0.8, -0.6], [0.6, 0.8]]),
@@ -96,7 +85,7 @@ def snapshots(draw, dims=st.integers(1, 2)) -> tuple[np.ndarray, np.ndarray]:
 forms = st.tuples(st.booleans(), st.booleans(), st.booleans())
 runs = st.one_of(
     st.tuples(st.just("schrodinger"), config_body(COMMON_LINES), st.none(), forms),
-    st.tuples(st.just("probes"), probe_body(), st.none(), forms),
+    st.tuples(st.just("probes"), config_body(COMMON_LINES), st.none(), forms),
     st.tuples(st.just("custom"), config_body(COMMON_LINES), snapshots(), forms),
 )
 
@@ -237,7 +226,6 @@ absurd_runs = st.one_of(
     st.tuples(st.just("schrodinger"), line("dict_per_axis", st.integers(10**7, 10**12)), st.none()),
     st.tuples(st.just("schrodinger"), line("grid", st.integers(10**14, 10**18)), st.none()),
     st.tuples(st.just("schrodinger"), line("energy_cutoff", st.integers(10**14, 10**18)), st.none()),
-    st.tuples(st.just("probes"), line("probe_n_ref", st.integers(10**14, 10**18)), st.none()),
     st.tuples(st.just("custom"), line("dict_per_axis", st.integers(10**4, 10**9)), snapshots(st.just(2))),
     st.tuples(st.just("custom"), line("dict_per_axis", st.integers(10**8, 10**12)), snapshots(st.just(1))),
 )

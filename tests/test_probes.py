@@ -8,7 +8,6 @@ import pytest
 from test_config_cli import traced_peak
 
 import hdmd.cli as cli
-from hdmd.config import default_config
 from hdmd.probes import (
     FiniteSections,
     FreeJacobiSections,
@@ -177,13 +176,10 @@ def test_weak_probe_calls_each_test_function_once_per_section(tmp_path, monkeypa
     assert sorted(calls) == sorted((name, (n,)) for name in names for n in distinct)
 
 
-@pytest.mark.parametrize("body", ["", "probe_n_ref = 128\nprobe_sizes = 2 4 8 64\n"], ids=["defaults", "128"])
-def test_every_weak_row_key_moves_on_free_jacobi(tmp_path, body):
+def test_every_weak_row_key_moves_on_free_jacobi(tmp_path):
     # every section's measure has mass 1, is even and lies in (-2, 2), so f = 1, Re 1/(x - i) and a bump on [4, 6]
-    # gapped at most 4.4e-16 in both configs: a key whose gaps stay at roundoff shows nothing
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text("schema = 1\n" + body)
-    assert cli.main(["probes", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    # gapped at most 4.4e-16: a key whose gaps stay at roundoff shows nothing
+    assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
     largest = {}
     for line in (tmp_path / "out" / "weak_free_jacobi.csv").read_text().splitlines()[1:]:
         _, key, gap = line.split(",")
@@ -324,8 +320,7 @@ def test_finite_sections_leave_caller_matrix_writeable():
 
 def default_section_sizes():
     """The sizes `hdmd probes` decomposes: the probe sizes, the floor at n_ref / 2, n_ref."""
-    config = default_config()
-    return sorted(set(config.probe_sizes) | {config.probe_n_ref // 2, config.probe_n_ref})
+    return sorted({*cli.PROBE_SIZES, cli.PROBE_N_REF // 2, cli.PROBE_N_REF})
 
 
 def test_probes_cli_uses_closed_forms_without_eigh(tmp_path, monkeypatch):
@@ -410,14 +405,14 @@ def test_probe_validation():
 
 
 def test_probe_csv_layout(tmp_path):
-    cfg = tmp_path / "p.cfg"
-    cfg.write_text("schema = 1\nprobe_n_ref = 32\nprobe_sizes = 4 8\nprobe_max_moment = 2\n")
-    assert cli.main(["probes", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
     lines = (tmp_path / "out" / "moments_free_jacobi.csv").read_text().splitlines()
     assert lines[0] == "n,key,gap"
-    assert len(lines) == 1 + 2 * 3 + 3  # header + rows + one floor row per key
-    assert [ln.split(",")[:2] for ln in lines[1:4]] == [["4", "k=0"], ["4", "k=1"], ["4", "k=2"]]
+    assert len(lines) == 1 + 6 * 9 + 9  # header + rows for six sizes and k = 0..8 + one floor row per key
+    assert [ln.split(",")[:2] for ln in lines[1:4]] == [["2", "k=0"], ["2", "k=1"], ["2", "k=2"]]
     # the floors close the table, at n = n_ref // 2
-    assert [ln.split(",")[:2] for ln in lines[7:]] == [["16", "k=0|floor"], ["16", "k=1|floor"], ["16", "k=2|floor"]]
-    probe = moment_convergence_probe(free_jacobi(32), first_basis_vector(32), 2, [4, 8])
-    assert [float(ln.split(",")[2]) for ln in lines[7:]] == list(probe.floors.values())
+    assert [ln.split(",")[:2] for ln in lines[55:]] == [["1000", f"k={k}|floor"] for k in range(9)]
+    # every gap is a difference of closed-walk counts: the section's path graph against the reference's
+    walks = {n: [path_graph_walk_count(k, vertices=n) for k in range(9)] for n in default_section_sizes()}
+    expected = [abs(walks[n][k] - walks[2000][k]) for n in [*cli.PROBE_SIZES, 1000] for k in range(9)]
+    assert [float(ln.split(",")[2]) for ln in lines[1:]] == expected

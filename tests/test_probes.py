@@ -1,6 +1,7 @@
 """Tests for the finite-section convergence probes."""
 
 import re
+import tracemalloc
 from math import e, erfc, exp, pi, prod, sqrt
 
 import numpy as np
@@ -176,13 +177,17 @@ def test_weak_probe_calls_each_test_function_once_per_section(tmp_path, monkeypa
     assert sorted(calls) == sorted((name, (n,)) for name in names for n in distinct)
 
 
-def test_every_weak_row_key_moves_on_free_jacobi(tmp_path):
+@pytest.mark.parametrize("sizes", [None, [2, 4, 8, 64]], ids=["defaults", "128"])
+def test_every_weak_row_key_moves_on_free_jacobi(tmp_path, sizes):
     # every section's measure has mass 1, is even and lies in (-2, 2), so f = 1, Re 1/(x - i) and a bump on [4, 6]
-    # gapped at most 4.4e-16: a key whose gaps stay at roundoff shows nothing
-    assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
+    # gapped at most 4.4e-16 in both cases: a key whose gaps stay at roundoff shows nothing
+    if sizes is None:  # what `hdmd probes` writes
+        assert cli.main(["probes", "--out", str(tmp_path / "out")]) == 0
+        rows = [line.split(",") for line in (tmp_path / "out" / "weak_free_jacobi.csv").read_text().splitlines()[1:]]
+    else:  # the library at a smaller reference, n_ref = 128
+        rows = weak_convergence_probe(FreeJacobiSections(128), first_basis_vector(128), cli.PROBE_TEST_FNS, sizes).rows
     largest = {}
-    for line in (tmp_path / "out" / "weak_free_jacobi.csv").read_text().splitlines()[1:]:
-        _, key, gap = line.split(",")
+    for _, key, gap in rows:
         if not key.endswith("|floor"):
             largest[key] = max(largest.get(key, 0.0), float(gap))
     assert largest and all(gap > 1e-12 for gap in largest.values()), largest
@@ -374,6 +379,29 @@ def test_probes_cli_traced_peak_stays_under_ceiling(tmp_path):
     assert peak < 4e6
 
 
+@pytest.mark.parametrize("n_ref", [2000, 20000])
+def test_probes_trace_memory_linear_in_n_ref(n_ref):
+    # the three probes at the CLI's sizes and k, the largest size scaled with n_ref, trace about 15 words per
+    # n_ref (the free-Jacobi resolvent's complex DST-I buffers); one n_ref x n_ref array would be n_ref words
+    # per n_ref, so 24 words and 64 KB bound the closed forms and refuse any dense section
+    sizes = [*cli.PROBE_SIZES[:-1], n_ref * 2 // 5]
+
+    def run():
+        sections, v = FreeJacobiSections(n_ref), first_basis_vector(n_ref)
+        resolvent_convergence_probe(sections, v, 1j, sizes)
+        moment_convergence_probe(sections, v, cli.PROBE_MAX_MOMENT, sizes)
+        weak_convergence_probe(sections, v, cli.PROBE_TEST_FNS, sizes)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (24 * n_ref + 8192)
+
+
 # ------------------------------------------------------------------
 # floors, validation, serialization
 # ------------------------------------------------------------------
@@ -402,6 +430,15 @@ def test_probe_validation():
         moment_convergence_probe(ref, v, -1, [4])
     with pytest.raises(ValueError, match="test function"):
         weak_convergence_probe(ref, v, [], [4])
+
+
+def test_moment_probe_is_finite_up_to_k_1023():
+    # the free-Jacobi moments grow like 2^k, so k = 1023 is the largest whose moments a float holds:
+    # every gap and floor there must still be a number
+    probe = moment_convergence_probe(FreeJacobiSections(64), first_basis_vector(64), 1023, [2, 4, 8, 16, 32])
+    assert len(probe.rows) == 1024 * 5 and len(probe.floors) == 1024
+    gaps = [gap for _, _, gap in probe.rows] + list(probe.floors.values())
+    assert np.all(np.isfinite(gaps))
 
 
 def test_probe_csv_layout(tmp_path):
